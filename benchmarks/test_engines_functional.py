@@ -9,11 +9,7 @@ letting pytest-benchmark compare their in-process constant factors.
 import pytest
 
 from repro.bigdatabench import TextGenerator
-from repro.workloads import (
-    run_text_sort,
-    run_wordcount,
-    wordcount_reference,
-)
+from repro.workloads import run_workload, wordcount_reference
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +20,14 @@ def lines():
 @pytest.mark.parametrize("engine", ["hadoop", "spark", "datampi"])
 def test_functional_wordcount(benchmark, engine, lines):
     result = benchmark.pedantic(
-        run_wordcount, args=(engine, lines), rounds=3, iterations=1
+        run_workload, args=("wordcount", engine, lines), rounds=3, iterations=1
     )
-    assert result == wordcount_reference(lines)
+    assert result.output == wordcount_reference(lines)
 
 
 @pytest.mark.parametrize("engine", ["hadoop", "spark", "datampi"])
 def test_functional_text_sort(benchmark, engine, lines):
     result = benchmark.pedantic(
-        run_text_sort, args=(engine, lines), rounds=3, iterations=1
+        run_workload, args=("text_sort", engine, lines), rounds=3, iterations=1
     )
-    assert result == sorted(lines)
+    assert result.output == sorted(lines)

@@ -21,7 +21,7 @@ from repro.common.rng import substream
 from repro.common.units import GB
 from repro.experiments import render_table
 from repro.perfmodels import iterative_kmeans
-from repro.workloads import kmeans_iterative_job, run_kmeans
+from repro.workloads import kmeans_iterative_job
 
 
 def test_iterative_kmeans_crossover(once):
@@ -57,7 +57,7 @@ def test_iterative_kmeans_crossover(once):
     assert marginal["spark"] < marginal["datampi"] < marginal["hadoop"]
 
 
-# -- functional Iteration mode vs the run-once loop ----------------------------
+# -- functional Iteration mode vs its one-job-per-iteration replay ---------------
 
 VECTORS = [
     SparseVector({dim: rng.random() for dim in rng.sample(range(16), 5)})
@@ -84,16 +84,13 @@ def _run_both_modes():
 def test_iteration_mode_cache_cuts_bytes_moved(benchmark, once):
     iter_result, iter_stats, common_result, common_stats = once(_run_both_modes)
 
-    # Byte-identical centroids vs the run-once loop (legacy driver) AND the
-    # common-mode replay of the superstep protocol.
-    legacy = run_kmeans("datampi", VECTORS, K, max_iterations=MAX_ITERATIONS,
-                        parallelism=PARALLELISM)
+    # Byte-identical centroids vs the common-mode replay (one fresh job
+    # per iteration) of the superstep protocol.
     freeze = lambda result: pickle.dumps(  # noqa: E731
         [sorted(c.weights.items()) for c in result.centroids]
     )
-    assert freeze(iter_result) == freeze(legacy)
     assert freeze(iter_result) == freeze(common_result)
-    assert iter_result.iterations == legacy.iterations
+    assert iter_result.iterations == common_result.iterations
 
     iter_bytes = [r["mode.bytes_moved"] for r in iter_stats.per_iteration]
     common_bytes = [r["mode.bytes_moved"] for r in common_stats.per_iteration]

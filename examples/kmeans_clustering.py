@@ -17,7 +17,12 @@ from repro.bigdatabench import generate_kmeans_vectors
 from repro.common.units import GB
 from repro.experiments import render_table
 from repro.perfmodels import simulate
-from repro.workloads import kmeans_iterative_job, kmeans_reference, run_kmeans
+from repro.workloads import (
+    RunParams,
+    kmeans_iterative_job,
+    kmeans_reference,
+    run_workload,
+)
 
 
 def main() -> None:
@@ -29,8 +34,9 @@ def main() -> None:
     reference = kmeans_reference(vectors, k=5, max_iterations=15, seed=2)
     print(f"reference converged after {reference.iterations} iterations")
 
+    params = RunParams(k=5, max_iterations=15, seed=2)
     for engine in ("hadoop", "spark", "datampi"):
-        result = run_kmeans(engine, vectors, k=5, max_iterations=15, seed=2)
+        result = run_workload("kmeans", engine, vectors, params).output
         drift = max(
             mine.squared_distance(ref) ** 0.5
             for mine, ref in zip(result.centroids, reference.centroids)

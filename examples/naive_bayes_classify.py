@@ -13,7 +13,7 @@ Run:  python examples/naive_bayes_classify.py
 from repro.common.units import GB
 from repro.experiments import render_table
 from repro.perfmodels import simulate
-from repro.workloads import generate_labeled_documents, run_naive_bayes
+from repro.workloads import generate_labeled_documents, run_workload
 
 
 def main() -> None:
@@ -22,8 +22,8 @@ def main() -> None:
     train, test = documents[:240], documents[240:]
     print(f"{len(train)} training documents over 5 categories, {len(test)} held out")
 
-    hadoop_model = run_naive_bayes("hadoop", train)
-    datampi_model = run_naive_bayes("datampi", train)
+    hadoop_model = run_workload("naive_bayes", "hadoop", train).output
+    datampi_model = run_workload("naive_bayes", "datampi", train).output
     identical = (
         hadoop_model.class_term_counts == datampi_model.class_term_counts
         and hadoop_model.class_doc_counts == datampi_model.class_doc_counts

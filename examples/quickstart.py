@@ -20,7 +20,7 @@ from repro.experiments import render_table
 from repro.perfmodels import simulate
 from repro.workloads import (
     merge_window_counts,
-    run_wordcount,
+    run_workload,
     wordcount_reference,
     wordcount_streaming,
 )
@@ -37,7 +37,7 @@ def main() -> None:
     expected = wordcount_reference(lines)
     print(f"\ndistinct words: {len(expected)}")
     for engine in ("hadoop", "spark", "datampi"):
-        counts = run_wordcount(engine, lines, parallelism=4)
+        counts = run_workload("wordcount", engine, lines).output
         status = "OK" if counts == expected else "MISMATCH"
         print(f"  {engine:<8} -> {len(counts)} words, result {status}")
 

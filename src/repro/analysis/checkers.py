@@ -1,4 +1,5 @@
-"""Built-in ``repro-lint`` checkers RPL001–RPL007.
+"""Built-in ``repro-lint`` checkers RPL001–RPL007 (codes are never reused,
+so a retired rule leaves a gap in the numbering).
 
 Each checker pins one of the project's runtime invariants (see
 ``docs/linting.md`` for the catalogue with rationale).  Checkers are
@@ -19,7 +20,6 @@ __all__ = [
     "ResourceLifecycle",
     "TagDiscipline",
     "SleepBan",
-    "DeprecatedShimBan",
     "FaultPointCoverage",
     "LockDiscipline",
 ]
@@ -351,74 +351,6 @@ class SleepBan(_FunctionStackChecker):
                 "bare time.sleep; poll with a deadline helper (tests: the "
                 "`wait_until` fixture) or block on a condition variable",
             )
-        self.generic_visit(node)
-
-
-@register
-class DeprecatedShimBan(Checker):
-    """RPL005 — new ``src/`` code must not depend on deprecation shims.
-
-    ``repro.datampi.{kvcache,receiver}`` and the legacy
-    ``DataMPIConf(cache_bytes=/spill_bytes=)`` knobs exist only so external
-    callers migrate gradually (PR 9); library code uses ``repro.storage``
-    and ``StorageConfig`` directly.
-    """
-
-    code = "RPL005"
-    name = "deprecated-shim-ban"
-    description = "deprecated shim imports and legacy DataMPIConf storage kwargs banned in src/"
-
-    SHIM_MODULES = frozenset({"repro.datampi.kvcache", "repro.datampi.receiver"})
-    SHIM_NAMES = frozenset({"kvcache", "receiver"})
-    LEGACY_KWARGS = frozenset({"cache_bytes", "spill_bytes"})
-    #: The shim implementations themselves (and the conf that carries the
-    #: legacy fields for backward compatibility) are exempt.
-    EXEMPT_FILES = (
-        ("repro", "datampi", "kvcache.py"),
-        ("repro", "datampi", "receiver.py"),
-        ("repro", "datampi", "job.py"),
-    )
-
-    @classmethod
-    def interested(cls, context: FileContext) -> bool:
-        return context.is_repro_module and not any(
-            context.path_endswith(*suffix) for suffix in cls.EXEMPT_FILES
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self.SHIM_MODULES:
-                self.report(
-                    node,
-                    f"import of deprecated shim {alias.name}; use repro.storage",
-                )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module in self.SHIM_MODULES:
-            self.report(
-                node, f"import from deprecated shim {node.module}; use repro.storage"
-            )
-        elif node.module == "repro.datampi":
-            for alias in node.names:
-                if alias.name in self.SHIM_NAMES:
-                    self.report(
-                        node,
-                        f"import of deprecated shim repro.datampi.{alias.name}; "
-                        "use repro.storage",
-                    )
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        callee = _dotted_name(node.func).rsplit(".", 1)[-1]
-        if callee == "DataMPIConf":
-            for kw in node.keywords:
-                if kw.arg in self.LEGACY_KWARGS:
-                    self.report(
-                        node,
-                        f"legacy DataMPIConf({kw.arg}=...) in src/; pass "
-                        "storage=StorageConfig(...) instead",
-                    )
         self.generic_visit(node)
 
 

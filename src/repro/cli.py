@@ -17,8 +17,10 @@ The DataMPI engine's IPC backend is selectable with
 inline scheduler, or processes joined by TCP socket pairs
 (``--hosts``/``--port`` choose the bind addresses).  Its execution mode is selectable with
 ``workload --mode {common,iteration,streaming}``: run-once jobs
-(default), kept-alive ranks with a cross-iteration KV cache (kmeans),
-or windowed unbounded input (wordcount, grep).
+(default), kept-alive ranks with a cross-iteration KV cache (kmeans,
+naive_bayes), or windowed unbounded input (wordcount, grep).  Which
+workloads, engines and modes exist is read from the one workload table
+(``repro.workloads.base.WORKLOADS``).
 """
 
 from __future__ import annotations
@@ -130,22 +132,27 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_workload(args) -> int:
-    from repro.bigdatabench import TextGenerator, generate_kmeans_vectors
-    from repro.workloads import (
-        grep_reference,
-        grep_streaming,
-        kmeans_iterative_job,
-        merge_window_counts,
-        run_grep,
-        run_kmeans,
-        run_text_sort,
-        run_wordcount,
-        wordcount_reference,
-        wordcount_streaming,
-    )
+    from repro.common.errors import ConfigError
+    from repro.experiments.spec import DataScale
+    from repro.workloads.base import WORKLOADS, RunParams, run_workload
 
+    # "sort" is this command's long-standing spelling of text_sort.
+    name = "text_sort" if args.name == "sort" else args.name
+    workload = WORKLOADS.get(name)
+    if workload is None:
+        print(f"unknown workload {args.name!r}; available: "
+              f"{', '.join(WORKLOADS)}", file=sys.stderr)
+        return 2
     if args.mode != "common" and args.engine != "datampi":
         print(f"--mode {args.mode} needs the datampi engine", file=sys.stderr)
+        return 2
+    if args.engine not in workload.engines:
+        print(f"{args.name} runs on engines "
+              f"{' and '.join(workload.engines)}", file=sys.stderr)
+        return 2
+    if args.mode not in workload.modes:
+        print(f"{args.name} supports modes {' and '.join(workload.modes)}",
+              file=sys.stderr)
         return 2
 
     storage = _storage_from_args(args)
@@ -159,8 +166,9 @@ def _cmd_workload(args) -> int:
             print("--pool needs the datampi engine in common mode",
                   file=sys.stderr)
             return 2
-        if args.name not in ("wordcount", "sort", "grep"):
-            print(f"--pool supports wordcount, sort and grep "
+        if workload.job is None:
+            poolable = [n for n, w in WORKLOADS.items() if w.job is not None]
+            print(f"--pool supports {', '.join(poolable)} "
                   f"(got {args.name!r})", file=sys.stderr)
             return 2
         if args.pool < 1:
@@ -183,109 +191,46 @@ def _cmd_workload(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    if args.name == "kmeans":
-        if args.mode == "streaming":
-            print("kmeans supports modes common and iteration", file=sys.stderr)
-            return 2
-        vectors, _labels = generate_kmeans_vectors(args.vectors, seed=args.seed)
-        if args.mode == "iteration":
-            result, stats = kmeans_iterative_job(
-                vectors, k=args.k, max_iterations=10, seed=args.seed,
-                transport=args.transport, storage=storage,
-            )
-            baseline = run_kmeans("datampi", vectors, k=args.k, max_iterations=10,
-                                  seed=args.seed, transport=args.transport)
-            identical = [c.weights for c in result.centroids] == \
-                [c.weights for c in baseline.centroids]
-            print(f"kmeans k={args.k} iterations={result.iterations} "
-                  f"converged={result.converged} verified={identical}")
-            print(f"cache served {stats.counters.get('cache.hit_bytes', 0)} bytes "
-                  f"locally over {len(stats.per_iteration)} iterations")
-        else:
-            from repro.workloads import kmeans_reference
-
-            result = run_kmeans(args.engine, vectors, k=args.k, max_iterations=10,
-                                seed=args.seed, transport=args.transport)
-            reference = kmeans_reference(vectors, k=args.k, max_iterations=10,
-                                         seed=args.seed)
-            drift = max(
-                mine.squared_distance(ref) ** 0.5
-                for mine, ref in zip(result.centroids, reference.centroids)
-            )
-            ok = result.iterations == reference.iterations and drift < 1e-9
-            print(f"kmeans k={args.k} iterations={result.iterations} "
-                  f"converged={result.converged} verified={ok}")
-        return 0
-
-    lines = TextGenerator(seed=args.seed).lines(args.lines)
+    try:
+        scale = DataScale("cli", lines=args.lines, vectors=args.vectors,
+                          paper_bytes=1)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    data = workload.make_input(scale, args.seed)
+    params = RunParams(mode=args.mode, transport=args.transport,
+                       storage=storage, seed=args.seed, k=args.k,
+                       pattern=args.pattern)
+    reference = workload.reference(data, params)
     if args.pool is not None:
-        return _run_pooled_workload(args, lines)
-    if args.name in ("wordcount", "grep") and args.mode == "iteration":
-        print(f"{args.name} supports modes common and streaming", file=sys.stderr)
-        return 2
-    if args.name == "wordcount":
-        if args.mode == "streaming":
-            result = wordcount_streaming(lines, lines_per_split=max(1, args.lines // 8),
-                                         transport=args.transport,
-                                         storage=storage)
-            ok = merge_window_counts(result) == wordcount_reference(lines)
-            print(f"{len(result.windows)} windows flushed; verified={ok}")
-        else:
-            counts = run_wordcount(args.engine, lines, transport=args.transport,
-                                   storage=storage)
-            ok = counts == wordcount_reference(lines)
-            print(f"{len(counts)} distinct words; verified={ok}")
-    elif args.name == "sort":
-        if args.mode != "common":
-            print("sort supports only the common mode", file=sys.stderr)
-            return 2
-        output = run_text_sort(args.engine, lines, transport=args.transport,
-                               storage=storage)
-        print(f"sorted {len(output)} lines; verified={output == sorted(lines)}")
-    elif args.name == "grep":
-        if args.mode == "streaming":
-            result = grep_streaming(lines, args.pattern,
-                                    lines_per_split=max(1, args.lines // 8),
-                                    transport=args.transport,
-                                    storage=storage)
-            ok = merge_window_counts(result) == grep_reference(lines, args.pattern)
-            print(f"{len(result.windows)} windows flushed; verified={ok}")
-        else:
-            counts = run_grep(args.engine, lines, args.pattern,
-                              transport=args.transport, storage=storage)
-            print(f"{sum(counts.values())} matches of {len(counts)} distinct strings")
+        return _run_pooled_workload(args, workload, data, params, reference)
+
+    record = run_workload(name, args.engine, data, params)
+    ok = workload.verify(record.output, reference)
+    moved = "-" if record.bytes_moved is None else f"{record.bytes_moved:,}B"
+    if args.mode == "streaming":
+        detail = f", {record.iterations} windows flushed"
+    elif args.mode == "iteration":
+        detail = (f", cache served {record.counters.get('cache.hit_bytes', 0)} "
+                  f"bytes locally over {record.iterations} iterations")
+    elif record.iterations is not None:
+        detail = f", {record.iterations} iterations"
     else:
-        print(f"unknown workload {args.name!r}", file=sys.stderr)
-        return 2
-    return 0
+        detail = ""
+    print(f"{args.name} on {args.engine}: {moved} moved{detail}; verified={ok}")
+    return 0 if ok else 1
 
 
-def _run_pooled_workload(args, lines) -> int:
+def _run_pooled_workload(args, workload, data, params, reference) -> int:
     """Serve one workload N times through a warm WorldPool; print latency."""
     import statistics
     import time
 
     from repro.serving import WorldPool
-    from repro.workloads import (
-        grep_datampi_job,
-        grep_reference,
-        split_round_robin,
-        text_sort_datampi_job,
-        wordcount_datampi_job,
-        wordcount_reference,
-    )
+    from repro.workloads.splits import split_round_robin
 
-    if args.name == "wordcount":
-        job = wordcount_datampi_job(transport=None)
-        verify = lambda merged: dict(merged) == wordcount_reference(lines)  # noqa: E731
-    elif args.name == "sort":
-        job = text_sort_datampi_job(lines)
-        verify = lambda merged: merged == sorted(lines)  # noqa: E731
-    else:  # grep — _cmd_workload already screened the names
-        job = grep_datampi_job(args.pattern)
-        verify = lambda merged: dict(merged) == grep_reference(lines, args.pattern)  # noqa: E731
-
-    splits = split_round_robin(list(lines), job.conf.num_o)
+    job = workload.job(data, params)
+    splits = split_round_robin(list(data), job.conf.num_o)
     latencies: list[float] = []
     with WorldPool(num_o=job.conf.num_o, num_a=job.conf.num_a,
                    transport=args.transport) as pool:
@@ -298,7 +243,7 @@ def _run_pooled_workload(args, lines) -> int:
             result = pool.run_job(args.name, splits)
             latencies.append(time.perf_counter() - t0)
         elapsed = time.perf_counter() - started
-    ok = verify(result.merged_outputs())
+    ok = workload.verify(result.merged_outputs(), reference)
     ordered = sorted(latencies)
     p50 = statistics.median(ordered)
     p99 = ordered[min(len(ordered) - 1, max(0, -(-99 * len(ordered) // 100) - 1))]
@@ -508,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     wl = sub.add_parser("workload", help="run a functional workload")
     wl.add_argument("engine", choices=["hadoop", "spark", "datampi"])
-    wl.add_argument("name", help="wordcount | sort | grep | kmeans")
+    wl.add_argument("name", help="wordcount | grep | sort (= text_sort) | "
+                                 "normal_sort | kmeans | naive_bayes")
     wl.add_argument("--lines", type=int, default=2000)
     wl.add_argument("--seed", type=int, default=0)
     wl.add_argument("--pattern", default=r"ba[a-z]*")

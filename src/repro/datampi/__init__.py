@@ -62,9 +62,8 @@ from repro.datampi.partition import (
     hash_partitioner,
     validate_partition,
 )
-# The storage layer moved to repro.storage; these re-exports keep the
-# long-standing datampi surface intact (without the shim modules'
-# DeprecationWarning).
+# The storage layer lives in repro.storage; these re-exports keep the
+# long-standing datampi surface intact.
 from repro.storage import (
     DEFAULT_SPILL_BYTES,
     ChunkStore,

@@ -15,7 +15,6 @@ DataMPI application's ``MPI_D_Init ... MPI_D_Finalize`` lifecycle:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -30,7 +29,7 @@ from repro.datampi.checkpoint import (
 from repro.datampi.communicator import BipartiteComm
 from repro.datampi.context import AContext, OContext
 from repro.datampi.partition import Partitioner
-from repro.storage import DEFAULT_SPILL_BYTES, ChunkStore, KVCache, StorageConfig
+from repro.storage import ChunkStore, KVCache, StorageConfig
 from repro.mpi import faultinject
 from repro.mpi.comm import Comm
 from repro.mpi.launcher import mpi_run
@@ -51,8 +50,9 @@ class DataMPIConf:
     """Static configuration of a DataMPI job.
 
     A frozen value object shared by every execution mode: the O/A world
-    shape, shuffle behaviour (sort/partitioner/combiner), buffer and
-    spill thresholds, the IPC ``transport`` and the execution ``mode``.
+    shape, shuffle behaviour (sort/partitioner/combiner), the send
+    buffer, the ``storage`` budgets, the IPC ``transport`` and the
+    execution ``mode``.
     Validation happens at construction, so a bad configuration fails
     before any rank is launched.
 
@@ -61,7 +61,7 @@ class DataMPIConf:
         >>> conf = DataMPIConf(num_o=2, num_a=2, transport="inline")
         >>> conf.mode
         'common'
-        >>> conf.storage.spill_threshold == conf.spill_bytes
+        >>> conf.storage.spill_dir is None
         True
         >>> DataMPIConf(num_o=0, num_a=1)
         Traceback (most recent call last):
@@ -75,7 +75,6 @@ class DataMPIConf:
     partitioner: Partitioner | None = None
     combiner: Callable[[Any, list[Any]], Any] | None = None
     send_buffer_bytes: int = DEFAULT_SEND_BUFFER_BYTES
-    spill_bytes: int = DEFAULT_SPILL_BYTES
     checkpoint_dir: str | None = None
     job_name: str = "datampi-job"
     #: IPC backend the job's ranks run over: ``thread`` (default), ``shm``
@@ -90,14 +89,9 @@ class DataMPIConf:
     #: unbounded input).  Iteration/streaming jobs are driven by
     #: :class:`repro.datampi.modes.IterativeJob` / ``StreamingJob``.
     mode: str = "common"
-    #: Capacity of the per-rank cross-superstep KV cache (None = unbounded).
-    #: Deprecated: carry a :class:`repro.storage.StorageConfig` in
-    #: ``storage=`` instead; this kwarg keeps working but warns.
-    cache_bytes: int | None = None
-    #: The storage layer's budgets and spill placement, as one
-    #: :class:`repro.storage.StorageConfig` value.  When omitted it is
-    #: synthesized from the legacy ``cache_bytes``/``spill_bytes`` fields;
-    #: when given, those fields are kept mirrored so old readers agree.
+    #: The storage layer's budgets and spill placement — KV-cache capacity,
+    #: receive-store memory budget, spill directory — as one
+    #: :class:`repro.storage.StorageConfig` value (None = the defaults).
     storage: StorageConfig | None = None
     #: Deterministic fault plan (a :class:`~repro.mpi.faultinject.FaultPlan`
     #: or its DSL string) installed in every rank the job launches.  The
@@ -123,8 +117,6 @@ class DataMPIConf:
             )
         if self.send_buffer_bytes < 1:
             raise ConfigError("send_buffer_bytes must be positive")
-        if self.spill_bytes < 1:
-            raise ConfigError("spill_bytes must be positive")
         if self.transport is not None and not isinstance(self.transport, Transport) \
                 and self.transport not in available_transports():
             raise ConfigError(
@@ -135,49 +127,8 @@ class DataMPIConf:
             raise ConfigError(
                 f"unknown execution mode {self.mode!r}; available: {EXECUTION_MODES}"
             )
-        if self.cache_bytes is not None and self.cache_bytes < 1:
-            raise ConfigError("cache_bytes must be positive or None")
-        self._sync_storage()
-
-    def _sync_storage(self) -> None:
-        # Keep ``storage`` and the legacy ``cache_bytes``/``spill_bytes``
-        # fields describing the same thing: synthesize one from the other,
-        # and refuse a conf where both were passed but disagree.
         if self.storage is None:
-            if self.cache_bytes is not None:
-                warnings.warn(
-                    "DataMPIConf(cache_bytes=...) is deprecated; pass "
-                    "storage=StorageConfig(cache_bytes=...) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            object.__setattr__(
-                self,
-                "storage",
-                StorageConfig(
-                    cache_bytes=self.cache_bytes,
-                    spill_threshold=self.spill_bytes,
-                ),
-            )
-            return
-        if (
-            self.cache_bytes is not None
-            and self.cache_bytes != self.storage.cache_bytes
-        ):
-            raise ConfigError(
-                f"cache_bytes={self.cache_bytes} disagrees with "
-                f"storage.cache_bytes={self.storage.cache_bytes}; set one"
-            )
-        if (
-            self.spill_bytes != DEFAULT_SPILL_BYTES
-            and self.spill_bytes != self.storage.spill_threshold
-        ):
-            raise ConfigError(
-                f"spill_bytes={self.spill_bytes} disagrees with "
-                f"storage.spill_threshold={self.storage.spill_threshold}; set one"
-            )
-        object.__setattr__(self, "cache_bytes", self.storage.cache_bytes)
-        object.__setattr__(self, "spill_bytes", self.storage.spill_threshold)
+            object.__setattr__(self, "storage", StorageConfig())
 
     def resolved_transport(self) -> str | Transport | None:
         """The transport every driver should hand to ``mpi_run``.

@@ -171,10 +171,6 @@ def run_superstep(
     return status, error, output, counters, scatter_bytes
 
 
-#: Backward-compatible alias for the pre-serving private name.
-_run_superstep = run_superstep
-
-
 def recycle_world(cache: KVCache | None, store: ChunkStore | None) -> None:
     """Return one rank's per-job state to its pre-job condition.
 

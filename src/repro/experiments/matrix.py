@@ -51,11 +51,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.bigdatabench import (
-    TextGenerator,
-    generate_kmeans_vectors,
-    to_sequence_file,
-)
 from repro.common.errors import ConfigError, JobError, ReproError
 from repro.datampi.checkpoint import atomic_write_json, read_json
 from repro.mpi.transport.tcp import (
@@ -69,45 +64,10 @@ from repro.mpi.transport.tcp import (
     send_frame,
 )
 from repro.experiments.profiler import ResourceProfiler
-from repro.experiments.spec import (
-    MODEL_FRAMEWORKS,
-    MODEL_WORKLOADS,
-    CellSpec,
-    ExperimentSpec,
-)
+from repro.experiments.spec import MODEL_FRAMEWORKS, CellSpec, ExperimentSpec
 from repro.perfmodels import iterative_kmeans, simulate
-from repro.spark import SparkContext
 from repro.storage import StorageConfig
-from repro.workloads import (
-    generate_labeled_documents,
-    grep_datampi_result,
-    grep_hadoop_result,
-    grep_spark,
-    grep_streaming,
-    kmeans_iterative_job,
-    merge_window_counts,
-    normal_sort_datampi_result,
-    normal_sort_hadoop_result,
-    normal_sort_spark,
-    run_kmeans,
-    text_sort_datampi_result,
-    text_sort_hadoop_result,
-    text_sort_spark,
-    train_datampi_iterative,
-    train_datampi_result,
-    train_hadoop_result,
-    wordcount_datampi_result,
-    wordcount_hadoop_result,
-    wordcount_spark,
-    wordcount_streaming,
-)
-
-#: Grep pattern every grep cell searches (the CLI default).
-GREP_PATTERN = r"ba[a-z]*"
-
-#: Clusters every kmeans cell trains.
-KMEANS_K = 4
-
+from repro.workloads.base import WORKLOADS, RunParams, run_workload
 SPEC_FILE = "spec.json"
 MANIFEST_FILE = "manifest.json"
 CELLS_DIR = "cells"
@@ -117,27 +77,6 @@ def checksum(obj: Any) -> str:
     """Stable digest of a JSON-serializable canonical output."""
     canonical = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _canonical_counts(counts: dict) -> list[list]:
-    return [[key, count] for key, count in sorted(counts.items())]
-
-
-def _canonical_centroids(centroids) -> list[list[list]]:
-    return [sorted([dim, weight] for dim, weight in c.weights.items())
-            for c in centroids]
-
-
-def _canonical_model(model) -> dict:
-    """Canonical JSON form of a trained Naive Bayes model."""
-    return {
-        "doc_counts": sorted(model.class_doc_counts.items()),
-        "term_counts": [
-            [label, sorted(counts.items())]
-            for label, counts in sorted(model.class_term_counts.items())
-        ],
-        "vocabulary": sorted(model.vocabulary),
-    }
 
 
 @dataclass
@@ -231,25 +170,29 @@ class MatrixResult:
 # -- per-cell execution ---------------------------------------------------------
 
 
+#: Workloads with a calibrated *iterative* model.  Only K-means has one;
+#: the Naive Bayes supersteps are the Mahout pipeline's chained passes,
+#: so its iteration cells report the pipeline model's seconds.
+_ITERATIVE_MODELS = ("kmeans",)
+
+#: (engine, workload) cells left out of the exact-digest comparison.
+#: Spark's K-means reduction order only guarantees centroids to 1e-9
+#: (asserted by ``tests/test_workloads_apps.py``), not byte identity.
+_INEXACT_CELLS = {("spark-model", "kmeans")}
+
+
 def _modeled_sec(cell: CellSpec, iterations: int | None) -> float | None:
     """Analytical cluster-scale seconds for this cell, if a model applies."""
     if cell.mode == "streaming":
         return None  # the paper (and the models) have no streaming runs
     framework = MODEL_FRAMEWORKS[cell.engine]
     paper_bytes = cell.data_scale.paper_bytes
-    if cell.mode == "iteration" and iterations and cell.workload == "kmeans":
-        # Only K-means has a calibrated *iterative* model; the Naive
-        # Bayes supersteps are the Mahout pipeline's chained passes, so
-        # its iteration cells report the pipeline model's seconds.
+    if cell.mode == "iteration" and iterations \
+            and cell.workload in _ITERATIVE_MODELS:
         cumulative = iterative_kmeans(paper_bytes, iterations).cumulative
         return cumulative[framework][-1]
-    run = simulate(framework, MODEL_WORKLOADS[cell.workload], paper_bytes,
-                   executions=1)
+    run = simulate(framework, cell.workload, paper_bytes, executions=1)
     return None if run.failed else run.elapsed_sec
-
-
-def _partial_result(cell: CellSpec) -> CellResult:
-    return CellResult(spec=cell)
 
 
 def _cell_storage(cell: CellSpec, spec: ExperimentSpec) -> StorageConfig | None:
@@ -270,213 +213,29 @@ def _fill_spill_counters(result: CellResult) -> None:
         result.spill_reads = result.counters.get("a.spill_reads", 0)
 
 
-def _fill_counts_cell(result: CellResult, counts: dict,
-                      counters: dict[str, int], bytes_moved: int | None) -> None:
-    result.output_checksum = checksum(_canonical_counts(counts))
-    result.counters = dict(counters)
-    result.bytes_moved = bytes_moved
-
-
-def _execute_counting(cell: CellSpec, spec: ExperimentSpec,
-                      lines: list[str]) -> CellResult:
-    """wordcount/grep cells: all engines, common + streaming modes."""
-    result = _partial_result(cell)
-    parallelism = spec.parallelism
-    if cell.mode == "streaming":
-        runner = wordcount_streaming if cell.workload == "wordcount" \
-            else grep_streaming
-        args = (lines,) if cell.workload == "wordcount" else (lines, GREP_PATTERN)
-        stream = runner(*args, parallelism=parallelism,
-                        lines_per_split=max(1, len(lines) // 8),
-                        transport=cell.transport,
-                        storage=_cell_storage(cell, spec))
-        _fill_counts_cell(result, merge_window_counts(stream), stream.counters,
-                          stream.counters.get("mode.bytes_moved"))
-        result.iterations = len(stream.windows)
-        return result
-    if cell.engine == "datampi":
-        runner = wordcount_datampi_result if cell.workload == "wordcount" \
-            else grep_datampi_result
-        args = (lines,) if cell.workload == "wordcount" else (lines, GREP_PATTERN)
-        job = runner(*args, parallelism=parallelism, transport=cell.transport,
-                     storage=_cell_storage(cell, spec))
-        _fill_counts_cell(result, dict(job.merged_outputs()), job.counters,
-                          job.counters.get("o.bytes_sent"))
-    elif cell.engine == "hadoop-model":
-        runner = wordcount_hadoop_result if cell.workload == "wordcount" \
-            else grep_hadoop_result
-        args = (lines,) if cell.workload == "wordcount" else (lines, GREP_PATTERN)
-        job = runner(*args, parallelism=parallelism)
-        counts = {kv.key: kv.value for kv in job.merged_outputs()}
-        _fill_counts_cell(result, counts, job.counters,
-                          job.counters.get("shuffle_bytes"))
-    else:  # spark-model: instrumented context supplies the shuffle bytes
-        runner = wordcount_spark if cell.workload == "wordcount" else grep_spark
-        args = (lines,) if cell.workload == "wordcount" else (lines, GREP_PATTERN)
-        ctx = SparkContext(default_parallelism=parallelism)
-        counts = runner(*args, parallelism=parallelism, ctx=ctx)
-        _fill_counts_cell(result, counts, dict(ctx.counters),
-                          ctx.counters.get("shuffle_bytes"))
-    return result
-
-
-def _execute_sort(cell: CellSpec, spec: ExperimentSpec,
-                  lines: list[str]) -> CellResult:
-    """text_sort and normal_sort cells on all three engines.
-
-    Normal Sort first runs the ToSeqFile conversion (key = value = line,
-    DEFLATE-compressed) and sorts the decompressed records, recording the
-    compression counters alongside the sort's shuffle bytes — the
-    workload the paper's Spark baseline OOMs on at cluster scale.
-    """
-    result = _partial_result(cell)
-    parallelism = spec.parallelism
-    seqfile = to_sequence_file(lines) if cell.workload == "normal_sort" \
-        else None
-    if cell.engine == "datampi":
-        storage = _cell_storage(cell, spec)
-        job = normal_sort_datampi_result(seqfile, parallelism,
-                                         transport=cell.transport,
-                                         storage=storage) \
-            if seqfile else \
-            text_sort_datampi_result(lines, parallelism,
-                                     transport=cell.transport,
-                                     storage=storage)
-        output = [line for ranked in job.outputs for line in ranked]
-        result.counters = dict(job.counters)
-        result.bytes_moved = job.counters.get("o.bytes_sent")
-    elif cell.engine == "hadoop-model":
-        job = normal_sort_hadoop_result(seqfile, parallelism) if seqfile \
-            else text_sort_hadoop_result(lines, parallelism)
-        output = [kv.key for kv in job.merged_outputs()]
-        result.counters = dict(job.counters)
-        result.bytes_moved = job.counters.get("shuffle_bytes")
-    else:
-        ctx = SparkContext(default_parallelism=parallelism)
-        output = normal_sort_spark(seqfile, parallelism, ctx=ctx) if seqfile \
-            else text_sort_spark(lines, parallelism, ctx=ctx)
-        result.counters = dict(ctx.counters)
-        result.bytes_moved = ctx.counters.get("shuffle_bytes")
-    if seqfile is not None:
-        result.counters.update({
-            "seqfile.raw_bytes": seqfile.raw_bytes,
-            "seqfile.compressed_bytes": seqfile.compressed_bytes,
-            "seqfile.records": seqfile.num_records,
-        })
-    result.output_checksum = checksum(output)
-    return result
-
-
-def _execute_naive_bayes(cell: CellSpec, spec: ExperimentSpec,
-                         documents) -> CellResult:
-    """Naive Bayes cells (no spark-model: the paper's release lacks it).
-
-    * ``datampi`` common: the Mahout pipeline's three counting passes as
-      chained run-once DataMPI jobs.
-    * ``datampi`` iteration: the same passes as supersteps of one
-      kept-alive world — the documents cross the transport once and the
-      later passes read them from the per-rank cache.
-    * ``hadoop-model`` common: the functional MapReduce pipeline.
-    * ``hadoop-model`` iteration: the one-job-per-pass replay (fresh
-      world per superstep, no cache) with measured per-pass bytes.
-
-    Every path trains a bit-identical model, which the cross-engine
-    checksum verifies.
-    """
-    result = _partial_result(cell)
-    parallelism = spec.parallelism
-    if cell.mode == "common":
-        if cell.engine == "datampi":
-            model, counters = train_datampi_result(
-                documents, parallelism, transport=cell.transport,
-                storage=_cell_storage(cell, spec))
-            result.bytes_moved = counters.get("o.bytes_sent")
-        else:
-            model, counters = train_hadoop_result(documents, parallelism)
-            result.bytes_moved = counters.get("shuffle_bytes")
-        result.counters = dict(counters)
-        result.output_checksum = checksum(_canonical_model(model))
-        return result
-    # Iteration cells mirror the kmeans pattern: the hadoop-model replay
-    # is a measurement device pinned to the deterministic backend.
-    mode = "iteration" if cell.engine == "datampi" else "common"
-    transport = cell.transport if cell.engine == "datampi" else "inline"
-    model, stats = train_datampi_iterative(
-        documents, parallelism, transport=transport, mode=mode,
-        storage=_cell_storage(cell, spec))
-    result.iterations = len(stats.per_iteration)
-    result.output_checksum = checksum(_canonical_model(model))
-    result.counters = dict(stats.counters)
-    result.bytes_moved = stats.counters.get("mode.bytes_moved")
-    result.per_iteration_bytes = [
-        record["mode.bytes_moved"] for record in stats.per_iteration
-    ]
-    return result
-
-
-def _execute_kmeans(cell: CellSpec, spec: ExperimentSpec, vectors) -> CellResult:
-    """K-means cells.
-
-    * ``datampi``: the real superstep driver — Iteration mode (kept-alive
-      world + KV cache) or its Common replay, per the cell's mode.
-    * ``hadoop-model``: the one-job-per-iteration pattern (fresh world
-      per superstep, no cache) — Hadoop/Mahout's execution model — with
-      measured per-iteration bytes.
-    * ``spark-model``: the functional RDD engine iterating over a cached
-      RDD; the instrumented context reports its shuffle bytes.
-
-    All three converge to byte-identical centroids from the shared seed,
-    which the cross-engine checksum in the reports verifies.
-    """
-    result = _partial_result(cell)
-    common = dict(k=KMEANS_K, max_iterations=spec.max_iterations,
-                  seed=spec.seed, parallelism=spec.parallelism)
-    if cell.engine == "spark-model":
-        ctx = SparkContext(default_parallelism=spec.parallelism,
-                           memory_capacity=1 << 30)
-        kres = run_kmeans("spark", vectors, spark_ctx=ctx, **common)
-        result.iterations = kres.iterations
-        result.output_checksum = checksum(_canonical_centroids(kres.centroids))
-        result.counters = dict(ctx.counters)
-        result.bytes_moved = ctx.counters.get("shuffle_bytes")
-        return result
-    mode = "iteration" if (cell.engine == "datampi" and
-                           cell.mode == "iteration") else "common"
-    # The hadoop-model replay is a measurement device, not a transport
-    # benchmark: pin it to the deterministic backend so its byte counters
-    # never depend on the ambient REPRO_TRANSPORT default.
-    transport = cell.transport if cell.engine == "datampi" else "inline"
-    kres, stats = kmeans_iterative_job(vectors, transport=transport,
-                                       mode=mode,
-                                       storage=_cell_storage(cell, spec),
-                                       **common)
-    result.iterations = kres.iterations
-    result.output_checksum = checksum(_canonical_centroids(kres.centroids))
-    result.counters = dict(stats.counters)
-    result.bytes_moved = stats.counters.get("mode.bytes_moved")
-    result.per_iteration_bytes = [
-        record["mode.bytes_moved"] for record in stats.per_iteration
-    ]
-    return result
-
-
 def execute_cell(cell: CellSpec, spec: ExperimentSpec) -> CellResult:
-    """Run one cell's functional workload (no profiling, no modeling)."""
-    scale = cell.data_scale
-    if cell.workload == "kmeans":
-        vectors, _labels = generate_kmeans_vectors(scale.vectors, seed=spec.seed)
-        result = _execute_kmeans(cell, spec, vectors)
-    elif cell.workload == "naive_bayes":
-        documents = generate_labeled_documents(scale.docs, seed=spec.seed)
-        result = _execute_naive_bayes(cell, spec, documents)
-    elif cell.workload in ("wordcount", "grep"):
-        lines = TextGenerator(seed=spec.seed).lines(scale.lines)
-        result = _execute_counting(cell, spec, lines)
-    elif cell.workload in ("text_sort", "normal_sort"):
-        lines = TextGenerator(seed=spec.seed).lines(scale.lines)
-        result = _execute_sort(cell, spec, lines)
-    else:
-        raise ConfigError(f"no executor for workload {cell.workload!r}")
+    """Run one cell's functional workload (no profiling, no modeling).
+
+    The workload table supplies the input generator, the runner for the
+    cell's engine and mode, and the canonical form the checksum digests;
+    every engine of a (workload, scale) group sees the same input.
+    """
+    workload = WORKLOADS[cell.workload]
+    record = run_workload(
+        cell.workload, MODEL_FRAMEWORKS[cell.engine],
+        workload.make_input(cell.data_scale, spec.seed),
+        RunParams(mode=cell.mode, parallelism=spec.parallelism,
+                  transport=cell.transport, storage=_cell_storage(cell, spec),
+                  seed=spec.seed, max_iterations=spec.max_iterations),
+    )
+    result = CellResult(
+        spec=cell,
+        output_checksum=checksum(workload.canonical(record.output)),
+        counters=record.counters,
+        bytes_moved=record.bytes_moved,
+        iterations=record.iterations,
+        per_iteration_bytes=record.per_iteration_bytes,
+    )
     _fill_spill_counters(result)
     return result
 
@@ -1394,17 +1153,14 @@ def verify_cross_engine(result: MatrixResult) -> dict[str, bool]:
     compared against nothing is not a verification and must not inflate
     the "agree on N/N" summary.  Streaming cells are compared against
     their common-mode counterparts — the windowed totals must reproduce
-    the batch answer.  Spark's K-means is excluded: its reduction order
-    only guarantees centroids to 1e-9 (asserted by
-    ``tests/test_workloads_apps.py``), not byte identity, so it has no
-    place in an exact-digest comparison.
+    the batch answer.  ``_INEXACT_CELLS`` are excluded.
     """
     groups: dict[str, list[str]] = {}
     for cell_result in result.results:
         if cell_result.status != "ok" or cell_result.output_checksum is None:
             continue
         cell = cell_result.spec
-        if cell.engine == "spark-model" and cell.workload == "kmeans":
+        if (cell.engine, cell.workload) in _INEXACT_CELLS:
             continue
         mode = "common" if cell.mode == "streaming" else cell.mode
         key = f"{cell.workload}.{mode}.{cell.scale}"
@@ -1418,8 +1174,6 @@ def verify_cross_engine(result: MatrixResult) -> dict[str, bool]:
 
 __all__: Sequence[str] = (
     "CellResult",
-    "GREP_PATTERN",
-    "KMEANS_K",
     "MatrixResult",
     "MatrixRunner",
     "checkpoint_status",

@@ -49,44 +49,37 @@ from typing import Iterable, Sequence
 from repro.common.errors import ConfigError
 from repro.common.units import GB
 from repro.mpi.transport import available_transports
+from repro.workloads.base import WORKLOADS
 
 #: Engines a matrix cell can run on (see the module docstring).
 MATRIX_ENGINES = ("datampi", "hadoop-model", "spark-model")
 
-#: Execution modes each workload supports (mirrors the CLI's rules).
-WORKLOAD_MODES = {
-    "wordcount": ("common", "streaming"),
-    "grep": ("common", "streaming"),
-    "text_sort": ("common",),
-    "normal_sort": ("common",),
-    "kmeans": ("common", "iteration"),
-    "naive_bayes": ("common", "iteration"),
-}
+#: Execution modes each workload supports, read off the workload table.
+WORKLOAD_MODES = {name: workload.modes for name, workload in WORKLOADS.items()}
 
-#: Workloads an engine cannot run.  The paper's BigDataBench release has
-#: no Spark Naive Bayes ("the latest BigDataBench lacks the
-#: implementation of Naive Bayes in Spark", Section 4.6), and the
-#: reproduction mirrors that hole rather than inventing a baseline.
-ENGINE_EXCLUSIONS = {
-    "spark-model": ("naive_bayes",),
-}
-
-#: Workload name the analytical performance models use for a matrix workload.
-MODEL_WORKLOADS = {
-    "wordcount": "wordcount",
-    "grep": "grep",
-    "text_sort": "text_sort",
-    "normal_sort": "normal_sort",
-    "kmeans": "kmeans",
-    "naive_bayes": "naive_bayes",
-}
-
-#: Analytical model behind each engine.
+#: The framework behind each matrix engine: its runners in the workload
+#: table and its analytical model.
 MODEL_FRAMEWORKS = {
     "datampi": "datampi",
     "hadoop-model": "hadoop",
     "spark-model": "spark",
 }
+
+
+def declared_modes(workload: str, engine: str) -> tuple[str, ...]:
+    """Modes the workload table declares for ``workload`` on a matrix
+    engine — empty where the engine has no implementation of it."""
+    if workload not in WORKLOADS:
+        raise ConfigError(
+            f"unknown matrix workload {workload!r}; available: {sorted(WORKLOADS)}"
+        )
+    if engine not in MATRIX_ENGINES:
+        raise ConfigError(
+            f"unknown matrix engine {engine!r}; available: {MATRIX_ENGINES}"
+        )
+    framework = MODEL_FRAMEWORKS[engine]
+    runners = WORKLOADS[workload].runners
+    return tuple(mode for mode, by_engine in runners.items() if framework in by_engine)
 
 
 @dataclass(frozen=True)
@@ -141,29 +134,16 @@ class CellSpec:
     transport: str | None = None
 
     def __post_init__(self) -> None:
-        if self.workload not in WORKLOAD_MODES:
-            raise ConfigError(
-                f"unknown matrix workload {self.workload!r}; "
-                f"available: {sorted(WORKLOAD_MODES)}"
-            )
-        if self.engine not in MATRIX_ENGINES:
-            raise ConfigError(
-                f"unknown matrix engine {self.engine!r}; "
-                f"available: {MATRIX_ENGINES}"
-            )
-        if self.mode not in WORKLOAD_MODES[self.workload]:
-            raise ConfigError(
-                f"workload {self.workload!r} supports modes "
-                f"{WORKLOAD_MODES[self.workload]}, got {self.mode!r}"
-            )
-        if self.workload in ENGINE_EXCLUSIONS.get(self.engine, ()):
+        modes = declared_modes(self.workload, self.engine)
+        if not modes:
             raise ConfigError(
                 f"engine {self.engine!r} has no {self.workload!r} "
                 f"implementation (the paper's BigDataBench release lacks it)"
             )
-        if self.mode == "streaming" and self.engine != "datampi":
+        if self.mode not in modes:
             raise ConfigError(
-                f"streaming cells need the datampi engine, got {self.engine!r}"
+                f"workload {self.workload!r} supports modes {modes} on "
+                f"engine {self.engine!r}, got {self.mode!r}"
             )
         if self.scale not in SCALES:
             raise ConfigError(
@@ -259,19 +239,16 @@ class ExperimentSpec:
     ) -> "ExperimentSpec":
         """Build the filtered product of the axes.
 
-        Invalid combinations (streaming on a model engine, a mode a
-        workload does not support) are silently skipped, so callers can
-        pass the full axes and get only the runnable cells.
+        Combinations the workload table does not declare (streaming on a
+        model engine, a mode a workload does not support, Spark Naive
+        Bayes) are silently skipped, so callers can pass the full axes
+        and get only the runnable cells.
         """
         cells: list[CellSpec] = []
         for workload in workloads:
             for mode in modes:
-                if mode not in WORKLOAD_MODES.get(workload, ()):
-                    continue
                 for engine in engines:
-                    if mode == "streaming" and engine != "datampi":
-                        continue
-                    if workload in ENGINE_EXCLUSIONS.get(engine, ()):
+                    if mode not in declared_modes(workload, engine):
                         continue
                     for scale in scales:
                         cells.append(CellSpec(
@@ -343,7 +320,7 @@ def full_spec(transport: str | None = "inline") -> ExperimentSpec:
     """Every workload × engine × mode × scale combination that runs."""
     return ExperimentSpec.matrix(
         "full",
-        workloads=tuple(WORKLOAD_MODES),
+        workloads=tuple(WORKLOADS),
         engines=MATRIX_ENGINES,
         modes=("common", "iteration", "streaming"),
         scales=("tiny", "small", "medium", "large"),

@@ -1,12 +1,9 @@
 """One value object for every storage knob a DataMPI job carries.
 
-Before the storage layer was extracted, the cache capacity and the spill
-threshold travelled as loose ``cache_bytes``/``spill_bytes`` integers on
-:class:`~repro.datampi.job.DataMPIConf`, and the spill directory could
-not be configured at all.  :class:`StorageConfig` is the one place those
-decisions now live; the conf carries it, drivers build their per-rank
-stores from it, and the legacy integer fields remain as deprecation
-shims that synthesize one of these.
+:class:`StorageConfig` is the one place the cache capacity, the spill
+threshold and the spill directory are decided:
+:class:`~repro.datampi.job.DataMPIConf` carries one, and drivers build
+their per-rank stores from it.
 """
 
 from __future__ import annotations

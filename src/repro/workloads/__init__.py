@@ -1,117 +1,83 @@
-"""The five BigDataBench workloads (Table 1) on the three engines."""
+"""The BigDataBench workloads (Table 1) on the three engines.
 
-from repro.workloads.base import ENGINES, check_engine, split_round_robin
-from repro.workloads.grep import (
-    grep_datampi,
-    grep_datampi_job,
-    grep_datampi_result,
-    grep_hadoop,
-    grep_hadoop_result,
-    grep_reference,
-    grep_spark,
-    run_grep,
+:data:`WORKLOADS` (in :mod:`repro.workloads.base`) is the table of what
+exists; :func:`run_workload` runs one entry.  The per-workload modules
+hold the jobs themselves — the names re-exported here are the table API
+plus the job factories, references and data types other layers use
+directly.
+"""
+
+from repro.workloads.base import (
+    ENGINES,
+    WORKLOADS,
+    RunParams,
+    RunRecord,
+    Workload,
+    run_workload,
 )
+from repro.workloads.grep import grep_datampi_job, grep_reference
 from repro.workloads.kmeans import (
     DEFAULT_EPSILON,
     KMeansResult,
     initial_centroids,
+    kmeans_agree,
     kmeans_iterative_job,
     kmeans_reference,
-    run_kmeans,
 )
 from repro.workloads.naivebayes import (
     LabeledDocument,
     NaiveBayesModel,
     generate_labeled_documents,
-    run_naive_bayes,
-    train_datampi,
     train_datampi_iterative,
-    train_datampi_result,
-    train_hadoop,
-    train_hadoop_result,
     train_reference,
 )
+from repro.workloads.sort import (
+    sort_reference,
+    text_sort_datampi_job,
+    text_sort_datampi_result,
+)
+from repro.workloads.splits import split_round_robin
 from repro.workloads.streaming import (
     chunk_lines,
     grep_streaming,
     merge_window_counts,
     wordcount_streaming,
 )
-from repro.workloads.sort import (
-    normal_sort_datampi_result,
-    normal_sort_hadoop_result,
-    normal_sort_spark,
-    run_normal_sort,
-    run_text_sort,
-    sort_reference,
-    text_sort_datampi,
-    text_sort_datampi_job,
-    text_sort_datampi_result,
-    text_sort_hadoop,
-    text_sort_hadoop_result,
-    text_sort_spark,
-)
 from repro.workloads.wordcount import (
-    run_wordcount,
-    wordcount_datampi,
     wordcount_datampi_job,
     wordcount_datampi_result,
-    wordcount_hadoop,
-    wordcount_hadoop_result,
     wordcount_reference,
-    wordcount_spark,
 )
 
 __all__ = [
     "ENGINES",
-    "check_engine",
-    "split_round_robin",
-    "grep_datampi",
+    "WORKLOADS",
+    "RunParams",
+    "RunRecord",
+    "Workload",
+    "run_workload",
     "grep_datampi_job",
-    "grep_datampi_result",
-    "grep_hadoop",
-    "grep_hadoop_result",
     "grep_reference",
-    "grep_spark",
-    "run_grep",
     "DEFAULT_EPSILON",
     "KMeansResult",
     "initial_centroids",
+    "kmeans_agree",
     "kmeans_iterative_job",
     "kmeans_reference",
-    "run_kmeans",
     "LabeledDocument",
     "NaiveBayesModel",
     "generate_labeled_documents",
-    "run_naive_bayes",
-    "train_datampi",
     "train_datampi_iterative",
-    "train_datampi_result",
-    "train_hadoop",
-    "train_hadoop_result",
     "train_reference",
+    "sort_reference",
+    "text_sort_datampi_job",
+    "text_sort_datampi_result",
+    "split_round_robin",
     "chunk_lines",
     "grep_streaming",
     "merge_window_counts",
     "wordcount_streaming",
-    "normal_sort_datampi_result",
-    "normal_sort_hadoop_result",
-    "normal_sort_spark",
-    "run_normal_sort",
-    "run_text_sort",
-    "sort_reference",
-    "text_sort_datampi",
-    "text_sort_datampi_job",
-    "text_sort_datampi_result",
-    "text_sort_hadoop",
-    "text_sort_hadoop_result",
-    "text_sort_spark",
-    "run_wordcount",
-    "wordcount_datampi",
     "wordcount_datampi_job",
     "wordcount_datampi_result",
-    "wordcount_hadoop",
-    "wordcount_hadoop_result",
     "wordcount_reference",
-    "wordcount_spark",
 ]

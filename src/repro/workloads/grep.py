@@ -13,8 +13,8 @@ from typing import Sequence
 
 from repro.datampi import DataMPIConf, DataMPIJob, StorageConfig
 from repro.hadoop import HadoopConf, MapReduceJob
+from repro.mpi.transport import Transport
 from repro.spark import SparkContext
-from repro.workloads.base import check_engine, split_round_robin
 
 
 def grep_reference(lines: Sequence[str], pattern: str) -> dict[str, int]:
@@ -26,8 +26,8 @@ def grep_reference(lines: Sequence[str], pattern: str) -> dict[str, int]:
     return counts
 
 
-def grep_hadoop_result(lines: Sequence[str], pattern: str, parallelism: int = 4):
-    """Grep on the functional MapReduce engine, with its counters."""
+def grep_hadoop_job(pattern: str, parallelism: int = 4) -> MapReduceJob:
+    """Grep on the functional MapReduce engine (combiner enabled)."""
     compiled = re.compile(pattern)
 
     def mapper(_offset, line):
@@ -37,22 +37,16 @@ def grep_hadoop_result(lines: Sequence[str], pattern: str, parallelism: int = 4)
     def reducer(match, counts):
         yield match, sum(counts)
 
-    job = MapReduceJob(
+    return MapReduceJob(
         mapper, reducer,
         HadoopConf(num_reduces=parallelism, combiner=lambda m, cs: sum(cs),
                    job_name="grep"),
     )
-    return job.run(split_round_robin(list(enumerate(lines)), parallelism))
 
 
-def grep_hadoop(lines: Sequence[str], pattern: str, parallelism: int = 4) -> dict[str, int]:
-    result = grep_hadoop_result(lines, pattern, parallelism)
-    return {kv.key: kv.value for kv in result.merged_outputs()}
-
-
-def grep_spark(lines: Sequence[str], pattern: str, parallelism: int = 4,
-               ctx: SparkContext | None = None) -> dict[str, int]:
-    ctx = ctx or SparkContext(default_parallelism=parallelism)
+def grep_spark(ctx: SparkContext, lines: Sequence[str], pattern: str,
+               parallelism: int = 4) -> dict[str, int]:
+    """Grep on the functional RDD engine."""
     compiled = re.compile(pattern)
     counts = (
         ctx.text_file(lines, parallelism)
@@ -64,7 +58,7 @@ def grep_spark(lines: Sequence[str], pattern: str, parallelism: int = 4,
 
 
 def grep_datampi_job(pattern: str, parallelism: int = 4,
-                     transport: str | None = None,
+                     transport: str | Transport | None = None,
                      storage: StorageConfig | None = None) -> DataMPIJob:
     """The Grep O/A job for ``pattern``, for cold runs and warm pools."""
     compiled = re.compile(pattern)
@@ -84,35 +78,3 @@ def grep_datampi_job(pattern: str, parallelism: int = 4,
                     transport=transport,
                     storage=storage),
     )
-
-
-def grep_datampi_result(lines: Sequence[str], pattern: str, parallelism: int = 4,
-                        transport: str | None = None,
-                        storage: StorageConfig | None = None):
-    """Grep as a DataMPI O/A job, with its counters."""
-    job = grep_datampi_job(pattern, parallelism, transport=transport,
-                           storage=storage)
-    return job.run(split_round_robin(list(lines), parallelism))
-
-
-def grep_datampi(lines: Sequence[str], pattern: str, parallelism: int = 4,
-                 transport: str | None = None) -> dict[str, int]:
-    return dict(grep_datampi_result(lines, pattern, parallelism,
-                                    transport=transport).merged_outputs())
-
-
-def run_grep(engine: str, lines: Sequence[str], pattern: str,
-             parallelism: int = 4, transport: str | None = None,
-             storage: StorageConfig | None = None) -> dict[str, int]:
-    """Dispatch Grep to one of the three engines.
-
-    ``storage`` applies to the datampi engine only.
-    """
-    check_engine(engine)
-    if engine == "hadoop":
-        return grep_hadoop(lines, pattern, parallelism)
-    if engine == "spark":
-        return grep_spark(lines, pattern, parallelism)
-    return dict(grep_datampi_result(lines, pattern, parallelism,
-                                    transport=transport,
-                                    storage=storage).merged_outputs())

@@ -1,4 +1,4 @@
-"""K-means on all three engines (Mahout's iterative MapReduce structure).
+"""K-means on all three engines (Mahout's iterative structure).
 
 Section 4.6: "Each iterative execution in Mahout is a MapReduce job.  In
 one job, Map tasks read the initial or previous cluster centroids from
@@ -9,8 +9,13 @@ next iteration."  The paper also notes "most of K-means calculation
 happens in Map phase, and few intermediate data is generated" — with a
 combiner, each map task emits at most ``k`` partial sums.
 
-All three engines run the same assignment/update math, so they converge
-to identical centroids from identical seeds.
+DataMPI runs it as a superstep job (:func:`kmeans_iterative_job`):
+Iteration mode keeps the ranks and the input alive across iterations,
+Common mode replays one fresh job per iteration — which is also exactly
+Hadoop/Mahout's execution pattern, so the ``WORKLOADS`` table's hadoop
+runner is that replay.  Spark iterates over a cached RDD
+(:func:`kmeans_spark`).  All run the same assignment/update math, so
+they converge to identical centroids from identical seeds.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from typing import Sequence
 from repro.bigdatabench.vectors import SparseVector, mean_vector
 from repro.common.errors import WorkloadError
 from repro.common.rng import substream
-from repro.datampi import DataMPIConf, DataMPIJob, IterativeJob, IterativeResult, StorageConfig
-from repro.hadoop import HadoopConf, MapReduceJob
+from repro.datampi import DataMPIConf, IterativeJob, IterativeResult, StorageConfig
+from repro.mpi.transport import Transport
 from repro.spark import SparkContext
-from repro.workloads.base import check_engine, resolve_storage, split_round_robin
+from repro.workloads.splits import split_round_robin
 
 #: Convergence threshold on centroid movement (Mahout's default-ish).
 DEFAULT_EPSILON = 1e-3
@@ -70,6 +75,15 @@ def _max_shift(old: Sequence[SparseVector], new: Sequence[SparseVector]) -> floa
     )
 
 
+def kmeans_agree(a: KMeansResult, b: KMeansResult,
+                 tolerance: float = 1e-9) -> bool:
+    """Same trajectory: equal iteration counts and centroids within
+    ``tolerance`` (the engines reduce partial sums in different orders,
+    so only runs on the same stack are bit-identical)."""
+    return (a.iterations == b.iterations
+            and _max_shift(a.centroids, b.centroids) < tolerance)
+
+
 def _merge_partials(a: tuple[dict, int], b: tuple[dict, int]) -> tuple[dict, int]:
     """Merge two (weight-sum dict, count) partial aggregates."""
     weights = dict(a[0])
@@ -83,6 +97,17 @@ def _centroid_of(partial: tuple[dict, int]) -> SparseVector:
     if count == 0:
         raise WorkloadError("empty cluster partial")
     return SparseVector({dim: w / count for dim, w in weights.items()})
+
+
+def _step(centroids: Sequence[SparseVector],
+          partials: dict[int, tuple[dict, int]]) -> tuple[list[SparseVector], float]:
+    """One update from merged per-cluster partials: the new centroids (an
+    empty cluster keeps its old one) and how far the furthest one moved."""
+    updated = [
+        _centroid_of(partials[index]) if index in partials else centroids[index]
+        for index in range(len(centroids))
+    ]
+    return updated, _max_shift(centroids, updated)
 
 
 def kmeans_reference(
@@ -106,61 +131,6 @@ def kmeans_reference(
     return KMeansResult(centroids, max_iterations, False)
 
 
-def _iterate_engine(engine: str, vectors, k, max_iterations, epsilon, seed,
-                    parallelism, transport=None,
-                    spark_ctx: SparkContext | None = None):
-    """Shared iteration driver; ``one_round`` differs per engine."""
-    centroids = initial_centroids(vectors, k, seed)
-    cached_rdd = None
-    if engine == "spark":
-        spark_ctx = spark_ctx or SparkContext(default_parallelism=parallelism,
-                                              memory_capacity=1 << 30)
-        cached_rdd = spark_ctx.parallelize(
-            [(index, vector) for index, vector in enumerate(vectors)], parallelism
-        ).cache()
-
-    for iteration in range(1, max_iterations + 1):
-        if engine == "hadoop":
-            partials = _round_hadoop(vectors, centroids, parallelism)
-        elif engine == "spark":
-            partials = _round_spark(cached_rdd, centroids, parallelism)
-        else:
-            partials = _round_datampi(vectors, centroids, parallelism, transport)
-        updated = [
-            _centroid_of(partials[index]) if index in partials else centroids[index]
-            for index in range(k)
-        ]
-        shift = _max_shift(centroids, updated)
-        centroids = updated
-        if shift < epsilon:
-            return KMeansResult(centroids, iteration, True)
-    return KMeansResult(centroids, max_iterations, False)
-
-
-def _round_hadoop(vectors, centroids, parallelism) -> dict[int, tuple[dict, int]]:
-    def mapper(_index, vector):
-        cluster = _nearest(vector, centroids)
-        yield cluster, (dict(vector.weights), 1)
-
-    def reducer(cluster, partials):
-        merged = partials[0]
-        for partial in partials[1:]:
-            merged = _merge_partials(merged, partial)
-        yield cluster, merged
-
-    job = MapReduceJob(
-        mapper, reducer,
-        HadoopConf(
-            num_reduces=parallelism,
-            combiner=lambda cluster, partials: _reduce_partial_list(partials),
-            job_name="kmeans-iteration",
-        ),
-    )
-    splits = split_round_robin(list(enumerate(vectors)), parallelism)
-    result = job.run(splits)
-    return {kv.key: kv.value for kv in result.merged_outputs()}
-
-
 def _reduce_partial_list(partials: list[tuple[dict, int]]) -> tuple[dict, int]:
     merged = partials[0]
     for partial in partials[1:]:
@@ -168,35 +138,31 @@ def _reduce_partial_list(partials: list[tuple[dict, int]]) -> tuple[dict, int]:
     return merged
 
 
-def _round_spark(cached_rdd, centroids, parallelism) -> dict[int, tuple[dict, int]]:
-    assignments = cached_rdd.map(
-        lambda pair: (_nearest(pair[1], centroids), (dict(pair[1].weights), 1))
-    )
-    reduced = assignments.reduce_by_key(_merge_partials, parallelism)
-    return dict(reduced.collect())
+def kmeans_spark(
+    vectors: Sequence[SparseVector], k: int, max_iterations: int = 10,
+    epsilon: float = DEFAULT_EPSILON, seed: int = 0, parallelism: int = 4,
+) -> tuple[KMeansResult, dict[str, int]]:
+    """K-means on the functional RDD engine, iterating over a cached RDD.
 
-
-def _round_datampi(vectors, centroids, parallelism,
-                   transport=None) -> dict[int, tuple[dict, int]]:
-    def o_task(ctx, split):
-        for vector in split:
-            ctx.send(_nearest(vector, centroids), (dict(vector.weights), 1))
-
-    def a_task(ctx):
-        return [
-            (cluster, _reduce_partial_list(values))
-            for cluster, values in ctx.grouped()
-        ]
-
-    job = DataMPIJob(
-        o_task, a_task,
-        DataMPIConf(num_o=parallelism, num_a=parallelism,
-                    combiner=lambda cluster, values: _reduce_partial_list(values),
-                    job_name="kmeans-iteration",
-                    transport=transport),
-    )
-    result = job.run(split_round_robin(list(vectors), parallelism))
-    return dict(result.merged_outputs())
+    Returns the clustering plus the context's counters (``shuffle_bytes``
+    across all iterations).
+    """
+    if max_iterations < 1:
+        raise WorkloadError("max_iterations must be >= 1")
+    ctx = SparkContext(default_parallelism=parallelism, memory_capacity=1 << 30)
+    cached_rdd = ctx.parallelize(list(enumerate(vectors)), parallelism).cache()
+    centroids = initial_centroids(vectors, k, seed)
+    for iteration in range(1, max_iterations + 1):
+        assignments = cached_rdd.map(
+            lambda pair: (_nearest(pair[1], centroids), (dict(pair[1].weights), 1))
+        )
+        partials = dict(
+            assignments.reduce_by_key(_merge_partials, parallelism).collect()
+        )
+        centroids, shift = _step(centroids, partials)
+        if shift < epsilon:
+            return KMeansResult(centroids, iteration, True), ctx.counters
+    return KMeansResult(centroids, max_iterations, False), ctx.counters
 
 
 def kmeans_iterative_job(
@@ -206,9 +172,8 @@ def kmeans_iterative_job(
     epsilon: float = DEFAULT_EPSILON,
     seed: int = 0,
     parallelism: int = 4,
-    transport: str | None = None,
+    transport: str | Transport | None = None,
     mode: str = "iteration",
-    cache_bytes: int | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     storage: StorageConfig | None = None,
@@ -237,12 +202,8 @@ def kmeans_iterative_job(
         ]
 
     def update(centroids, merged, _iteration):
-        partials = dict(merged)
-        updated = [
-            _centroid_of(partials[index]) if index in partials else centroids[index]
-            for index in range(k)
-        ]
-        return updated, _max_shift(centroids, updated) < epsilon
+        updated, shift = _step(centroids, dict(merged))
+        return updated, shift < epsilon
 
     job = IterativeJob(
         o_task, a_task, update,
@@ -250,7 +211,7 @@ def kmeans_iterative_job(
                     combiner=lambda cluster, values: _reduce_partial_list(values),
                     job_name="kmeans-iterative", transport=transport,
                     mode=mode, checkpoint_dir=checkpoint_dir,
-                    storage=resolve_storage(storage, cache_bytes)),
+                    storage=storage),
         max_iterations=max_iterations,
     )
     result = job.run(
@@ -262,44 +223,3 @@ def kmeans_iterative_job(
         KMeansResult(result.state, result.iterations, result.converged),
         result,
     )
-
-
-def run_kmeans(
-    engine: str,
-    vectors: Sequence[SparseVector],
-    k: int,
-    max_iterations: int = 10,
-    epsilon: float = DEFAULT_EPSILON,
-    seed: int = 0,
-    parallelism: int = 4,
-    transport: str | None = None,
-    mode: str = "common",
-    cache_bytes: int | None = None,
-    spark_ctx: SparkContext | None = None,
-) -> KMeansResult:
-    """Run Mahout-style iterative K-means on one of the three engines.
-
-    ``mode="iteration"`` (DataMPI engine only) keeps ranks alive across
-    iterations and serves the input from the cross-iteration KV cache;
-    the default ``"common"`` re-launches one job per iteration on every
-    engine, as the paper's setup does.  ``spark_ctx`` lets callers pass
-    an instrumented :class:`~repro.spark.SparkContext` (the experiment
-    matrix reads its ``shuffle_bytes`` counter after the run).
-    """
-    check_engine(engine)
-    if max_iterations < 1:
-        raise WorkloadError("max_iterations must be >= 1")
-    if mode != "common":
-        if engine != "datampi":
-            raise WorkloadError(
-                f"execution mode {mode!r} needs the datampi engine, got {engine!r}"
-            )
-        if mode != "iteration":
-            raise WorkloadError(f"K-means supports modes 'common' and 'iteration', got {mode!r}")
-        result, _stats = kmeans_iterative_job(
-            vectors, k, max_iterations, epsilon, seed, parallelism,
-            transport=transport, cache_bytes=cache_bytes,
-        )
-        return result
-    return _iterate_engine(engine, vectors, k, max_iterations, epsilon, seed,
-                           parallelism, transport, spark_ctx=spark_ctx)

@@ -5,8 +5,9 @@ including converting sequence files to sparse vectors and training the
 Naive Bayes model. ... The main operation in steps above is counting,
 including term counting and document counting."  The paper compares only
 Hadoop and DataMPI because "the latest BigDataBench lacks the
-implementation of Naive Bayes in Spark" — this module mirrors that:
-``run_naive_bayes`` accepts ``engine in {"hadoop", "datampi"}``.
+implementation of Naive Bayes in Spark" — this module mirrors that: the
+``WORKLOADS`` table's ``naive_bayes`` entry has ``hadoop`` and
+``datampi`` runners only.
 
 The pipeline runs three counting jobs (term frequency per class, document
 frequency, per-class document counts) and then trains a multinomial model
@@ -24,7 +25,8 @@ from repro.common.errors import WorkloadError
 from repro.common.rng import substream
 from repro.datampi import DataMPIConf, DataMPIJob, IterativeJob, IterativeResult, StorageConfig
 from repro.hadoop import HadoopConf, JobPipeline, MapReduceJob
-from repro.workloads.base import resolve_storage, split_round_robin
+from repro.mpi.transport import Transport
+from repro.workloads.splits import split_round_robin
 
 
 @dataclass(frozen=True)
@@ -178,16 +180,9 @@ def train_hadoop_result(
     return model, pipeline.total_counters
 
 
-def train_hadoop(documents: Sequence[LabeledDocument], parallelism: int = 4,
-                 alpha: float = 1.0) -> NaiveBayesModel:
-    """Mahout-on-Hadoop: three chained counting MapReduce jobs."""
-    model, _counters = train_hadoop_result(documents, parallelism, alpha)
-    return model
-
-
 def train_datampi_result(
     documents: Sequence[LabeledDocument], parallelism: int = 4,
-    alpha: float = 1.0, transport: str | None = None,
+    alpha: float = 1.0, transport: str | Transport | None = None,
     storage: StorageConfig | None = None,
 ) -> tuple[NaiveBayesModel, dict[str, int]]:
     """The same three counting passes as chained DataMPI jobs.
@@ -234,14 +229,6 @@ def train_datampi_result(
     return _assemble(term_rows, label_rows, df_rows, alpha), totals
 
 
-def train_datampi(documents: Sequence[LabeledDocument], parallelism: int = 4,
-                  alpha: float = 1.0, transport: str | None = None) -> NaiveBayesModel:
-    """The same three counting passes as chained DataMPI jobs."""
-    model, _counters = train_datampi_result(documents, parallelism, alpha,
-                                            transport=transport)
-    return model
-
-
 #: Counting passes of the Mahout pipeline, run as one superstep each in
 #: Iteration mode (the per-iteration "state" is simply which pass runs).
 _NB_PHASES = ("term", "df", "label")
@@ -249,18 +236,17 @@ _NB_PHASES = ("term", "df", "label")
 
 def train_datampi_iterative(
     documents: Sequence[LabeledDocument], parallelism: int = 4,
-    alpha: float = 1.0, transport: str | None = None,
-    mode: str = "iteration", cache_bytes: int | None = None,
-    storage: StorageConfig | None = None,
+    alpha: float = 1.0, transport: str | Transport | None = None,
+    mode: str = "iteration", storage: StorageConfig | None = None,
 ) -> tuple[NaiveBayesModel, IterativeResult]:
     """The three counting passes as supersteps of one kept-alive world.
 
     The documents are scattered once and pinned in the O-side cache; the
     document-frequency and class-count passes read them locally instead
     of re-partitioning — the chained-job redundancy Common mode pays
-    three times.  Counting math matches :func:`train_datampi` exactly, so
-    the model is bit-identical.  Returns the model plus the driver-level
-    per-superstep counters.
+    three times.  Counting math matches :func:`train_datampi_result`
+    exactly, so the model is bit-identical.  Returns the model plus the
+    driver-level per-superstep counters.
     """
 
     def o_task(ctx, split, state):
@@ -290,7 +276,7 @@ def train_datampi_iterative(
         DataMPIConf(num_o=parallelism, num_a=parallelism,
                     combiner=lambda key, values: sum(values),
                     job_name="nb-iterative", transport=transport,
-                    mode=mode, storage=resolve_storage(storage, cache_bytes)),
+                    mode=mode, storage=storage),
         max_iterations=len(_NB_PHASES),
     )
     result = job.run(
@@ -300,37 +286,3 @@ def train_datampi_iterative(
     rows = result.state["rows"]
     model = _assemble(rows["term"], rows["label"], rows["df"], alpha)
     return model, result
-
-
-def run_naive_bayes(engine: str, documents: Sequence[LabeledDocument],
-                    parallelism: int = 4, alpha: float = 1.0,
-                    transport: str | None = None,
-                    mode: str = "common",
-                    cache_bytes: int | None = None) -> NaiveBayesModel:
-    """Train Naive Bayes on ``hadoop`` or ``datampi`` (no Spark — the paper's
-    BigDataBench release lacks it, Section 4.6).
-
-    ``mode="iteration"`` (DataMPI engine only) chains the three counting
-    passes over one kept-alive world with the documents cached per rank.
-    """
-    if mode not in ("common", "iteration"):
-        raise WorkloadError(
-            f"Naive Bayes supports modes 'common' and 'iteration', got {mode!r}"
-        )
-    if mode == "iteration":
-        if engine != "datampi":
-            raise WorkloadError(
-                f"execution mode {mode!r} needs the datampi engine, got {engine!r}"
-            )
-        model, _stats = train_datampi_iterative(
-            documents, parallelism, alpha, transport=transport,
-            cache_bytes=cache_bytes,
-        )
-        return model
-    if engine == "hadoop":
-        return train_hadoop(documents, parallelism, alpha)
-    if engine == "datampi":
-        return train_datampi(documents, parallelism, alpha, transport=transport)
-    raise WorkloadError(
-        f"Naive Bayes supports engines 'hadoop' and 'datampi', got {engine!r}"
-    )

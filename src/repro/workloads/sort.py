@@ -4,7 +4,9 @@
 use two input data sets ... Normal Sort with compressed sequence input
 data, the other is Text Sort with uncompressed text input data"
 (Section 3.1).  Text Sort keys are the text lines themselves; Normal
-Sort first decompresses ToSeqFile output (key = value = line).  All
+Sort first decompresses ToSeqFile output (key = value = line) and then
+runs the very same jobs — the ``WORKLOADS`` table wraps these in the
+conversion rather than this module repeating each engine.  All
 implementations are *total-order* sorts: a range partitioner routes keys
 so that concatenating the output partitions in order yields the globally
 sorted data.
@@ -14,13 +16,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bigdatabench.toseqfile import SequenceFile
 from repro.common.errors import WorkloadError
 from repro.common.rng import substream
 from repro.datampi import DataMPIConf, DataMPIJob, RangePartitioner, StorageConfig
 from repro.hadoop import HadoopConf, MapReduceJob
+from repro.mpi.transport import Transport
 from repro.spark import SparkContext
-from repro.workloads.base import check_engine, split_round_robin
+from repro.workloads.splits import split_round_robin
 
 
 def sort_reference(lines: Sequence[str]) -> list[str]:
@@ -38,9 +40,11 @@ def _sample_keys(lines: Sequence[str], sample_size: int = 256, seed: int = 0) ->
     return rng.sample(list(lines), sample_size)
 
 
-def text_sort_hadoop_result(lines: Sequence[str], parallelism: int = 4):
-    """Text Sort on the functional MapReduce engine, with its counters."""
-    partitioner = RangePartitioner(_sample_keys(lines), parallelism)
+def text_sort_hadoop_job(sample_lines: Sequence[str],
+                         parallelism: int = 4) -> MapReduceJob:
+    """Text Sort on the functional MapReduce engine (identity map/reduce
+    behind a range partitioner sampled from ``sample_lines``)."""
+    partitioner = RangePartitioner(_sample_keys(sample_lines), parallelism)
 
     def mapper(_offset, line):
         yield line, None
@@ -49,27 +53,21 @@ def text_sort_hadoop_result(lines: Sequence[str], parallelism: int = 4):
         for _ in values:
             yield line, None
 
-    job = MapReduceJob(
+    return MapReduceJob(
         mapper, reducer,
         HadoopConf(num_reduces=parallelism, partitioner=partitioner, job_name="sort"),
     )
-    return job.run(split_round_robin(list(enumerate(lines)), parallelism))
 
 
-def text_sort_hadoop(lines: Sequence[str], parallelism: int = 4) -> list[str]:
-    result = text_sort_hadoop_result(lines, parallelism)
-    return [kv.key for kv in result.merged_outputs()]
-
-
-def text_sort_spark(lines: Sequence[str], parallelism: int = 4,
-                    ctx: SparkContext | None = None) -> list[str]:
-    ctx = ctx or SparkContext(default_parallelism=parallelism)
+def text_sort_spark(ctx: SparkContext, lines: Sequence[str],
+                    parallelism: int = 4) -> list[str]:
+    """Text Sort on the functional RDD engine."""
     pairs = ctx.text_file(lines, parallelism).map(lambda line: (line, None))
     return [key for key, _ in pairs.sort_by_key(parallelism).collect()]
 
 
 def text_sort_datampi_job(sample_lines: Sequence[str], parallelism: int = 4,
-                          transport: str | None = None,
+                          transport: str | Transport | None = None,
                           storage: StorageConfig | None = None) -> DataMPIJob:
     """The Text Sort O/A job, for cold runs and warm pools alike.
 
@@ -97,68 +95,9 @@ def text_sort_datampi_job(sample_lines: Sequence[str], parallelism: int = 4,
 
 
 def text_sort_datampi_result(lines: Sequence[str], parallelism: int = 4,
-                             transport: str | None = None,
+                             transport: str | Transport | None = None,
                              storage: StorageConfig | None = None):
     """Text Sort as a DataMPI O/A job, with its counters."""
     job = text_sort_datampi_job(lines, parallelism, transport=transport,
                                 storage=storage)
     return job.run(split_round_robin(list(lines), parallelism))
-
-
-def text_sort_datampi(lines: Sequence[str], parallelism: int = 4,
-                      transport: str | None = None) -> list[str]:
-    result = text_sort_datampi_result(lines, parallelism, transport=transport)
-    return [line for output in result.outputs for line in output]
-
-
-def run_text_sort(engine: str, lines: Sequence[str], parallelism: int = 4,
-                  transport: str | None = None,
-                  storage: StorageConfig | None = None) -> list[str]:
-    """Dispatch Text Sort to one of the three engines.
-
-    ``storage`` applies to the datampi engine only.
-    """
-    check_engine(engine)
-    if engine == "hadoop":
-        return text_sort_hadoop(lines, parallelism)
-    if engine == "spark":
-        return text_sort_spark(lines, parallelism)
-    result = text_sort_datampi_result(lines, parallelism, transport=transport,
-                                      storage=storage)
-    return [line for output in result.outputs for line in output]
-
-
-def run_normal_sort(engine: str, seqfile: SequenceFile, parallelism: int = 4,
-                    transport: str | None = None) -> list[str]:
-    """Normal Sort: decompress the sequence file, then sort by key.
-
-    The paper's Spark baseline cannot run this workload at cluster scale
-    (OutOfMemoryError); the functional engine can at test scale — the OOM
-    behaviour at the paper's sizes lives in the performance model.
-    """
-    check_engine(engine)
-    lines = [key for key, _value in seqfile.records()]
-    return run_text_sort(engine, lines, parallelism, transport=transport)
-
-
-def normal_sort_datampi_result(seqfile: SequenceFile, parallelism: int = 4,
-                               transport: str | None = None,
-                               storage: StorageConfig | None = None):
-    """Normal Sort as a DataMPI O/A job (decompress + total-order sort),
-    with its counters."""
-    lines = [key for key, _value in seqfile.records()]
-    return text_sort_datampi_result(lines, parallelism, transport=transport,
-                                    storage=storage)
-
-
-def normal_sort_hadoop_result(seqfile: SequenceFile, parallelism: int = 4):
-    """Normal Sort on the functional MapReduce engine, with its counters."""
-    lines = [key for key, _value in seqfile.records()]
-    return text_sort_hadoop_result(lines, parallelism)
-
-
-def normal_sort_spark(seqfile: SequenceFile, parallelism: int = 4,
-                      ctx: SparkContext | None = None) -> list[str]:
-    """Normal Sort on the functional RDD engine."""
-    lines = [key for key, _value in seqfile.records()]
-    return text_sort_spark(lines, parallelism, ctx=ctx)

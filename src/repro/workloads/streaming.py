@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 from repro.common.errors import WorkloadError
 from repro.datampi import DataMPIConf, StorageConfig, StreamingJob, StreamResult
+from repro.mpi.transport import Transport
 
 
 def chunk_lines(lines: Iterable[str], lines_per_split: int) -> Iterator[list[str]]:
@@ -42,7 +43,7 @@ def merge_window_counts(result: StreamResult) -> dict[str, int]:
 
 
 def _streaming_count_job(o_task, job_name: str, parallelism: int,
-                         transport: str | None,
+                         transport: str | Transport | None,
                          window_splits: int | None,
                          storage: StorageConfig | None = None) -> StreamingJob:
     def a_task(ctx):
@@ -63,7 +64,7 @@ def wordcount_streaming(
     parallelism: int = 4,
     lines_per_split: int = 50,
     window_splits: int | None = None,
-    transport: str | None = None,
+    transport: str | Transport | None = None,
     storage: StorageConfig | None = None,
 ) -> StreamResult:
     """WordCount in Streaming mode: per-window counts with watermarks."""
@@ -86,7 +87,7 @@ def grep_streaming(
     parallelism: int = 4,
     lines_per_split: int = 50,
     window_splits: int | None = None,
-    transport: str | None = None,
+    transport: str | Transport | None = None,
     storage: StorageConfig | None = None,
 ) -> StreamResult:
     """Grep in Streaming mode: per-window match counts with watermarks."""

@@ -14,8 +14,9 @@ from typing import Sequence
 
 from repro.datampi import DataMPIConf, DataMPIJob, StorageConfig
 from repro.hadoop import HadoopConf, MapReduceJob
+from repro.mpi.transport import Transport
 from repro.spark import SparkContext
-from repro.workloads.base import check_engine, split_round_robin
+from repro.workloads.splits import split_round_robin
 
 
 def wordcount_reference(lines: Sequence[str]) -> dict[str, int]:
@@ -27,13 +28,8 @@ def wordcount_reference(lines: Sequence[str]) -> dict[str, int]:
     return counts
 
 
-def wordcount_hadoop_result(lines: Sequence[str], parallelism: int = 4):
-    """WordCount on the functional MapReduce engine, with its counters.
-
-    Returns the raw :class:`~repro.hadoop.mapreduce.HadoopResult` so
-    callers (e.g. the experiment matrix) can read ``shuffle_bytes`` and
-    the other stage counters alongside the outputs.
-    """
+def wordcount_hadoop_job(parallelism: int = 4) -> MapReduceJob:
+    """WordCount on the functional MapReduce engine (combiner enabled)."""
     def mapper(_offset, line):
         for word in line.split():
             yield word, 1
@@ -41,23 +37,17 @@ def wordcount_hadoop_result(lines: Sequence[str], parallelism: int = 4):
     def reducer(word, counts):
         yield word, sum(counts)
 
-    job = MapReduceJob(
+    return MapReduceJob(
         mapper, reducer,
         HadoopConf(num_reduces=parallelism, combiner=lambda word, counts: sum(counts),
                    job_name="wordcount"),
     )
-    splits = split_round_robin(list(enumerate(lines)), parallelism)
-    return job.run(splits)
 
 
-def wordcount_hadoop(lines: Sequence[str], parallelism: int = 4) -> dict[str, int]:
-    result = wordcount_hadoop_result(lines, parallelism)
-    return {kv.key: kv.value for kv in result.merged_outputs()}
-
-
-def wordcount_spark(lines: Sequence[str], parallelism: int = 4,
-                    ctx: SparkContext | None = None) -> dict[str, int]:
-    ctx = ctx or SparkContext(default_parallelism=parallelism)
+def wordcount_spark(ctx: SparkContext, lines: Sequence[str],
+                    parallelism: int = 4) -> dict[str, int]:
+    """WordCount on the functional RDD engine; ``ctx.counters`` holds the
+    shuffle bytes afterwards."""
     counts = (
         ctx.text_file(lines, parallelism)
         .flat_map(str.split)
@@ -68,11 +58,12 @@ def wordcount_spark(lines: Sequence[str], parallelism: int = 4,
 
 
 def wordcount_datampi_job(parallelism: int = 4,
-                          transport: str | None = None,
+                          transport: str | Transport | None = None,
                           storage: StorageConfig | None = None) -> DataMPIJob:
     """The WordCount O/A job itself, for cold runs *and* warm pools.
 
-    ``wordcount_datampi_result`` runs it on a fresh world; a serving
+    The ``WORKLOADS`` table's datampi runner and
+    ``wordcount_datampi_result`` run it on a fresh world; a serving
     :class:`~repro.serving.pool.WorldPool` registers the same job and
     submits inputs against an already-formed world — one definition, so
     the two paths cannot diverge.
@@ -96,7 +87,7 @@ def wordcount_datampi_job(parallelism: int = 4,
 
 
 def wordcount_datampi_result(lines: Sequence[str], parallelism: int = 4,
-                             transport: str | None = None,
+                             transport: str | Transport | None = None,
                              storage: StorageConfig | None = None):
     """WordCount as a DataMPI O/A job, with its counters.
 
@@ -105,27 +96,3 @@ def wordcount_datampi_result(lines: Sequence[str], parallelism: int = 4,
     """
     job = wordcount_datampi_job(parallelism, transport=transport, storage=storage)
     return job.run(split_round_robin(list(lines), parallelism))
-
-
-def wordcount_datampi(lines: Sequence[str], parallelism: int = 4,
-                      transport: str | None = None) -> dict[str, int]:
-    return dict(wordcount_datampi_result(lines, parallelism,
-                                         transport=transport).merged_outputs())
-
-
-def run_wordcount(engine: str, lines: Sequence[str], parallelism: int = 4,
-                  transport: str | None = None,
-                  storage: StorageConfig | None = None) -> dict[str, int]:
-    """Dispatch WordCount to one of the three engines.
-
-    ``storage`` applies to the datampi engine only (the others have no
-    spill store).
-    """
-    check_engine(engine)
-    if engine == "hadoop":
-        return wordcount_hadoop(lines, parallelism)
-    if engine == "spark":
-        return wordcount_spark(lines, parallelism)
-    return dict(wordcount_datampi_result(
-        lines, parallelism, transport=transport, storage=storage
-    ).merged_outputs())

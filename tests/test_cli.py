@@ -64,10 +64,50 @@ class TestWorkloadCommand:
 
     def test_grep(self, capsys):
         assert main(["workload", "hadoop", "grep", "--lines", "200"]) == 0
-        assert "matches" in capsys.readouterr().out
+        assert "verified=True" in capsys.readouterr().out
 
     def test_unknown_workload(self, capsys):
         assert main(["workload", "hadoop", "join"]) == 2
+        assert "wordcount" in capsys.readouterr().err
+
+    def test_every_table_workload_is_runnable(self, capsys):
+        """The accepted names are the table's keys (plus the sort alias)."""
+        for name in ("text_sort", "normal_sort", "naive_bayes"):
+            assert main(["workload", "datampi", name, "--lines", "120"]) == 0
+            assert "verified=True" in capsys.readouterr().out
+        assert main(["workload", "spark", "naive_bayes"]) == 2
+        assert "hadoop and datampi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--pool", "1"]],
+                             ids=["cold", "pooled"])
+    def test_failed_verification_exits_1(self, capsys, monkeypatch, extra):
+        """Cold and pooled runs share one verdict: a wrong answer is exit 1."""
+        import dataclasses
+
+        from repro.workloads import base
+
+        wrong = dataclasses.replace(
+            base.WORKLOADS["grep"], reference=lambda lines, p: {"nope": 1}
+        )
+        monkeypatch.setitem(base.WORKLOADS, "grep", wrong)
+        assert main(["workload", "datampi", "grep", "--lines", "120",
+                     "--transport", "thread", *extra]) == 1
+        assert "verified=False" in capsys.readouterr().out
+
+    def test_kmeans_common_mode_honours_storage_flags(self, capsys, monkeypatch):
+        from repro.storage import StorageConfig
+
+        budgets = set()
+        make_store = StorageConfig.make_store
+        monkeypatch.setattr(
+            StorageConfig, "make_store",
+            lambda self: budgets.add(self.spill_threshold) or make_store(self),
+        )
+        assert main(["workload", "datampi", "kmeans", "--vectors", "60",
+                     "--k", "3", "--spill-threshold", "1KB",
+                     "--transport", "thread"]) == 0
+        assert "verified=True" in capsys.readouterr().out
+        assert budgets == {1024}
 
 
 class TestWorkloadPool:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import ConfigError
 from repro.common.errors import CheckpointError, MPIError
-from repro.datampi import DataMPIConf, DataMPIJob, RangePartitioner
+from repro.datampi import DataMPIConf, DataMPIJob, RangePartitioner, StorageConfig
 
 
 def wordcount_o(ctx, split):
@@ -135,7 +135,8 @@ class TestSpillingJob:
         def a_task(ctx):
             return [(kv.key, kv.value) for kv in ctx]
 
-        conf = DataMPIConf(num_o=2, num_a=2, send_buffer_bytes=512, spill_bytes=2048)
+        conf = DataMPIConf(num_o=2, num_a=2, send_buffer_bytes=512,
+                           storage=StorageConfig(spill_threshold=2048))
         job = DataMPIJob(o_task, a_task, conf)
         result = job.run([range(0, n, 2), range(1, n, 2)])
         assert result.counters["a.spills"] > 0
@@ -209,7 +210,7 @@ class TestConfValidation:
         with pytest.raises(ConfigError):
             DataMPIConf(send_buffer_bytes=0)
         with pytest.raises(ConfigError):
-            DataMPIConf(spill_bytes=0)
+            DataMPIConf(storage=StorageConfig(spill_threshold=0))
 
     def test_more_o_ranks_than_splits(self):
         job = DataMPIJob(wordcount_o, wordcount_a, DataMPIConf(num_o=4, num_a=2))

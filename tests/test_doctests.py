@@ -19,6 +19,7 @@ import repro.serving.pool
 import repro.storage.config
 import repro.storage.kvcache
 import repro.storage.spill
+import repro.workloads.base
 
 DOCTESTED_MODULES = [
     repro.datampi.checkpoint,
@@ -31,6 +32,7 @@ DOCTESTED_MODULES = [
     repro.storage.config,
     repro.storage.kvcache,
     repro.storage.spill,
+    repro.workloads.base,
 ]
 
 
@@ -52,6 +54,7 @@ def test_public_api_examples_are_present():
         repro.storage.spill: ("SpillStore",),
         repro.storage.config: ("StorageConfig",),
         repro.serving.pool: ("WorldPool",),
+        repro.workloads.base: ("run_workload",),
     }
     for module, names in expectations.items():
         for name in names:

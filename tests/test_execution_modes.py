@@ -14,6 +14,7 @@ from repro.datampi import (
     DataMPIConf,
     DataMPIJob,
     IterativeJob,
+    StorageConfig,
     StreamingJob,
 )
 from repro.workloads import chunk_lines, merge_window_counts, wordcount_streaming
@@ -96,7 +97,7 @@ class TestIterativeJob:
     def test_tiny_cache_falls_back_to_rescatter(self):
         # A cache too small for the splits must reject them and re-scatter
         # every iteration — degraded to common-mode traffic, same answer.
-        small = make_iterative(cache_bytes=8).run(SPLITS, 0)
+        small = make_iterative(storage=StorageConfig(cache_bytes=8)).run(SPLITS, 0)
         baseline = make_iterative().run(SPLITS, 0)
         assert small.state == baseline.state
         scatters = [r["mode.scatter_bytes"] for r in small.per_iteration]
@@ -284,7 +285,7 @@ class TestModeConfValidation:
 
     def test_bad_cache_bytes_rejected(self):
         with pytest.raises(ConfigError, match="cache_bytes"):
-            DataMPIConf(cache_bytes=0)
+            DataMPIConf(storage=StorageConfig(cache_bytes=0))
 
     def test_datampijob_requires_common_mode(self):
         with pytest.raises(ConfigError, match="Common mode"):

@@ -311,11 +311,12 @@ class TestShuffleCounters:
         differ only where the semantics do: this engine's all-at-once
         shuffle combines across *all* partitions, Hadoop's combiner only
         within each map task, so Spark's total is never larger."""
-        from repro.workloads import wordcount_hadoop_result, wordcount_spark
+        from repro.workloads import RunParams, run_workload
 
         lines = ["b a a", "c b a"]
-        ctx = make_ctx(default_parallelism=2)
-        wordcount_spark(lines, parallelism=2, ctx=ctx)
-        hadoop = wordcount_hadoop_result(lines, parallelism=2)
-        assert 0 < ctx.counters["shuffle_bytes"] <= \
-            hadoop.counters["shuffle_bytes"]
+        spark, hadoop = (
+            run_workload("wordcount", engine, lines, RunParams(parallelism=2))
+            for engine in ("spark", "hadoop")
+        )
+        assert spark.output == hadoop.output
+        assert 0 < spark.bytes_moved <= hadoop.bytes_moved

@@ -9,19 +9,14 @@ Four families of guarantees:
   merge whether or not its chunks spilled, and its accounting properties
   mirror the underlying SpillStore.
 * **Config plumbing** — :class:`StorageConfig` validates its knobs and
-  ``DataMPIConf`` keeps the legacy ``cache_bytes``/``spill_bytes``
-  integers mirrored against it (synthesizing, warning, or refusing on
-  disagreement).
+  is the only storage setting ``DataMPIConf`` carries.
 * **Acceptance** — an over-budget sort matrix cell produces the same
   output checksum as its in-memory twin on every transport backend,
   with ``bytes_spilled > 0`` and no leaked segment files.
 """
 
-import importlib
 import os
-import sys
 import time
-import warnings
 
 import pytest
 
@@ -301,65 +296,20 @@ class TestStorageConfig:
 
 class TestDataMPIConfStorage:
     def test_default_conf_synthesizes_storage(self):
-        conf = DataMPIConf(num_o=1, num_a=1)
-        assert conf.storage is not None
-        assert conf.storage.cache_bytes is None
-        assert conf.storage.spill_threshold == conf.spill_bytes
+        assert DataMPIConf(num_o=1, num_a=1).storage == StorageConfig()
+        assert DataMPIConf(num_o=1, num_a=1, storage=None).storage == \
+            StorageConfig()
 
-    def test_legacy_cache_bytes_warns_and_is_carried(self):
-        with pytest.warns(DeprecationWarning, match="cache_bytes"):
-            conf = DataMPIConf(num_o=1, num_a=1, cache_bytes=4096)
-        assert conf.storage.cache_bytes == 4096
-
-    def test_legacy_spill_bytes_carried_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            conf = DataMPIConf(num_o=1, num_a=1, spill_bytes=512)
-        assert conf.storage.spill_threshold == 512
-
-    def test_storage_mirrors_into_legacy_fields(self, tmp_path):
+    def test_storage_is_carried_as_given(self, tmp_path):
         storage = StorageConfig(cache_bytes=2048, spill_threshold=256,
                                 spill_dir=str(tmp_path))
-        conf = DataMPIConf(num_o=1, num_a=1, storage=storage)
-        assert conf.cache_bytes == 2048
-        assert conf.spill_bytes == 256
-        assert conf.storage.spill_dir == str(tmp_path)
+        assert DataMPIConf(num_o=1, num_a=1, storage=storage).storage is storage
 
-    def test_conflicting_cache_bytes_refused(self):
-        with pytest.raises(ConfigError, match="disagrees"):
-            DataMPIConf(num_o=1, num_a=1, cache_bytes=1024,
-                        storage=StorageConfig(cache_bytes=2048))
-
-    def test_conflicting_spill_bytes_refused(self):
-        with pytest.raises(ConfigError, match="disagrees"):
-            DataMPIConf(num_o=1, num_a=1, spill_bytes=1024,
-                        storage=StorageConfig(spill_threshold=2048))
-
-    def test_agreeing_legacy_fields_accepted(self):
-        conf = DataMPIConf(num_o=1, num_a=1, spill_bytes=1024,
-                           storage=StorageConfig(spill_threshold=1024))
-        assert conf.storage.spill_threshold == 1024
-
-
-class TestDeprecatedImportShims:
-    @staticmethod
-    def _fresh_import(module_name: str):
-        saved = sys.modules.pop(module_name, None)
-        try:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                return importlib.import_module(module_name)
-        finally:
-            if saved is not None:
-                sys.modules[module_name] = saved
-
-    def test_datampi_kvcache_shim(self):
-        shim = self._fresh_import("repro.datampi.kvcache")
-        assert shim.KVCache is KVCache
-
-    def test_datampi_receiver_shim(self):
-        shim = self._fresh_import("repro.datampi.receiver")
-        assert shim.ChunkStore is ChunkStore
-        assert shim.DEFAULT_SPILL_BYTES == DEFAULT_SPILL_BYTES
+    @pytest.mark.parametrize("legacy", ["cache_bytes", "spill_bytes"])
+    def test_legacy_integer_knobs_are_gone(self, legacy):
+        with pytest.raises(TypeError, match=legacy):
+            DataMPIConf(num_o=1, num_a=1, **{legacy: 1024})
+        assert not hasattr(DataMPIConf(num_o=1, num_a=1), legacy)
 
 
 class TestOverBudgetAcceptance:

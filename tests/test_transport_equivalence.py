@@ -23,18 +23,15 @@ from repro.bigdatabench.vectors import SparseVector
 from repro.common.rng import substream
 from repro.datampi import DataMPIConf, DataMPIJob
 from repro.workloads import (
+    RunParams,
     generate_labeled_documents,
-    grep_datampi,
     grep_reference,
     grep_streaming,
     kmeans_iterative_job,
     merge_window_counts,
-    run_kmeans,
-    run_naive_bayes,
+    run_workload,
     sort_reference,
-    text_sort_datampi,
     train_datampi_iterative,
-    wordcount_datampi,
     wordcount_reference,
     wordcount_streaming,
 )
@@ -69,24 +66,32 @@ def alt_transport(request):
     return request.param
 
 
+def _datampi(name, data, transport, **params):
+    """Common-mode run of a table workload on the O/A stack."""
+    return run_workload(
+        name, "datampi", data,
+        RunParams(parallelism=PARALLELISM, transport=transport, **params),
+    ).output
+
+
 class TestWorkloadEquivalence:
     def test_sort(self, alt_transport):
-        reference = text_sort_datampi(LINES, PARALLELISM, transport="thread")
+        reference = _datampi("text_sort", LINES, "thread")
         assert reference == sort_reference(LINES)
-        other = text_sort_datampi(LINES, PARALLELISM, transport=alt_transport)
+        other = _datampi("text_sort", LINES, alt_transport)
         assert stable_bytes(other) == stable_bytes(reference)
 
     def test_wordcount(self, alt_transport):
-        reference = wordcount_datampi(LINES, PARALLELISM, transport="thread")
+        reference = _datampi("wordcount", LINES, "thread")
         assert reference == wordcount_reference(LINES)
-        other = wordcount_datampi(LINES, PARALLELISM, transport=alt_transport)
+        other = _datampi("wordcount", LINES, alt_transport)
         assert stable_bytes(other) == stable_bytes(reference)
 
     def test_grep(self, alt_transport):
         pattern = r"ba[a-z]*"
-        reference = grep_datampi(LINES, pattern, PARALLELISM, transport="thread")
+        reference = _datampi("grep", LINES, "thread", pattern=pattern)
         assert reference == grep_reference(LINES, pattern)
-        other = grep_datampi(LINES, pattern, PARALLELISM, transport=alt_transport)
+        other = _datampi("grep", LINES, alt_transport, pattern=pattern)
         assert stable_bytes(other) == stable_bytes(reference)
 
     def test_kmeans(self, alt_transport):
@@ -95,10 +100,8 @@ class TestWorkloadEquivalence:
             SparseVector({dim: rng.random() for dim in rng.sample(range(12), 4)})
             for _ in range(60)
         ]
-        reference = run_kmeans("datampi", vectors, k=4, max_iterations=3,
-                               parallelism=PARALLELISM, transport="thread")
-        other = run_kmeans("datampi", vectors, k=4, max_iterations=3,
-                           parallelism=PARALLELISM, transport=alt_transport)
+        reference = _datampi("kmeans", vectors, "thread", k=4, max_iterations=3)
+        other = _datampi("kmeans", vectors, alt_transport, k=4, max_iterations=3)
         # Float-exact: same addition order on every backend (chunk origins
         # canonicalise the merge), so centroids agree to the last bit.
         assert stable_bytes(other.centroids) == stable_bytes(reference.centroids)
@@ -107,10 +110,8 @@ class TestWorkloadEquivalence:
 
     def test_naive_bayes(self, alt_transport):
         documents = generate_labeled_documents(40, words_per_doc=12, seed=3)
-        reference = run_naive_bayes("datampi", documents, parallelism=PARALLELISM,
-                                    transport="thread")
-        other = run_naive_bayes("datampi", documents, parallelism=PARALLELISM,
-                                transport=alt_transport)
+        reference = _datampi("naive_bayes", documents, "thread")
+        other = _datampi("naive_bayes", documents, alt_transport)
         for attribute in ("class_term_counts", "class_doc_counts", "vocabulary"):
             assert stable_bytes(getattr(other, attribute)) == \
                 stable_bytes(getattr(reference, attribute))
@@ -231,7 +232,7 @@ class TestModeTransportMatrix:
     ):
         """The mode axis itself: iteration-mode centroids equal the
         one-job-per-iteration baseline's on every backend."""
-        baseline = run_kmeans("datampi", KMEANS_VECTORS, k=4, max_iterations=3,
-                              parallelism=PARALLELISM, transport="thread")
+        baseline = _datampi("kmeans", KMEANS_VECTORS, "thread", k=4,
+                            max_iterations=3)
         other, _stats = _iteration_kmeans(alt_transport)
         assert stable_bytes(other.centroids) == stable_bytes(baseline.centroids)

@@ -25,7 +25,7 @@ import pytest
 
 from repro.common.errors import MPIError
 from repro.mpi import mpi_run
-from repro.workloads import wordcount_datampi, wordcount_reference
+from repro.workloads import RunParams, run_workload, wordcount_reference
 
 ALL_BACKENDS = ("thread", "shm", "inline", "tcp")
 
@@ -236,5 +236,6 @@ class TestDataPlaneNeverPickles:
         with the canary armed: the chunks travelled FMT_RAW end to end."""
 
         lines = [f"alpha beta gamma delta line {i}" for i in range(40)]
-        counts = wordcount_datampi(lines, 2, transport=backend)
-        assert counts == wordcount_reference(lines)
+        record = run_workload("wordcount", "datampi", lines,
+                              RunParams(parallelism=2, transport=backend))
+        assert record.output == wordcount_reference(lines)

@@ -10,16 +10,27 @@ import pytest
 from repro.bigdatabench import TextGenerator, to_sequence_file
 from repro.common import WorkloadError
 from repro.workloads import (
+    RunParams,
     grep_reference,
-    run_grep,
-    run_normal_sort,
-    run_text_sort,
-    run_wordcount,
+    run_workload,
     sort_reference,
     wordcount_reference,
 )
 
 ENGINES = ["hadoop", "spark", "datampi"]
+
+
+def run_wordcount(engine, lines, parallelism=4):
+    return run_workload("wordcount", engine, lines,
+                        RunParams(parallelism=parallelism)).output
+
+
+def run_grep(engine, lines, pattern):
+    return run_workload("grep", engine, lines, RunParams(pattern=pattern)).output
+
+
+def run_text_sort(engine, lines):
+    return run_workload("text_sort", engine, lines).output
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +103,11 @@ class TestTextSort:
 class TestNormalSort:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_sorts_decompressed_records(self, engine, wiki_lines):
-        seqfile = to_sequence_file(wiki_lines[:100])
-        assert run_normal_sort(engine, seqfile) == sorted(wiki_lines[:100])
+        record = run_workload("normal_sort", engine, wiki_lines[:100])
+        assert record.output == sorted(wiki_lines[:100])
+        assert record.counters["seqfile.records"] == 100
+        assert 0 < record.counters["seqfile.compressed_bytes"] \
+            < record.counters["seqfile.raw_bytes"]
 
     def test_compression_was_real(self, wiki_lines):
         seqfile = to_sequence_file(wiki_lines)
