@@ -31,7 +31,8 @@ the file is never visible without its owner record), runs the exact
 per-cell pipeline :func:`_run_cell_worker` runs on the process pool, and
 streams the result to the parent over a length-prefixed TCP frame
 channel (the tcp transport's wire format).  Workers authenticate with an
-HMAC challenge before any frame crosses the wire (frames unpickle); the
+HMAC challenge before any frame crosses the wire (frames unpickle) — both
+ends take their socket from :mod:`repro.mpi.transport.channel`; the
 shared key rides the printed join token or ``REPRO_MATRIX_AUTHKEY``.
 The parent is the only writer of checkpoints and reports, so serial,
 pooled, and distributed runs are byte-identical; a worker that dies
@@ -51,18 +52,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.common.errors import ConfigError, JobError, ReproError
+from repro.common.errors import ConfigError, JobError, MPIError, ReproError
 from repro.datampi.checkpoint import atomic_write_json, read_json
-from repro.mpi.transport.tcp import (
-    answer_challenge,
-    deliver_challenge,
-    format_address,
-    parse_address,
-    parse_authkey,
-    recv_frame,
-    resolve_authkey,
-    send_frame,
-)
+from repro.mpi.transport import channel
+from repro.mpi.transport.codec import recv_frame, send_frame
 from repro.experiments.profiler import ResourceProfiler
 from repro.experiments.spec import MODEL_FRAMEWORKS, CellSpec, ExperimentSpec
 from repro.perfmodels import iterative_kmeans, simulate
@@ -243,28 +236,41 @@ def execute_cell(cell: CellSpec, spec: ExperimentSpec) -> CellResult:
 # -- the runner -----------------------------------------------------------------
 
 
+def _recorded(run: Callable[..., CellResult], cell: CellSpec,
+              *args: Any) -> CellResult:
+    """``run(cell, *args)``, with a crashing workload recorded as a ``failed``
+    result rather than raised: the matrix (or pool, or worker) continues."""
+    try:
+        return run(cell, *args)
+    except Exception as exc:  # noqa: BLE001 - recorded, matrix continues
+        return CellResult(spec=cell, status="failed",
+                          error=f"{type(exc).__name__}: {exc}")
+
+
+def _profiled_cell(cell: CellSpec, spec: ExperimentSpec,
+                   interval_sec: float) -> CellResult:
+    """The per-cell pipeline every strategy runs: the functional run,
+    profiled inside the executing process, plus the analytical model."""
+    profiler = ResourceProfiler(interval_sec=interval_sec)
+    result, usage = profiler.profile(execute_cell, cell, spec)
+    result.elapsed_sec = usage.wall_sec
+    result.resource = usage.to_dict()
+    result.modeled_sec = _modeled_sec(cell, result.iterations)
+    return result
+
+
 def _run_cell_worker(payload: dict) -> dict:
     """Pool-worker entry point: one cell, profiled inside this process.
 
     Module-level (picklable) and dict-in/dict-out so the pool only ever
     moves JSON-serializable payloads.  The profiler samples *this*
     worker's CPU/RSS, so a parallel matrix attributes resources per cell
-    exactly like a serial one.  Failures are captured into a ``failed``
-    result rather than raised — a crashing workload must not take the
-    pool down with it.
+    exactly like a serial one.
     """
     cell = CellSpec.from_dict(payload["cell"])
     spec = ExperimentSpec.from_dict(payload["spec"])
-    try:
-        profiler = ResourceProfiler(interval_sec=payload["interval"])
-        result, usage = profiler.profile(execute_cell, cell, spec)
-        result.elapsed_sec = usage.wall_sec
-        result.resource = usage.to_dict()
-        result.modeled_sec = _modeled_sec(cell, result.iterations)
-    except Exception as exc:  # noqa: BLE001 - recorded, matrix continues
-        result = CellResult(spec=cell, status="failed",
-                            error=f"{type(exc).__name__}: {exc}")
-    return result.to_dict()
+    return _recorded(_profiled_cell, cell, spec,
+                     payload["interval"]).to_dict()
 
 
 # -- distributed workers ---------------------------------------------------------
@@ -286,10 +292,8 @@ _WK_HELLO_TIMEOUT = 5.0
 
 #: Environment variable supplying the worker protocol's shared secret
 #: when the join token does not carry one (e.g. CI pinning a fixed
-#: address for both sides).  Like the tcp transport, workers must clear
-#: an HMAC challenge before any frame — frames unpickle — so the parent
-#: either takes this key or generates one and embeds it in the printed
-#: join token (``HOST:PORT/KEY``).
+#: address for both sides); without it the parent generates a key and
+#: embeds it in the printed join token (``HOST:PORT/KEY``).
 MATRIX_AUTHKEY_ENV_VAR = "REPRO_MATRIX_AUTHKEY"
 
 CLAIM_SUFFIX = ".claim"
@@ -306,6 +310,19 @@ def claim_path(out_dir: str, cell_id: str) -> str:
     return os.path.join(out_dir, CELLS_DIR, cell_id + CLAIM_SUFFIX)
 
 
+def _write_claim_record(path: str, spec_hash: str, owner: str) -> str:
+    """Write an owner record to a private temp file; the caller links or
+    renames the returned name onto ``path``."""
+    # The temp name must be unique across *hosts* too — workers on a
+    # shared mount can collide on pid + thread ident alone.
+    tmp = (f"{path}.{socket.gethostname()}.{os.getpid()}"
+           f".{threading.get_ident()}.tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        json.dump({"owner": owner, "spec_hash": spec_hash,
+                   "pid": os.getpid(), "host": socket.gethostname()}, handle)
+    return tmp
+
+
 def try_claim_cell(out_dir: str, cell_id: str, spec_hash: str,
                    owner: str) -> bool:
     """Atomically claim one cell; False when someone already holds it.
@@ -318,13 +335,7 @@ def try_claim_cell(out_dir: str, cell_id: str, spec_hash: str,
     """
     path = claim_path(out_dir, cell_id)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    # The temp name must be unique across *hosts* too — workers on a
-    # shared mount can collide on pid + thread ident alone.
-    tmp = (f"{path}.{socket.gethostname()}.{os.getpid()}"
-           f".{threading.get_ident()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"owner": owner, "spec_hash": spec_hash,
-                   "pid": os.getpid(), "host": socket.gethostname()}, handle)
+    tmp = _write_claim_record(path, spec_hash, owner)
     try:
         os.link(tmp, path)
     except FileExistsError:
@@ -386,12 +397,7 @@ def refresh_claim(out_dir: str, cell_id: str, spec_hash: str, owner: str) -> Non
     can link in.
     """
     path = claim_path(out_dir, cell_id)
-    tmp = (f"{path}.{socket.gethostname()}.{os.getpid()}"
-           f".{threading.get_ident()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"owner": owner, "spec_hash": spec_hash,
-                   "pid": os.getpid(), "host": socket.gethostname()}, handle)
-    os.replace(tmp, path)
+    os.replace(_write_claim_record(path, spec_hash, owner), path)
 
 
 def _pid_is_live(pid: int) -> bool:
@@ -489,10 +495,7 @@ def run_matrix_worker(
                     ) from exc2
             executed += 1
             progress(CellResult.from_dict(result_doc))
-        try:
-            send_frame(sock, _WK_BYE)
-        except OSError:
-            pass  # the run is over either way
+        channel.try_send_frame(sock, _WK_BYE)  # the run is over either way
     finally:
         sock.close()
     return executed
@@ -534,13 +537,35 @@ def _worker_connect(
     accepted and hung up cleanly (its run already finished).  Raises
     :class:`JobError` when nothing is serving or the handshake misbehaves.
     """
-    host, port = parse_address(address)
-    authkey = parse_authkey(address) or os.environ.get(MATRIX_AUTHKEY_ENV_VAR)
+    host, port = channel.parse_address(address)
+    authkey = channel.supplied_authkey(None, address, MATRIX_AUTHKEY_ENV_VAR)
+    # Bound the handshake: a wrong-but-listening port (or a wedged parent)
+    # accepts the connect but never answers the challenge, and an
+    # unbounded read would hang the worker CLI forever.
+    handshake_timeout = max(connect_timeout, 10.0)
+    mute = JobError(
+        f"{address} accepted the connection but never answered the "
+        f"worker handshake (not a serving matrix parent?)"
+    )
     deadline = time.monotonic() + connect_timeout
     while True:  # the parent may still be binding its listener
         try:
-            sock = socket.create_connection((host, port), timeout=2.0)
+            # A keyless worker dials with an empty key: a parent that
+            # challenges rejects it, which proves this is an
+            # authenticating parent we cannot answer.
+            sock = channel.connect_authenticated(
+                (host, port), authkey or b"", handshake_timeout)
             break
+        except socket.timeout:
+            raise mute from None
+        except MPIError:
+            if authkey is not None:
+                raise
+            raise JobError(
+                f"matrix parent at {address} requires an authkey: "
+                f"join with the full token printed by --serve "
+                f"(HOST:PORT/KEY) or set {MATRIX_AUTHKEY_ENV_VAR}"
+            ) from None
         except OSError:
             if time.monotonic() >= deadline:
                 raise JobError(
@@ -550,45 +575,26 @@ def _worker_connect(
             # Connect-retry backoff inside a deadline-bounded loop: the
             # enclosing while re-raises once `deadline` passes.
             time.sleep(0.1)  # repro: allow[RPL004]
+    if sock is None:
+        return None  # the parent hung up before admitting us
     try:
-        # Bound the handshake: a wrong-but-listening port (or a wedged
-        # parent) accepts the connect but never answers the challenge, and
-        # an unbounded read would hang the worker CLI forever.
-        sock.settimeout(max(connect_timeout, 10.0))
+        sock.settimeout(handshake_timeout)
         try:
-            if authkey is None:
-                # The parent always challenges first.  Anything arriving
-                # proves this is an authenticating parent we cannot
-                # answer; a clean EOF means its run already finished.
-                if sock.recv(1):
-                    raise JobError(
-                        f"matrix parent at {address} requires an authkey: "
-                        f"join with the full token printed by --serve "
-                        f"(HOST:PORT/KEY) or set {MATRIX_AUTHKEY_ENV_VAR}"
-                    )
-                frame = None
-            elif not answer_challenge(sock, authkey):
-                frame = None  # parent hung up before admitting us
-            else:
-                try:
-                    send_frame(sock, _WK_HELLO, obj={"proto": _WORKER_PROTO})
-                    frame = recv_frame(sock)
-                except (OSError, ReproError):  # torn mid-handshake
-                    frame = None
+            send_frame(sock, _WK_HELLO, obj={"proto": _WORKER_PROTO})
+            frame = recv_frame(sock)
         except socket.timeout:
-            raise JobError(
-                f"{address} accepted the connection but never answered the "
-                f"worker handshake (not a serving matrix parent?)"
-            ) from None
+            raise mute from None
+        except (OSError, ReproError):  # torn mid-handshake
+            frame = None
         sock.settimeout(None)
-        if frame is None:
-            sock.close()
-            return None
-        if frame[0] != _WK_WELCOME:
+        if frame is not None and frame[0] != _WK_WELCOME:
             raise JobError(f"matrix parent at {address} rejected the worker")
     except BaseException:
         sock.close()
         raise
+    if frame is None:
+        sock.close()
+        return None
     return sock, frame[2]
 
 
@@ -610,24 +616,22 @@ class _MatrixServer:
         self._spec_doc = spec.to_dict()
         self._out_dir = out_dir
         self._interval = interval
-        host, port = parse_address(address)
+        host, port = channel.parse_address(address)
         # Workers must authenticate before any frame is exchanged (frames
         # unpickle).  A generated key is embedded in the advertised join
         # token; a supplied one (argument or env) stays out of it.
-        self._authkey, token = resolve_authkey(
-            authkey or parse_authkey(address), MATRIX_AUTHKEY_ENV_VAR
+        self._authkey, token = channel.resolve_authkey(
+            authkey or channel.parse_authkey(address), MATRIX_AUTHKEY_ENV_VAR
         )
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            self._listener.bind((host, port))
+            self._listener = channel.listen_on(host, port, 16)
         except OSError as exc:
-            self._listener.close()
             raise ConfigError(
                 f"cannot serve matrix workers on {address}: {exc}"
             ) from exc
-        self._listener.listen(16)
-        self.address = format_address(self._listener.getsockname()[:2], token)
+        self._listener.settimeout(0.2)  # the acceptor's _stop poll interval
+        self.address = channel.format_address(
+            self._listener.getsockname()[:2], token)
         self._lock = threading.Lock()
         self._results: list[tuple[str, CellResult]] = []
         self._live: set[str] = set()
@@ -650,11 +654,7 @@ class _MatrixServer:
         self._listener.close()
         with self._lock:
             conns = list(self._conns)
-        for conn in conns:  # unblock readers parked in recv_frame
-            try:
-                conn.close()
-            except OSError:
-                pass
+        channel.close_quietly(*conns)  # unblock readers parked in recv_frame
         for thread in self._threads:
             thread.join(2.0)
 
@@ -682,29 +682,23 @@ class _MatrixServer:
     # -- threads ---------------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        try:
-            self._listener.settimeout(0.2)
-        except OSError:
-            return  # already closed: the run finished before we started
         while not self._stop.is_set():
             try:
-                conn, _peer = self._listener.accept()
+                # Bounded: one silent connection (port scan, health check)
+                # must not wedge the single acceptor thread — and with it
+                # all future worker admission — forever.
+                conn = channel.accept_authenticated(
+                    self._listener, self._authkey, _WK_HELLO_TIMEOUT)
             except socket.timeout:
-                continue
+                continue  # the listener's poll interval: re-check _stop
             except OSError:
                 return  # listener closed
+            if conn is None:
+                continue  # a stray: dropped, nothing deserialised
             try:
-                # Bound the handshake + hello read: an accepted socket is
-                # blocking, and one silent connection (port scan, health
-                # check) must not wedge the single acceptor thread — and
-                # with it all future worker admission — forever.
-                conn.settimeout(_WK_HELLO_TIMEOUT)
                 try:
-                    # Challenge before the first frame: frames unpickle,
-                    # and this port admits anything on the network.
-                    deliver_challenge(conn, self._authkey)
                     frame = recv_frame(conn)
-                except Exception:  # noqa: BLE001 - timeout, bad key, garbage
+                except Exception:  # noqa: BLE001 - timeout, torn, garbage
                     frame = None
                 # The whole validation stays inside this thread's guard:
                 # a malformed hello (e.g. a non-dict payload) must drop
@@ -833,12 +827,7 @@ class MatrixRunner:
         observe (or interrupt) the per-cell execution order (serial runs
         only — pool workers run the module-level :func:`_run_cell_worker`).
         """
-        profiler = ResourceProfiler(interval_sec=self.profile_interval_sec)
-        result, usage = profiler.profile(execute_cell, cell, self.spec)
-        result.elapsed_sec = usage.wall_sec
-        result.resource = usage.to_dict()
-        result.modeled_sec = _modeled_sec(cell, result.iterations)
-        return result
+        return _profiled_cell(cell, self.spec, self.profile_interval_sec)
 
     def _checkpoint(self, cell: CellSpec, result: CellResult) -> None:
         atomic_write_json(self.cell_path(cell),
@@ -848,11 +837,7 @@ class MatrixRunner:
     def _run_serial(self, pending: list[CellSpec],
                     by_id: dict[str, CellResult]) -> int:
         for cell in pending:
-            try:
-                result = self.execute_cell(cell)
-            except Exception as exc:  # noqa: BLE001 - recorded, matrix continues
-                result = CellResult(spec=cell, status="failed",
-                                    error=f"{type(exc).__name__}: {exc}")
+            result = _recorded(self.execute_cell, cell)
             self._checkpoint(cell, result)
             by_id[cell.cell_id] = result
             self.progress(result)
@@ -956,13 +941,7 @@ class MatrixRunner:
                     claimed = cell
                     break
             if claimed is not None:
-                try:
-                    result = self.execute_cell(claimed)
-                except Exception as exc:  # noqa: BLE001 - recorded
-                    result = CellResult(
-                        spec=claimed, status="failed",
-                        error=f"{type(exc).__name__}: {exc}")
-                record(claimed, result)
+                record(claimed, _recorded(self.execute_cell, claimed))
                 progressed = True
             else:
                 # Everything left is claimed by workers: reap claims

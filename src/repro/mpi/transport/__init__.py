@@ -27,10 +27,19 @@ from repro.mpi.transport.base import (
     register_transport,
     world_generation,
 )
+from repro.mpi.transport.channel import (
+    AUTHKEY_ENV_VAR,
+    answer_challenge,
+    deliver_challenge,
+    parse_address,
+    parse_authkey,
+    resolve_authkey,
+)
 from repro.mpi.transport.codec import (
     FMT_BATCH,
     FMT_PICKLE,
     FMT_RAW,
+    MAX_FRAME_BYTES,
     PICKLE_PROTOCOL,
     WIRE_HEADER,
     decode_batch,
@@ -48,18 +57,11 @@ from repro.mpi.transport.shm import (
     ShmTransport,
 )
 from repro.mpi.transport.tcp import (
-    AUTHKEY_ENV_VAR,
-    MAX_FRAME_BYTES,
     TcpEndpoint,
     TcpTransport,
     TcpWorldServer,
-    answer_challenge,
-    deliver_challenge,
     join_world,
-    parse_address,
-    parse_authkey,
     parse_hosts,
-    resolve_authkey,
 )
 from repro.mpi.transport.thread import (
     Mailbox,

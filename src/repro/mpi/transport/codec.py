@@ -28,7 +28,7 @@ Security note: :data:`FMT_RAW` payloads are returned as inert ``bytes``
 — a crafted frame whose body happens to contain pickle opcodes is simply
 delivered as those bytes, never unpickled.  :data:`FMT_PICKLE` frames do
 unpickle, so sockets must be authenticated before they reach the frame
-layer (see :mod:`repro.mpi.transport.tcp`).
+layer (see :mod:`repro.mpi.transport.channel`).
 """
 
 from __future__ import annotations

@@ -50,33 +50,17 @@ of ssh).
 Security
 --------
 
-Data-plane (``FMT_RAW``) payloads are delivered as inert bytes, but
-control-plane frames still unpickle, and unpickling attacker-controlled
-bytes is arbitrary code execution — so **no socket ever reaches the
-frame layer unauthenticated**.  Every accepted connection (rendezvous, peer pair,
-and the experiment matrix's worker protocol, which reuses this framing)
-must first clear an HMAC-SHA256 challenge-response over a per-world
-shared secret (:func:`deliver_challenge` / :func:`answer_challenge`,
-the ``multiprocessing.connection`` scheme with mutual proof) before a
-single frame byte is read.  Strays that cannot answer — port scans,
-health checks, probes — are dropped without deserialising anything, and
-frame lengths are capped at :data:`MAX_FRAME_BYTES` so a hostile header
-cannot demand a multi-gigabyte buffer.
-
-The secret comes from (in priority order) an explicit ``authkey=``
-argument, the key segment of an address token (``HOST:PORT/KEY`` — what
-:class:`TcpWorldServer` prints when it generated the key itself), or the
-``REPRO_TCP_AUTHKEY`` environment variable.  :class:`TcpTransport`
-generates a random key per run; forked ranks inherit it.  The handshake
-authenticates, but the wire is not encrypted — treat the address token
-as a credential and run on networks where eavesdropping is acceptable.
+Control-plane frames unpickle, so every socket here (rendezvous, peer
+pair) comes from :mod:`repro.mpi.transport.channel` — the single place a
+connection is authenticated before a frame byte is read; its docstring
+has the handshake and where the per-world secret comes from.
+:class:`TcpTransport` generates a random key per run; forked ranks
+inherit it.
 """
 
 from __future__ import annotations
 
-import hmac
 import multiprocessing
-import os
 import secrets
 import selectors
 import socket
@@ -95,26 +79,9 @@ from repro.mpi.transport.base import (
     raise_rank_errors,
     register_transport,
 )
-from repro.mpi.transport.codec import (
-    MAX_FRAME_BYTES,
-    PICKLE_PROTOCOL,  # noqa: F401 - canonical home is codec; re-exported here
-    WIRE_HEADER,
-    recv_exact,
-    recv_frame,
-    send_frame,
-)
+from repro.mpi.transport import channel
+from repro.mpi.transport.codec import recv_exact, recv_frame, send_frame
 from repro.mpi.transport.thread import Mailbox, _PoisonedError
-
-#: Frame header (kind / fmt / source / tag / length) — shared with the
-#: shm descriptor pipes; kept under its historical name here.
-FRAME_HEADER = WIRE_HEADER
-
-#: Environment variable supplying the world's shared secret when the
-#: address token does not carry one (e.g. CI pinning a fixed port).
-AUTHKEY_ENV_VAR = "REPRO_TCP_AUTHKEY"
-
-#: Size of the handshake nonce and of each HMAC-SHA256 digest.
-AUTH_NONCE_BYTES = 32
 
 #: Peer-connection preamble: the connecting rank announces itself.
 _HELLO = struct.Struct(">I")
@@ -137,10 +104,10 @@ _BARRIER_TAG_BASE = 1 << 40
 #: tearing down unilaterally.
 _SHUTDOWN_GRACE = 30.0
 
-#: Seconds the rendezvous waits for an accepted connection's registration
-#: frame.  Real ranks register immediately after connecting; this bounds
-#: how long one silent stray connection can stall the (serial) accept
-#: loop without letting it eat the whole world-formation deadline.
+#: Seconds the rendezvous waits for an accepted connection's handshake and
+#: registration frame.  Real ranks register immediately after connecting;
+#: this bounds how long one silent stray connection can stall the (serial)
+#: accept loop without letting it eat the whole world-formation deadline.
 _REGISTER_TIMEOUT = 2.0
 
 _CONTROL = -1  # demux selector key for the control channel
@@ -164,99 +131,6 @@ class _PeerLostError(_PoisonedError):
     """
 
 
-# -- framing helpers (implemented in codec.py, shared with the distributed
-#    matrix protocol; re-exported here under their historical names) -----------
-
-_recv_exact = recv_exact
-
-
-# -- authentication ------------------------------------------------------------
-
-
-def _coerce_authkey(authkey: str | bytes) -> bytes:
-    if isinstance(authkey, str):
-        return authkey.encode("utf-8")
-    return bytes(authkey)
-
-
-def resolve_authkey(
-    explicit: str | bytes | None, env_var: str = AUTHKEY_ENV_VAR
-) -> tuple[bytes, str | None]:
-    """Pick a world's shared secret: explicit argument, then the
-    environment, then a fresh random key.
-
-    Returns ``(key_bytes, token)`` where ``token`` is the printable form
-    to embed in address tokens — set only for *generated* keys, so a
-    secret the operator supplied out-of-band is never echoed back into
-    printed addresses or logs.
-    """
-    if explicit is not None:
-        return _coerce_authkey(explicit), None
-    env = os.environ.get(env_var, "")
-    if env:
-        return env.encode("utf-8"), None
-    token = secrets.token_hex(16)
-    return token.encode("utf-8"), token
-
-
-def _auth_digest(authkey: bytes, role: bytes, nonce: bytes) -> bytes:
-    return hmac.new(authkey, role + nonce, "sha256").digest()
-
-
-def deliver_challenge(sock: socket.socket, authkey: str | bytes) -> None:
-    """Server half of the pre-pickle handshake: nonce out, client digest
-    in, server proof out.  Raises :class:`MPIError` when the peer cannot
-    authenticate — the caller must drop the connection *before* any
-    frame is read, because frames unpickle."""
-    authkey = _coerce_authkey(authkey)
-    nonce = secrets.token_bytes(AUTH_NONCE_BYTES)
-    sock.sendall(nonce)
-    digest = _recv_exact(sock, AUTH_NONCE_BYTES)
-    if digest is None or not hmac.compare_digest(
-        digest, _auth_digest(authkey, b"client:", nonce)
-    ):
-        raise MPIError(
-            "tcp handshake failed: peer could not authenticate "
-            "(wrong or missing authkey)"
-        )
-    sock.sendall(_auth_digest(authkey, b"server:", nonce))
-
-
-def answer_challenge(sock: socket.socket, authkey: str | bytes) -> bool:
-    """Client half of the handshake.  ``False`` when the server hung up
-    before issuing a challenge (it is gone, not hostile); raises
-    :class:`MPIError` when the server rejects the key — the mutual proof
-    also stops this side from unpickling frames from an impostor."""
-    authkey = _coerce_authkey(authkey)
-    try:
-        nonce = _recv_exact(sock, AUTH_NONCE_BYTES)
-        if nonce is None:
-            return False
-        sock.sendall(_auth_digest(authkey, b"client:", nonce))
-    except socket.timeout:
-        raise  # a bounded handshake electing to give up, not a dead server
-    except (MPIError, OSError):
-        return False  # reset mid-challenge: the server is gone
-    try:
-        proof = _recv_exact(sock, AUTH_NONCE_BYTES)
-    except socket.timeout:
-        raise
-    except (MPIError, OSError):
-        # A server that rejected the digest closes without a word; the
-        # client sees EOF or a reset exactly here.
-        proof = None
-    if proof is None or not hmac.compare_digest(
-        proof, _auth_digest(authkey, b"server:", nonce)
-    ):
-        raise MPIError(
-            "handshake rejected: authkey mismatch — the two sides are "
-            "not sharing the same secret (join with the exact address "
-            "token the server printed, or align the authkey environment "
-            "variable on both sides)"
-        )
-    return True
-
-
 # -- address specs -------------------------------------------------------------
 
 
@@ -272,39 +146,6 @@ def parse_hosts(hosts: str | Sequence[str] | None) -> list[str]:
     if not entries:
         raise MPIError(f"empty hosts spec {hosts!r}")
     return entries
-
-
-def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
-    """``"host:port"`` or ``"host:port/key"`` (or an already-split tuple)
-    -> ``(host, port)``.  The key segment, if any, is read separately by
-    :func:`parse_authkey`."""
-    if isinstance(address, (tuple, list)):
-        host, port = address
-    else:
-        hostport, _sep, _key = str(address).partition("/")
-        host, sep, port = hostport.rpartition(":")
-        if not sep or not host:
-            raise MPIError(f"address must be HOST:PORT, got {address!r}")
-    try:
-        port = int(port)
-    except (TypeError, ValueError):
-        raise MPIError(f"bad port in address {address!r}") from None
-    if not 0 <= port <= 65535:
-        raise MPIError(f"port out of range in address {address!r}")
-    return host, port
-
-
-def parse_authkey(address: str | tuple[str, int]) -> str | None:
-    """The key segment of a ``HOST:PORT/KEY`` address token, or None."""
-    if isinstance(address, (tuple, list)):
-        return None
-    _hostport, sep, key = str(address).partition("/")
-    return key if sep and key else None
-
-
-def format_address(address: tuple[str, int], token: str | None = None) -> str:
-    base = f"{address[0]}:{address[1]}"
-    return f"{base}/{token}" if token else base
 
 
 # -- the endpoint --------------------------------------------------------------
@@ -389,12 +230,8 @@ class TcpEndpoint(Endpoint):
     def poison_peers(self) -> None:
         """Best-effort ABORT frame to every peer (dead peers are skipped)."""
         for sock in self._peers:
-            if sock is None:
-                continue
-            try:
-                send_frame(sock, KIND_ABORT)
-            except OSError:
-                pass
+            if sock is not None:
+                channel.try_send_frame(sock, KIND_ABORT)
 
     def sever(self) -> None:
         """Tear every live connection down mid-protocol (fault injection).
@@ -414,12 +251,7 @@ class TcpEndpoint(Endpoint):
     def close(self) -> None:
         self._stop.set()
         self._demux.join(2.0)
-        for sock in self._peers:
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        channel.close_quietly(*self._peers)
 
     # -- demux -----------------------------------------------------------------
 
@@ -468,167 +300,101 @@ class TcpEndpoint(Endpoint):
 
 
 class _Rendezvous:
-    """Listener that forms one world: registrations in, address map out.
+    """Listener that forms each generation of one world: registrations
+    in, address map out.
 
     The accepted connections double as per-rank control channels and are
     returned to the launcher for outcome collection.
     """
 
     def __init__(self, world_size: int, bind_host: str, port: int,
-                 authkey: bytes):
+                 authkey: str | bytes):
         self.world_size = world_size
         self._authkey = authkey
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            self._listener.bind((bind_host, port))
+            self._listener = channel.listen_on(bind_host, port, world_size)
         except OSError as exc:
-            self._listener.close()
             raise MPIError(
                 f"cannot bind tcp rendezvous on {bind_host}:{port}: {exc}"
             ) from exc
-        self._listener.listen(world_size)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
 
-    def wait_for_world(
-        self, deadline: float
-    ) -> tuple[list[socket.socket], list[tuple[int, BaseException]]]:
-        """Accept registrations until every rank is present, then broadcast
-        the address map.  Returns the per-rank control sockets plus any
-        failures reported *during* rendezvous (a rank that died before it
-        could register its listener)."""
-        controls: list[socket.socket | None] = [None] * self.world_size
-        addrs: list[tuple[str, int] | None] = [None] * self.world_size
-        failures: list[tuple[int, BaseException]] = []
-        while any(c is None for c in controls) and not failures:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                missing = [r for r, c in enumerate(controls) if c is None]
-                raise MPIError(
-                    f"tcp rendezvous incomplete: ranks {missing} never "
-                    f"registered"
-                )
-            self._listener.settimeout(min(remaining, 1.0))
-            try:
-                conn, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            # Accepted sockets are blocking regardless of the listener's
-            # timeout: bound the handshake + registration read too, or one
-            # silent connection (port scan, health check, wedged rank)
-            # pins the rendezvous past its deadline forever.
-            conn.settimeout(
-                max(0.1, min(_REGISTER_TIMEOUT, deadline - time.monotonic()))
-            )
-            try:
-                # Authenticate BEFORE the first frame: frames unpickle,
-                # and this port is reachable by anything on the network.
-                deliver_challenge(conn, self._authkey)
-                frame = recv_frame(conn)
-            except Exception:  # noqa: BLE001 - timeout, bad key, torn read
-                conn.close()
-                continue  # not a rank; the deadline still governs the world
-            conn.settimeout(None)
-            if frame is None:
-                conn.close()
-                raise MPIError("a rank died during tcp rendezvous")
-            kind, _tag, obj = frame
-            if kind == KIND_OUTCOME:  # died before it could register
-                rank, _status, value = obj
-                failures.append((rank, value))
-                conn.close()
-                continue
-            if kind != KIND_REGISTER:
-                conn.close()
-                raise MPIError(f"unexpected frame kind {kind} during rendezvous")
-            rank = obj["rank"]
-            if rank is None:  # external joiner without a pinned rank
-                rank = next(r for r, c in enumerate(controls) if c is None)
-            if not 0 <= rank < self.world_size or controls[rank] is not None:
-                conn.close()
-                raise MPIError(f"bad or duplicate rank {rank} at rendezvous")
-            controls[rank] = conn
-            addrs[rank] = (obj["host"], obj["port"])
-        if failures:
-            for conn in controls:
-                if conn is not None:
-                    try:
-                        send_frame(conn, KIND_ABORT)
-                        send_frame(conn, KIND_SHUTDOWN)
-                    except OSError:
-                        pass
-            return [c for c in controls if c is not None], failures
-        for rank, conn in enumerate(controls):
-            try:
-                send_frame(conn, KIND_ADDRS, obj={"rank": rank, "addrs": addrs})
-            except OSError:
-                # Registered then died: outcome collection sees the EOF
-                # and decides (abort or elastic restart); peers that fail
-                # to reach the dead listener poison themselves.
-                pass
-        return controls, []  # type: ignore[return-value]
-
-    def reform(
+    def form(
         self,
         survivors: dict[int, socket.socket],
         deadline: float,
     ) -> list[socket.socket]:
-        """Rebuild the world after rank deaths: survivors re-register over
-        their live control sockets while freed slots are re-offered to new
-        connections at the (still open) rendezvous address.  Returns the
-        full control list for the next generation."""
+        """Fill every slot of the next generation, broadcast the address
+        map, and return the per-rank control sockets.
+
+        ``survivors`` (empty at generation 0) re-register over their live
+        control sockets; every other slot is offered to new connections
+        at the rendezvous address.  A joiner that died before it could
+        register its listener fails the world at once with its real
+        error, whichever generation it was joining.
+        """
         controls: list[socket.socket | None] = [None] * self.world_size
         addrs: list[tuple[str, int] | None] = [None] * self.world_size
+        failures: list[tuple[int, BaseException]] = []
         selector = selectors.DefaultSelector()
         for rank, conn in survivors.items():
             selector.register(conn, selectors.EVENT_READ, rank)
         selector.register(self._listener, selectors.EVENT_READ, None)
-        self._listener.settimeout(None)
         with selector:
-            while any(c is None for c in controls):
+            while any(c is None for c in controls) and not failures:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     missing = [r for r, c in enumerate(controls) if c is None]
                     raise MPIError(
-                        f"tcp world restart incomplete: slots {missing} "
-                        f"were never re-filled"
+                        f"tcp rendezvous incomplete: ranks {missing} never "
+                        f"registered"
                     )
                 for key, _events in selector.select(min(remaining, 0.5)):
-                    if key.data is None:  # a fresh joiner for a freed slot
-                        conn, _peer = self._listener.accept()
-                        conn.settimeout(max(0.1, min(
-                            _REGISTER_TIMEOUT, deadline - time.monotonic()
-                        )))
+                    if key.data is None:  # a new connection for an open slot
+                        conn = channel.accept_authenticated(
+                            self._listener, self._authkey,
+                            max(0.1, min(_REGISTER_TIMEOUT,
+                                         deadline - time.monotonic())),
+                        )
+                        if conn is None:
+                            continue  # a stray; the deadline still governs
                         try:
-                            deliver_challenge(conn, self._authkey)
                             frame = recv_frame(conn)
-                        except Exception:  # noqa: BLE001 - stray or dead
+                        except Exception:  # noqa: BLE001 - silent, torn, undecodable
                             conn.close()
                             continue
                         conn.settimeout(None)
-                        if frame is None or frame[0] != KIND_REGISTER:
+                        if frame is None:
+                            conn.close()
+                            raise MPIError("a rank died during tcp rendezvous")
+                        kind, _tag, obj = frame
+                        if kind == KIND_OUTCOME:  # died before registering
+                            rank, _status, value = obj
+                            failures.append((rank, value))
                             conn.close()
                             continue
-                        obj = frame[2]
+                        if kind != KIND_REGISTER:
+                            conn.close()
+                            raise MPIError(
+                                f"unexpected frame kind {kind} during rendezvous"
+                            )
                         rank = obj["rank"]
-                        if rank is None:
-                            free = [r for r, c in enumerate(controls)
-                                    if c is None and r not in survivors]
-                            if not free:
+                        if rank is None:  # joiner without a pinned rank
+                            rank = next(
+                                (r for r, c in enumerate(controls)
+                                 if c is None and r not in survivors), None)
+                            if rank is None:  # every open slot is a survivor's
                                 conn.close()
                                 continue
-                            rank = free[0]
                         if (not 0 <= rank < self.world_size
                                 or rank in survivors
                                 or controls[rank] is not None):
                             conn.close()
                             raise MPIError(
-                                f"bad or duplicate rank {rank} at restart "
-                                f"rendezvous"
+                                f"bad or duplicate rank {rank} at rendezvous"
                             )
                     else:  # a survivor re-registering on its control socket
-                        rank = key.data
-                        conn = key.fileobj
+                        rank, conn = key.data, key.fileobj
                         try:
                             frame = recv_frame(conn)
                         except (MPIError, OSError):
@@ -648,11 +414,21 @@ class _Rendezvous:
                         selector.unregister(conn)
                     controls[rank] = conn
                     addrs[rank] = (obj["host"], obj["port"])
+        if failures:
+            live = {*survivors.values(),
+                    *(c for c in controls if c is not None)}
+            for conn in live:
+                channel.try_send_frame(conn, KIND_ABORT)
+                channel.try_send_frame(conn, KIND_SHUTDOWN)
+            channel.close_quietly(*live)
+            raise_rank_errors(failures)
         for rank, conn in enumerate(controls):
-            try:
-                send_frame(conn, KIND_ADDRS, obj={"rank": rank, "addrs": addrs})
-            except OSError:
-                pass  # outcome collection will see the EOF
+            # A rank that registered then died is not an error here:
+            # outcome collection sees the EOF and decides (abort or
+            # elastic restart); peers that fail to reach the dead
+            # listener poison themselves.
+            channel.try_send_frame(conn, KIND_ADDRS,
+                                   obj={"rank": rank, "addrs": addrs})
         return controls  # type: ignore[return-value]
 
     def close(self) -> None:
@@ -667,7 +443,7 @@ def _build_endpoint(
     bind_host: str,
     rank: int | None,
     deadline: float,
-    authkey: bytes,
+    authkey: str | bytes,
     generation: int = 0,
 ) -> TcpEndpoint:
     """Register with the rendezvous and wire up the pair sockets.
@@ -676,128 +452,112 @@ def _build_endpoint(
     ``i < j`` and *accepts* from every ``j' > j``.  Connects complete
     through the listen backlog, so no ordering between ranks can deadlock.
     """
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        listener.bind((bind_host, 0))
-    except OSError as exc:
-        listener.close()
-        raise MPIError(
-            f"rank cannot bind its peer listener on {bind_host!r}: {exc} "
-            f"(hosts entries must be addresses of this machine)"
-        ) from exc
     # Listen *before* registering: the moment the address map goes out,
     # higher ranks may connect, and a bound-but-not-listening socket
     # refuses them.  The world size is not known yet, so use a generous
     # fixed backlog (connects complete through it without an accept).
-    listener.listen(128)
-    host, port = listener.getsockname()[:2]
-    send_frame(control, KIND_REGISTER,
-               obj={"rank": rank, "host": host, "port": port})
-    frame = recv_frame(control)
-    if frame is None:
-        listener.close()
-        raise _WorldFormationError(
-            "tcp rendezvous closed before the world formed"
-        )
-    kind, _tag, obj = frame
-    if kind == KIND_ABORT or kind != KIND_ADDRS:
-        listener.close()
-        raise _WorldFormationError(
-            "tcp world formation aborted (a peer rank failed)"
-        )
-    rank = obj["rank"]
-    addrs = obj["addrs"]
-    world_size = len(addrs)
-    # The deterministic "die during world formation" hook: the rank is
-    # assigned and registered, so its death is visible as a control EOF
-    # (and a refused listener) rather than a rendezvous that never fills.
-    faultinject.fire("rendezvous", rank=rank)
-    peers: list[socket.socket | None] = [None] * world_size
     try:
-        for lower in range(rank):
-            remaining = max(0.1, deadline - time.monotonic())
-            sock = socket.create_connection(addrs[lower], timeout=remaining)
-            if not answer_challenge(sock, authkey):
-                raise MPIError("peer hung up during tcp pair handshake")
-            sock.settimeout(None)
-            sock.sendall(_HELLO.pack(rank))
-            peers[lower] = sock
-        accepted = 0
-        need = world_size - 1 - rank
-        # Watch the control channel alongside the listener: if a peer dies
-        # before connecting, its connect never comes — only the launcher's
-        # ABORT (or its own EOF) can release this rank before the world
-        # deadline, which matters enormously for recovery time.
-        accept_sel = selectors.DefaultSelector()
-        accept_sel.register(listener, selectors.EVENT_READ, "listener")
-        accept_sel.register(control, selectors.EVENT_READ, "control")
-        with accept_sel:
-            while accepted < need:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise socket.timeout("tcp pair accept timed out")
-                events = accept_sel.select(timeout=min(remaining, 0.5))
-                for key, _ev in events:
-                    if key.data == "control":
-                        verdict = recv_frame(control)
-                        if verdict is None:
-                            raise _WorldFormationError(
-                                "launcher vanished during tcp world "
-                                "formation"
-                            )
-                        if verdict[0] in (KIND_ABORT, KIND_SHUTDOWN):
-                            raise _WorldFormationError(
-                                "tcp world formation aborted (a peer rank "
-                                "failed)"
-                            )
-                        continue  # stray control frame; keep accepting
-                    conn, _peer = listener.accept()
-                    conn.settimeout(max(0.1, deadline - time.monotonic()))
-                    try:
-                        # Challenge before the hello: the peer listener is
-                        # just as reachable by strays as the rendezvous is.
-                        deliver_challenge(conn, authkey)
-                    except (MPIError, OSError):
-                        conn.close()  # stray; deadline still governs
-                        continue
-                    try:
-                        hello = _recv_exact(conn, _HELLO.size)
-                    except (MPIError, OSError) as exc:
-                        # Past the challenge this is provably a keyed peer,
-                        # so a torn read is a rank death — fail fast, don't
-                        # accept-loop until the world deadline.
-                        conn.close()
-                        raise MPIError(
-                            "peer hung up during tcp pair handshake"
-                        ) from exc
-                    if hello is None:
-                        conn.close()
-                        raise MPIError(
-                            "peer hung up during tcp pair handshake"
-                        )
-                    peer_rank = _HELLO.unpack(hello)[0]
-                    if (not rank < peer_rank < world_size
-                            or peers[peer_rank] is not None):
-                        conn.close()
-                        continue
-                    conn.settimeout(None)
-                    peers[peer_rank] = conn
-                    accepted += 1
-    except _WorldFormationError:
-        for sock in peers:
-            if sock is not None:
-                sock.close()
-        listener.close()
-        raise
-    except (OSError, socket.timeout, MPIError) as exc:
-        for sock in peers:
-            if sock is not None:
-                sock.close()
-        raise _WorldFormationError(
-            f"tcp pair handshake failed: {exc}"
+        listener = channel.listen_on(bind_host, 0, 128)
+    except OSError as exc:
+        raise MPIError(
+            f"rank cannot bind its peer listener on {bind_host!r}: {exc} "
+            f"(hosts entries must be addresses of this machine)"
         ) from exc
-    finally:
-        listener.close()
+    with listener:
+        host, port = listener.getsockname()[:2]
+        send_frame(control, KIND_REGISTER,
+                   obj={"rank": rank, "host": host, "port": port})
+        frame = recv_frame(control)
+        if frame is None:
+            raise _WorldFormationError(
+                "tcp rendezvous closed before the world formed"
+            )
+        kind, _tag, obj = frame
+        if kind != KIND_ADDRS:
+            raise _WorldFormationError(
+                "tcp world formation aborted (a peer rank failed)"
+            )
+        rank = obj["rank"]
+        addrs = obj["addrs"]
+        world_size = len(addrs)
+        # The deterministic "die during world formation" hook: the rank is
+        # assigned and registered, so its death is visible as a control EOF
+        # (and a refused listener) rather than a rendezvous that never fills.
+        faultinject.fire("rendezvous", rank=rank)
+        peers: list[socket.socket | None] = [None] * world_size
+        try:
+            for lower in range(rank):
+                sock = channel.connect_authenticated(
+                    addrs[lower], authkey,
+                    max(0.1, deadline - time.monotonic()),
+                )
+                if sock is None:
+                    raise MPIError("peer hung up during tcp pair handshake")
+                peers[lower] = sock
+                sock.sendall(_HELLO.pack(rank))
+            waiting = world_size - 1 - rank
+            # Watch the control channel alongside the listener: if a peer
+            # dies before connecting, its connect never comes — only the
+            # launcher's ABORT (or its own EOF) can release this rank
+            # before the world deadline, which matters enormously for
+            # recovery time.
+            selector = selectors.DefaultSelector()
+            selector.register(listener, selectors.EVENT_READ, "listener")
+            selector.register(control, selectors.EVENT_READ, "control")
+            with selector:
+                while waiting:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise socket.timeout("tcp pair accept timed out")
+                    for key, _ev in selector.select(min(remaining, 0.5)):
+                        if key.data == "control":
+                            verdict = recv_frame(control)
+                            if verdict is None:
+                                raise _WorldFormationError(
+                                    "launcher vanished during tcp world "
+                                    "formation"
+                                )
+                            if verdict[0] in (KIND_ABORT, KIND_SHUTDOWN):
+                                raise _WorldFormationError(
+                                    "tcp world formation aborted (a peer "
+                                    "rank failed)"
+                                )
+                            continue  # stray control frame; keep accepting
+                        # The peer listener is just as reachable by strays
+                        # as the rendezvous is: dropped, deadline governs.
+                        conn = channel.accept_authenticated(
+                            listener, authkey,
+                            max(0.1, deadline - time.monotonic()),
+                        )
+                        if conn is None:
+                            continue
+                        try:
+                            hello = recv_exact(conn, _HELLO.size)
+                        except (MPIError, OSError):
+                            hello = None
+                        if hello is None:
+                            # Past the challenge this is provably a keyed
+                            # peer, so a torn read is a rank death — fail
+                            # fast, don't accept-loop until the deadline.
+                            conn.close()
+                            raise MPIError(
+                                "peer hung up during tcp pair handshake"
+                            )
+                        peer_rank = _HELLO.unpack(hello)[0]
+                        if (not rank < peer_rank < world_size
+                                or peers[peer_rank] is not None):
+                            conn.close()
+                            continue
+                        conn.settimeout(None)
+                        peers[peer_rank] = conn
+                        waiting -= 1
+        except (OSError, MPIError) as exc:
+            channel.close_quietly(*peers)
+            if isinstance(exc, _WorldFormationError):
+                raise
+            raise _WorldFormationError(
+                f"tcp pair handshake failed: {exc}"
+            ) from exc
     return TcpEndpoint(rank, world_size, peers, control, generation)
 
 
@@ -808,57 +568,26 @@ def _send_outcome(
     their repr.  ``send_frame`` encodes *before* writing any byte, so a
     failed first attempt leaves the stream aligned for the retry."""
     try:
-        send_frame(control, KIND_OUTCOME, obj=(rank, status, value))
-        return
-    except OSError:
-        return  # launcher is gone; EOF already tells the story
+        channel.try_send_frame(control, KIND_OUTCOME,
+                               obj=(rank, status, value))
     except Exception:  # noqa: BLE001 - unpicklable closures, sockets, ...
-        pass
-    try:
-        send_frame(control, KIND_OUTCOME,
-                   obj=(rank, "err", MPIError(f"rank {rank}: {value!r}")))
-    except OSError:
-        pass
-
-
-def _await_verdict_on_control(
-    control: socket.socket, deadline: float
-) -> bool:
-    """After a failed world formation, wait for the launcher's verdict on
-    the bare control socket (no demux thread exists).  True = restart and
-    re-register; False = shut down."""
-    budget = min(_SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic()))
-    control.settimeout(budget)
-    try:
-        while True:
-            try:
-                frame = recv_frame(control)
-            except (socket.timeout, MPIError, OSError):
-                return False
-            if frame is None:
-                return False
-            if frame[0] == KIND_RESTART:
-                return True
-            if frame[0] == KIND_SHUTDOWN:
-                return False
-            # ABORT or a stray: keep waiting for the verdict.
-    finally:
-        try:
-            control.settimeout(None)
-        except OSError:
-            pass
+        channel.try_send_frame(
+            control, KIND_OUTCOME,
+            obj=(rank, "err", MPIError(f"rank {rank}: {value!r}")))
 
 
 def _run_rank(
-    control: socket.socket,
+    address: tuple[str, int],
     bind_host: str,
     rank: int | None,
     main: Callable[..., Any],
     args: tuple,
     timeout: float,
-    authkey: bytes,
-) -> tuple[str, Any]:
-    """One rank's full lifecycle: fabric, ``main``, outcome, shutdown.
+    authkey: str | bytes,
+) -> tuple[str, Any] | None:
+    """One rank's full lifecycle: control connection, fabric, ``main``,
+    outcome, shutdown.  ``None`` when the rendezvous at ``address`` hung
+    up before the handshake.
 
     When the launcher answers an outcome with ``KIND_RESTART`` (elastic
     recovery after a peer died), the rank loops: it re-registers over the
@@ -868,43 +597,46 @@ def _run_rank(
     """
     from repro.mpi.comm import Comm  # local import: comm builds on this module
 
+    control = channel.connect_authenticated(address, authkey, timeout)
+    if control is None:
+        return None
     deadline = time.monotonic() + timeout
     generation = 0
-    while True:
-        endpoint = None
-        undrop = None
-        try:
-            endpoint = _build_endpoint(control, bind_host, rank, deadline,
-                                       authkey, generation)
-            rank = endpoint.rank
-            # A drop rule severs precisely this generation's sockets.
-            undrop = faultinject.register_dropper(endpoint.sever)
-            outcome = ("ok", main(Comm.from_endpoint(endpoint), *args))
-        except BaseException as exc:  # noqa: BLE001 - reported to the launcher
-            if endpoint is not None:
-                endpoint.poison_peers()
-            outcome = ("err", exc)
-        finally:
-            if undrop is not None:
-                undrop()
-        _send_outcome(control, rank if rank is not None else -1, *outcome)
-        if endpoint is None:
-            # Formation failed; the launcher may still restart the world.
-            if not _await_verdict_on_control(control, deadline):
+    with control:
+        while True:
+            endpoint = None
+            undrop = None
+            try:
+                endpoint = _build_endpoint(control, bind_host, rank, deadline,
+                                           authkey, generation)
+                rank = endpoint.rank
+                # A drop rule severs precisely this generation's sockets.
+                undrop = faultinject.register_dropper(endpoint.sever)
+                outcome = ("ok", main(Comm.from_endpoint(endpoint), *args))
+            except BaseException as exc:  # noqa: BLE001 - reported to the launcher
+                if endpoint is not None:
+                    endpoint.poison_peers()
+                outcome = ("err", exc)
+            finally:
+                if undrop is not None:
+                    undrop()
+            _send_outcome(control, rank if rank is not None else -1, *outcome)
+            if endpoint is None:
+                # Formation failed, but the launcher may still restart the
+                # world: a peerless endpoint demuxes its verdict off the
+                # control channel exactly as a formed one would.
+                endpoint = TcpEndpoint(-1, 0, [], control, generation)
+            # Keep the fabric alive until the launcher says the whole world is
+            # done: peers may still be receiving, and an early close would
+            # read as a death.
+            endpoint.shutdown_received.wait(
+                min(_SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic()))
+            )
+            restart = endpoint.restart_received.is_set()
+            endpoint.close()
+            if not restart:
                 return outcome
             generation += 1
-            continue
-        # Keep the fabric alive until the launcher says the whole world is
-        # done: peers may still be receiving, and an early close would
-        # read as a death.
-        endpoint.shutdown_received.wait(
-            min(_SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic()))
-        )
-        restart = endpoint.restart_received.is_set()
-        endpoint.close()
-        if not restart:
-            return outcome
-        generation += 1
 
 
 # -- launcher side -------------------------------------------------------------
@@ -925,23 +657,10 @@ def _collect_outcomes(
     results: list[Any] = [None] * world_size
     errors: list[tuple[int, BaseException]] = []
     dead: set[int] = set()
-    poisoned = False
     pending = set(range(world_size))
     selector = selectors.DefaultSelector()
     for rank, sock in enumerate(controls):
         selector.register(sock, selectors.EVENT_READ, rank)
-
-    def poison_survivors() -> None:
-        nonlocal poisoned
-        if poisoned:
-            return
-        poisoned = True
-        for rank in pending:
-            try:
-                send_frame(controls[rank], KIND_ABORT)
-            except OSError:
-                pass
-
     deadline = time.monotonic() + timeout
     with selector:
         while pending:
@@ -970,102 +689,12 @@ def _collect_outcomes(
                 pending.discard(rank)
                 if status == "ok":
                     results[rank] = value
-                else:
-                    errors.append((rank, value))
-                    poison_survivors()
+                    continue
+                if not errors:  # first failure: poison every rank still running
+                    for survivor in pending:
+                        channel.try_send_frame(controls[survivor], KIND_ABORT)
+                errors.append((rank, value))
     return results, errors, dead
-
-
-def _finish_world(
-    controls: list[socket.socket],
-    results: list[Any],
-    errors: list[tuple[int, BaseException]],
-) -> list[Any]:
-    """Broadcast shutdown, prefer real failures over poison symptoms."""
-    for sock in controls:
-        try:
-            send_frame(sock, KIND_SHUTDOWN)
-        except OSError:
-            pass
-    real = [(rank, exc) for rank, exc in errors
-            if not isinstance(exc, _PoisonedError)]
-    raise_rank_errors(real or errors)
-    return results
-
-
-def _supervise_world(
-    rendezvous: _Rendezvous,
-    controls: list[socket.socket],
-    deadline: float,
-    *,
-    respawn: Callable[[int], None] | None = None,
-    restarts: int = 0,
-    listeners: Sequence[Callable[[int, list[int]], None]] = (),
-) -> list[Any]:
-    """Collect outcomes, electing to rebuild the world after rank deaths.
-
-    The elastic core shared by :class:`TcpTransport` and
-    :class:`TcpWorldServer`.  A generation ends when every control socket
-    has produced an outcome or an EOF.  The world restarts — rather than
-    aborting — only when ranks actually died *and* every error a
-    surviving rank did report is a poison symptom (mailbox poison, torn
-    sends, failed world formation): a rank that raised a real error gets
-    fail-fast semantics exactly as before, because replaying a
-    deterministic failure would only fail again.
-
-    On restart the survivors get ``KIND_RESTART`` and re-register over
-    their live control sockets; each dead rank's slot is re-offered at
-    the rendezvous, filled by ``respawn(rank)`` when provided or by any
-    external joiner.  ``controls`` is updated in place so the caller's
-    cleanup always closes the current generation's sockets.
-    ``listeners`` are told ``(generation, dead_ranks)`` before the
-    rebuild — a serving pool uses this to fail in-flight futures whose
-    requests died with the old world.
-    """
-    budget = restarts
-    generation = 0
-    while True:
-        results, errors, dead = _collect_outcomes(
-            controls, max(0.1, deadline - time.monotonic())
-        )
-        reported = [(rank, exc) for rank, exc in errors if rank not in dead]
-        recoverable = (
-            bool(dead)
-            and budget > 0
-            and all(isinstance(exc, _PoisonedError) for _, exc in reported)
-        )
-        if not recoverable:
-            return _finish_world(controls, results, errors)
-        budget -= 1
-        generation += 1
-        survivors: dict[int, socket.socket] = {}
-        for rank, sock in enumerate(controls):
-            if rank in dead:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                continue
-            try:
-                send_frame(sock, KIND_RESTART)
-                survivors[rank] = sock
-            except OSError:
-                # Died between its outcome and the restart: its slot is
-                # re-offered along with the others.
-                dead.add(rank)
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        for listener in listeners:
-            try:
-                listener(generation, sorted(dead))
-            except Exception:  # noqa: BLE001 - observers must not kill recovery
-                pass
-        if respawn is not None:
-            for rank in sorted(dead):
-                respawn(rank)
-        controls[:] = rendezvous.reform(survivors, deadline)
 
 
 @register_transport
@@ -1103,7 +732,7 @@ class TcpTransport(Transport):
         self.port = int(port)
         # A fresh random secret per transport unless pinned: forked ranks
         # inherit it, and nothing else may speak to this world's ports.
-        self.authkey = (_coerce_authkey(authkey) if authkey is not None
+        self.authkey = (authkey if authkey is not None
                         else secrets.token_bytes(16))
         if respawns < 0:
             raise MPIError(f"respawns must be >= 0, got {respawns}")
@@ -1127,12 +756,9 @@ class TcpTransport(Transport):
         args: tuple = (),
         timeout: float = JOIN_TIMEOUT,
     ) -> list[Any]:
-        if world_size < 1:
-            raise MPIError(f"world size must be >= 1, got {world_size}")
-        rendezvous = _Rendezvous(world_size, self.hosts[0], self.port,
-                                 self.authkey)
-        address = rendezvous.address
-        authkey = self.authkey
+        """A :class:`TcpWorldServer` whose joiners are forked from here
+        (``join_world`` with fork instead of ssh)."""
+        processes: list[Any] = []
 
         def child(rank: int, plan: "faultinject.FaultPlan | None") -> None:
             # Forked children inherit any injector state of the parent:
@@ -1140,52 +766,29 @@ class TcpTransport(Transport):
             # marking the process safe to hard-kill.
             faultinject.install(plan)
             faultinject.mark_killable()
-            control = socket.create_connection(address, timeout=timeout)
-            try:
-                if not answer_challenge(control, authkey):
-                    return  # rendezvous already gone; launcher reports it
-                control.settimeout(None)
-                _run_rank(control, self.host_for_rank(rank), rank, main,
-                          args, timeout, authkey)
-            finally:
-                control.close()
+            _run_rank(address, self.host_for_rank(rank), rank, main, args,
+                      timeout, self.authkey)
 
-        processes = [
-            self._ctx.Process(target=child, args=(rank, self.fault_plan),
-                              name=f"tcp-rank-{rank}", daemon=True)
-            for rank in range(world_size)
-        ]
+        def fork(rank: int, plan: "faultinject.FaultPlan | None" = None) -> None:
+            # Replacement ranks (the server's respawn hook passes no plan)
+            # model fresh hardware, so a one-shot injected fault stays
+            # one-shot.
+            processes.append(self._ctx.Process(
+                target=child, args=(rank, plan), name=f"tcp-rank-{rank}",
+                daemon=True,
+            ))
+            processes[-1].start()
 
-        def respawn(rank: int) -> None:
-            # Replacement ranks model fresh hardware: they carry no fault
-            # plan, so a one-shot injected fault stays one-shot.
-            process = self._ctx.Process(
-                target=child, args=(rank, None),
-                name=f"tcp-rank-{rank}-respawn", daemon=True,
-            )
-            processes.append(process)
-            process.start()
-
-        controls: list[socket.socket] = []
+        server = TcpWorldServer(world_size, self.hosts[0], self.port,
+                                self.authkey, self.respawns, respawn=fork)
+        server.restart_listeners = self.restart_listeners
+        address = channel.parse_address(server.address)
         try:
-            for process in processes:
-                process.start()
-            deadline = time.monotonic() + timeout
-            controls, early = rendezvous.wait_for_world(deadline)
-            if early:
-                raise_rank_errors(early)
-            return _supervise_world(
-                rendezvous, controls, deadline,
-                respawn=respawn, restarts=self.respawns,
-                listeners=self.restart_listeners,
-            )
+            for rank in range(world_size):
+                fork(rank, self.fault_plan)
+            return server.run(timeout)
         finally:
-            rendezvous.close()
-            for sock in controls:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            server._rendezvous.close()
             for process in processes:
                 if process.is_alive():
                     process.terminate()
@@ -1227,7 +830,7 @@ class TcpWorldServer:
         if restarts < 0:
             raise MPIError(f"restarts must be >= 0, got {restarts}")
         self.world_size = world_size
-        self.authkey, token = resolve_authkey(authkey)
+        self.authkey, token = channel.resolve_authkey(authkey)
         #: World restarts the server may perform after rank deaths
         #: (0 = fail-fast).  On restart every dead slot is re-offered at
         #: ``address``: ``respawn(rank)`` is invoked per lost slot when
@@ -1239,27 +842,75 @@ class TcpWorldServer:
         #: Observers called with ``(generation, dead_ranks)`` per restart.
         self.restart_listeners: list[Callable[[int, list[int]], None]] = []
         self._rendezvous = _Rendezvous(world_size, bind, port, self.authkey)
-        self.address = format_address(self._rendezvous.address, token)
+        self.address = channel.format_address(self._rendezvous.address, token)
 
     def run(self, timeout: float = JOIN_TIMEOUT) -> list[Any]:
+        """Form the world and collect its outcomes, electing to rebuild
+        it after rank deaths; everything is closed on the way out.
+
+        A generation starts with one formation loop
+        (:meth:`_Rendezvous.form`) and ends when every control socket has
+        produced an outcome or an EOF.  The world restarts — rather than
+        aborting — only when ranks actually died *and* every error a
+        surviving rank did report is a poison symptom (mailbox poison,
+        torn sends, failed world formation): a rank that raised a real
+        error gets fail-fast semantics, because replaying a deterministic
+        failure would only fail again.
+
+        On restart the survivors get ``KIND_RESTART`` and re-register
+        over their live control sockets; each dead rank's slot is
+        re-offered at the rendezvous.  ``restart_listeners`` are told
+        ``(generation, dead_ranks)`` before the rebuild — a serving pool
+        uses this to fail in-flight futures whose requests died with the
+        old world.
+        """
         deadline = time.monotonic() + timeout
+        budget = self.restarts
+        generation = 0
+        survivors: dict[int, socket.socket] = {}
         controls: list[socket.socket] = []
         try:
-            controls, early = self._rendezvous.wait_for_world(deadline)
-            if early:
-                raise_rank_errors(early)
-            return _supervise_world(
-                self._rendezvous, controls, deadline,
-                respawn=self._respawn, restarts=self.restarts,
-                listeners=self.restart_listeners,
-            )
+            while True:
+                controls = self._rendezvous.form(survivors, deadline)
+                results, errors, dead = _collect_outcomes(
+                    controls, max(0.1, deadline - time.monotonic())
+                )
+                reported = [exc for rank, exc in errors if rank not in dead]
+                recoverable = (
+                    bool(dead)
+                    and budget > 0
+                    and all(isinstance(exc, _PoisonedError) for exc in reported)
+                )
+                if not recoverable:
+                    for sock in controls:
+                        channel.try_send_frame(sock, KIND_SHUTDOWN)
+                    # Prefer real failures over poison symptoms.
+                    raise_rank_errors(
+                        [(rank, exc) for rank, exc in errors
+                         if not isinstance(exc, _PoisonedError)] or errors)
+                    return results
+                budget -= 1
+                generation += 1
+                # A rank that died between its outcome and the restart
+                # frame has its slot re-offered along with the others.
+                survivors = {
+                    rank: sock for rank, sock in enumerate(controls)
+                    if rank not in dead
+                    and channel.try_send_frame(sock, KIND_RESTART)
+                }
+                dead = set(range(self.world_size)) - set(survivors)
+                channel.close_quietly(*(controls[rank] for rank in dead))
+                for listener in self.restart_listeners:
+                    try:
+                        listener(generation, sorted(dead))
+                    except Exception:  # noqa: BLE001 - observers must not kill recovery
+                        pass
+                if self._respawn is not None:
+                    for rank in sorted(dead):
+                        self._respawn(rank)
         finally:
             self._rendezvous.close()
-            for sock in controls:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            channel.close_quietly(*controls)
 
 
 def join_world(
@@ -1281,31 +932,25 @@ def join_world(
     is authenticated.  Returns this rank's result; raises the local
     failure if ``main`` raised here.
     """
-    host, port = parse_address(address)
+    host, port = channel.parse_address(address)
     # A joiner is a dedicated rank process: a fault plan (usually from
     # REPRO_FAULT_PLAN in its environment) may hard-kill it.
     faultinject.mark_killable()
-    if authkey is None:
-        authkey = parse_authkey(address) or os.environ.get(AUTHKEY_ENV_VAR)
-    if authkey is None:
+    key = channel.supplied_authkey(authkey, address, channel.AUTHKEY_ENV_VAR)
+    if key is None:
         raise MPIError(
             "joining a tcp world requires its authkey: use the full "
             "address token the server printed (HOST:PORT/KEY), pass "
-            f"authkey=, or set {AUTHKEY_ENV_VAR}"
+            f"authkey=, or set {channel.AUTHKEY_ENV_VAR}"
         )
-    key = _coerce_authkey(authkey)
-    control = socket.create_connection((host, port), timeout=timeout)
-    try:
-        if not answer_challenge(control, key):
-            raise MPIError(
-                f"tcp world at {format_address((host, port))} hung up "
-                f"before the handshake (server gone?)"
-            )
-        control.settimeout(None)
-        status, value = _run_rank(control, bind_host, rank, main, args,
-                                  timeout, key)
-    finally:
-        control.close()
+    outcome = _run_rank((host, port), bind_host, rank, main, args, timeout,
+                        key)
+    if outcome is None:
+        raise MPIError(
+            f"tcp world at {channel.format_address((host, port))} hung up "
+            f"before the handshake (server gone?)"
+        )
+    status, value = outcome
     if status == "err":
         if isinstance(value, MPIError) or not isinstance(value, Exception):
             raise value

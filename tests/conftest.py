@@ -1,6 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import os
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -89,3 +92,37 @@ def bind_retry(free_port):
         raise last
 
     return run
+
+
+_DOOMED_RANK_SCRIPT = """
+import os, sys
+sys.path.insert(0, {src!r})
+from repro.mpi.transport import join_world
+
+join_world({address!r}, lambda comm: os._exit(3), rank={rank})
+"""
+
+
+@pytest.fixture
+def spawn_doomed_rank():
+    """``spawn(address, rank)``: a separate process that joins the tcp
+    world at ``address`` as ``rank`` and hard-exits inside ``main`` — no
+    outcome, no goodbye; the launcher only sees its sockets close.  The
+    deterministic way to push a world into a restart from test code."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    spawned: list[subprocess.Popen] = []
+
+    def spawn(address: str, rank: int) -> subprocess.Popen:
+        script = _DOOMED_RANK_SCRIPT.format(src=src, address=address,
+                                            rank=rank)
+        spawned.append(subprocess.Popen([sys.executable, "-c", script]))
+        return spawned[-1]
+
+    yield spawn
+    for process in spawned:
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()

@@ -1,0 +1,320 @@
+"""The authenticated channel (:mod:`repro.mpi.transport.channel`): one
+hostile-peer suite over every listener that hands out readable sockets.
+
+Frames unpickle, so the property each listener must hold is the same:
+a peer that cannot clear the HMAC challenge is dropped within the
+listener's bound with nothing deserialised, and the listener then still
+admits a correctly keyed peer.  The suite crosses every hostile
+behaviour with every listener — ``accept_authenticated`` itself, the tcp
+rendezvous at generation 0 and during an elastic restart, and the
+experiment matrix's worker server.
+"""
+
+import hmac
+import os
+import socket
+import threading
+
+import pytest
+
+import repro.experiments.matrix as matrix_module
+import repro.mpi.transport.tcp as tcp_module
+from repro.common.errors import MPIError
+from repro.experiments.matrix import (
+    _MatrixServer,
+    _WK_HELLO,
+    _WK_WELCOME,
+    _WORKER_PROTO,
+)
+from repro.experiments.spec import CellSpec, ExperimentSpec
+from repro.mpi.transport import TcpWorldServer, join_world, parse_address
+from repro.mpi.transport.channel import (
+    AUTH_NONCE_BYTES,
+    accept_authenticated,
+    connect_authenticated,
+    listen_on,
+    supplied_authkey,
+)
+from repro.mpi.transport.codec import (
+    WIRE_HEADER,
+    decode_payload,
+    encode_payload,
+    recv_exact,
+    recv_frame,
+    send_frame,
+)
+from repro.mpi.transport.tcp import KIND_REGISTER
+
+KEY = b"the-shared-secret"
+
+#: Every listener's stray bound is shrunk to this for the suite, so the
+#: silent peer costs a fraction of a second per case.
+STRAY_BOUND = 0.3
+
+#: A hostile socket must see the listener hang up well inside this.
+DROP_DEADLINE = 10.0
+
+
+@pytest.fixture(autouse=True)
+def _short_stray_bounds(monkeypatch):
+    monkeypatch.delenv("REPRO_TCP_AUTHKEY", raising=False)
+    monkeypatch.delenv("REPRO_MATRIX_AUTHKEY", raising=False)
+    monkeypatch.setattr(tcp_module, "_REGISTER_TIMEOUT", STRAY_BOUND)
+    monkeypatch.setattr(matrix_module, "_WK_HELLO_TIMEOUT", STRAY_BOUND)
+
+
+class _EvilPayload:
+    """Pickle whose deserialisation has a visible side effect — if the
+    flag directory ever appears, unauthenticated bytes were unpickled."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def _crafted_frame(kind: int, flag: str) -> bytes:
+    """A complete, well-formed control frame carrying the canary."""
+    fmt, parts, total = encode_payload(_EvilPayload(flag))
+    return WIRE_HEADER.pack(kind, fmt, -1, 0, total) + b"".join(
+        bytes(part) for part in parts
+    )
+
+
+# -- the hostile peers: what each does with its freshly dialled socket ---------
+
+
+def _silent(sock, kind, flag):
+    pass  # port scan / health check: connects and says nothing
+
+
+def _wrong_key(sock, kind, flag):
+    nonce = recv_exact(sock, AUTH_NONCE_BYTES)
+    sock.sendall(hmac.new(b"not-the-key", b"client:" + nonce, "sha256").digest())
+
+
+def _garbage(sock, kind, flag):
+    sock.sendall(b"GET / HTTP/1.1\r\nHost: probe\r\n\r\n" + bytes(range(64)))
+
+
+def _eof_mid_challenge(sock, kind, flag):
+    sock.sendall(b"half-a-digest")
+    sock.shutdown(socket.SHUT_WR)
+
+
+def _crafted_pickle(sock, kind, flag):
+    sock.sendall(_crafted_frame(kind, flag))
+
+
+ATTACKS = {
+    "silent": _silent,
+    "wrong-key": _wrong_key,
+    "garbage": _garbage,
+    "eof-mid-challenge": _eof_mid_challenge,
+    "crafted-pickle": _crafted_pickle,
+}
+
+
+def _was_dropped(sock: socket.socket) -> bool:
+    """Did the listener hang up on ``sock``?  (Its nonce may still be
+    queued ahead of the EOF.)"""
+    sock.settimeout(DROP_DEADLINE)
+    try:
+        while sock.recv(4096):
+            pass
+    except socket.timeout:
+        return False
+    except OSError:
+        pass  # a reset is a drop too
+    return True
+
+
+# -- the listeners: each lets `attack(address, kind)` strike, then proves a
+#    correctly keyed peer is still admitted -------------------------------------
+
+
+def _direct(attack, tmp_path, spawn_doomed_rank):
+    listener = listen_on("127.0.0.1", 0, 8)
+    try:
+        address = listener.getsockname()[:2]
+        hostile = attack(address, KIND_REGISTER)
+        dialled: list[socket.socket | None] = []
+        dialler = threading.Thread(target=lambda: dialled.append(
+            connect_authenticated(address, KEY, DROP_DEADLINE)))
+        dialler.start()
+        assert accept_authenticated(listener, KEY, STRAY_BOUND) is None
+        trusted = accept_authenticated(listener, KEY, DROP_DEADLINE)
+        dialler.join(DROP_DEADLINE)
+        try:
+            assert trusted is not None and dialled[0] is not None
+            send_frame(dialled[0], KIND_REGISTER, obj={"hello": "world"})
+            assert recv_frame(trusted) == (KIND_REGISTER, 0, {"hello": "world"})
+        finally:
+            for sock in (trusted, *dialled):
+                if sock is not None:
+                    sock.close()
+    finally:
+        listener.close()
+    return hostile
+
+
+def _rendezvous(attack, tmp_path, spawn_doomed_rank):
+    server = TcpWorldServer(world_size=1)
+    hostile = attack(parse_address(server.address), KIND_REGISTER)
+    joiner = threading.Thread(
+        target=join_world, args=(server.address, lambda comm: comm.rank),
+        kwargs={"timeout": 30.0},
+    )
+    joiner.start()
+    try:
+        assert server.run(timeout=30.0) == [0]
+    finally:
+        joiner.join(10.0)
+    return hostile
+
+
+def _rendezvous_restart(attack, tmp_path, spawn_doomed_rank):
+    """Rank 1 hard-exits in generation 0; the hostile peer strikes while
+    the rendezvous is re-offering its slot, ahead of the replacement."""
+    struck: list[socket.socket] = []
+    threads: list[threading.Thread] = []
+
+    def join(rank: int) -> None:
+        threads.append(threading.Thread(
+            target=join_world,
+            args=(server.address, lambda comm: comm.allreduce(1)),
+            kwargs={"rank": rank, "timeout": 30.0},
+        ))
+        threads[-1].start()
+
+    def respawn(rank: int) -> None:
+        struck.append(attack(parse_address(server.address), KIND_REGISTER))
+        join(rank)
+
+    server = TcpWorldServer(world_size=2, restarts=1, respawn=respawn)
+    join(0)
+    spawn_doomed_rank(server.address, rank=1)
+    try:
+        assert server.run(timeout=30.0) == [2, 2]
+    finally:
+        for thread in threads:
+            thread.join(10.0)
+    assert len(struck) == 1
+    return struck[0]
+
+
+def _matrix_server(attack, tmp_path, spawn_doomed_rank):
+    spec = ExperimentSpec("hostile-peers", (
+        CellSpec("wordcount", "common", "hadoop-model", "tiny"),
+    ))
+    with _MatrixServer(spec, str(tmp_path), "127.0.0.1:0", 0.02,
+                       authkey=KEY) as server:
+        address = parse_address(server.address)
+        hostile = attack(address, _WK_HELLO)
+        worker = connect_authenticated(address, KEY, DROP_DEADLINE)
+        assert worker is not None
+        try:
+            worker.settimeout(DROP_DEADLINE)
+            send_frame(worker, _WK_HELLO, obj={"proto": _WORKER_PROTO})
+            frame = recv_frame(worker)
+            assert frame is not None and frame[0] == _WK_WELCOME
+        finally:
+            worker.close()
+    return hostile
+
+
+LISTENERS = {
+    "accept_authenticated": _direct,
+    "rendezvous-generation-0": _rendezvous,
+    "rendezvous-restart": _rendezvous_restart,
+    "matrix-server": _matrix_server,
+}
+
+
+class TestHostilePeers:
+    @pytest.mark.parametrize("listener", LISTENERS)
+    @pytest.mark.parametrize("attack", ATTACKS)
+    def test_dropped_unread_and_a_keyed_peer_is_still_admitted(
+        self, attack, listener, tmp_path, spawn_doomed_rank
+    ):
+        flag = str(tmp_path / "pwned")
+        misbehaving: list[threading.Thread] = []
+
+        def strike(address, kind):
+            # The connect completes through the backlog; the misbehaviour
+            # runs beside the listener (a challenge only arrives once the
+            # listener gets round to accepting).
+            sock = socket.create_connection(address, timeout=DROP_DEADLINE)
+            misbehaving.append(threading.Thread(
+                target=ATTACKS[attack], args=(sock, kind, flag)))
+            misbehaving[-1].start()
+            return sock
+
+        hostile = LISTENERS[listener](strike, tmp_path, spawn_doomed_rank)
+        try:
+            for thread in misbehaving:
+                thread.join(DROP_DEADLINE)
+            assert _was_dropped(hostile)
+        finally:
+            hostile.close()
+        assert not os.path.exists(flag)
+
+    def test_the_canary_fires_when_a_crafted_frame_is_decoded(self, tmp_path):
+        """The suite's negative result means something only if the
+        crafted frame *would* execute once it reached the frame layer."""
+        flag = str(tmp_path / "pwned")
+        frame = _crafted_frame(KIND_REGISTER, flag)
+        _kind, fmt, _source, _tag, length = WIRE_HEADER.unpack(
+            frame[:WIRE_HEADER.size])
+        decode_payload(fmt, frame[WIRE_HEADER.size:])
+        assert length == len(frame) - WIRE_HEADER.size
+        assert os.path.isdir(flag)
+
+
+class TestChannelContract:
+    def test_authkey_precedence_is_explicit_then_token_then_env(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TCP_AUTHKEY", "from-env")
+        token = "10.0.0.1:9997/from-token"
+        env_var = "REPRO_TCP_AUTHKEY"
+        assert supplied_authkey("explicit", token, env_var) == b"explicit"
+        assert supplied_authkey(None, token, env_var) == b"from-token"
+        assert supplied_authkey(None, "10.0.0.1:9997", env_var) == b"from-env"
+        monkeypatch.delenv(env_var)
+        assert supplied_authkey(None, "10.0.0.1:9997", env_var) is None
+
+    def test_connect_reports_a_vanished_server_as_none(self):
+        """A server that accepts and hangs up before challenging is gone,
+        not hostile: ``None``, no exception."""
+        listener = listen_on("127.0.0.1", 0, 1)
+        try:
+            address = listener.getsockname()[:2]
+            closer = threading.Thread(
+                target=lambda: listener.accept()[0].close())
+            closer.start()
+            assert connect_authenticated(address, KEY, DROP_DEADLINE) is None
+            closer.join(DROP_DEADLINE)
+        finally:
+            listener.close()
+
+    def test_connect_rejects_an_impostor_server(self):
+        """The proof is mutual: a listener with the wrong key cannot get a
+        client to treat its socket as trusted."""
+        listener = listen_on("127.0.0.1", 0, 1)
+        try:
+            address = listener.getsockname()[:2]
+            impostor = threading.Thread(
+                target=accept_authenticated,
+                args=(listener, b"some-other-key", DROP_DEADLINE))
+            impostor.start()
+            with pytest.raises(MPIError, match="mismatch"):
+                connect_authenticated(address, KEY, DROP_DEADLINE)
+            impostor.join(DROP_DEADLINE)
+        finally:
+            listener.close()
+
+    def test_bind_failure_propagates_as_oserror(self):
+        with pytest.raises(OSError):
+            listen_on("203.0.113.7", 0, 1)

@@ -39,7 +39,7 @@ from repro.mpi.transport import (
     parse_address,
     parse_authkey,
 )
-from repro.mpi.transport.tcp import FRAME_HEADER, recv_frame, send_frame
+from repro.mpi.transport.codec import WIRE_HEADER, recv_frame, send_frame
 from repro.experiments.reportbuilder import ReportBuilder
 from repro.experiments.spec import CellSpec, ExperimentSpec
 
@@ -467,7 +467,7 @@ class TestWorkerAuthentication:
             attacker = socket.create_connection(host_port)
             try:
                 attacker.sendall(
-                    FRAME_HEADER.pack(_WK_HELLO, 1, 0, 0, len(payload)) + payload
+                    WIRE_HEADER.pack(_WK_HELLO, 1, 0, 0, len(payload)) + payload
                 )
                 good = socket.create_connection(host_port)
                 try:

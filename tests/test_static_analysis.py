@@ -554,7 +554,9 @@ class TestMypyStrictSubset:
             pytest.skip("mypy not installed in this environment")
         proc = subprocess.run(
             ["mypy", "-p", "repro.common", "-p", "repro.storage",
-             "-m", "repro.mpi.transport.codec", "-m", "repro.workloads.base"],
+             "-m", "repro.mpi.transport.codec",
+             "-m", "repro.mpi.transport.channel",
+             "-m", "repro.workloads.base"],
             capture_output=True, text=True, cwd=REPO_ROOT,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -27,9 +27,10 @@ from repro.mpi.transport import (
     parse_authkey,
     parse_hosts,
 )
-from repro.mpi.transport.codec import FMT_PICKLE
-from repro.mpi.transport.tcp import FRAME_HEADER, KIND_REGISTER, recv_frame, \
+from repro.mpi.transport.codec import FMT_PICKLE, WIRE_HEADER, recv_frame, \
     send_frame
+from repro.mpi.transport.tcp import KIND_REGISTER
+from test_transport_failures import LONG_RECV, fail_fast
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -208,7 +209,7 @@ class TestAuthentication:
         server = TcpWorldServer(world_size=1)
         attacker = socket.create_connection(parse_address(server.address))
         attacker.sendall(
-            FRAME_HEADER.pack(KIND_REGISTER, FMT_PICKLE, 0, 0, len(payload))
+            WIRE_HEADER.pack(KIND_REGISTER, FMT_PICKLE, 0, 0, len(payload))
             + payload
         )
         joiner = threading.Thread(
@@ -228,7 +229,7 @@ class TestAuthentication:
         left, right = socket.socketpair()
         try:
             left.sendall(
-                FRAME_HEADER.pack(1, FMT_PICKLE, 0, 0, MAX_FRAME_BYTES + 1)
+                WIRE_HEADER.pack(1, FMT_PICKLE, 0, 0, MAX_FRAME_BYTES + 1)
             )
             with pytest.raises(MPIError, match="exceeds the"):
                 recv_frame(right)
@@ -365,6 +366,41 @@ class TestExternalJoin:
             server.run(timeout=30.0)
         for thread in threads:
             thread.join(10.0)
+
+    def test_failing_replacement_rank_fails_the_restart_at_once(
+        self, spawn_doomed_rank
+    ):
+        """A replacement that cannot even bind its peer listener reports
+        its error *before* registering.  The restart must fail right then
+        with that error — as generation 0 always did — not wait out the
+        world deadline and report slots that "never re-filled"."""
+        replacements: list[threading.Thread] = []
+
+        def quiet_join(**kwargs) -> None:
+            try:
+                join_world(server.address, lambda comm: comm.allreduce(1),
+                           timeout=LONG_RECV, **kwargs)
+            except MPIError:
+                pass  # asserted via the server below
+
+        def respawn(rank: int) -> None:
+            replacements.append(threading.Thread(
+                target=quiet_join,
+                kwargs={"rank": rank, "bind_host": "203.0.113.7"},
+            ))
+            replacements[-1].start()
+
+        server = TcpWorldServer(world_size=2, restarts=1, respawn=respawn)
+        survivor = threading.Thread(target=quiet_join, kwargs={"rank": 0})
+        survivor.start()
+        spawn_doomed_rank(server.address, rank=1)
+        try:
+            with fail_fast(), pytest.raises(MPIError, match="cannot bind"):
+                server.run(timeout=LONG_RECV)
+        finally:
+            for thread in (survivor, *replacements):
+                thread.join(30.0)
+        assert len(replacements) == 1
 
     def test_rendezvous_times_out_when_ranks_never_join(self):
         server = TcpWorldServer(world_size=2)
