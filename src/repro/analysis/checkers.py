@@ -368,7 +368,6 @@ class FaultPointCoverage(Checker):
     name = "fault-point-coverage"
     description = "superstep/phase driver functions must call a faultinject point"
 
-    DRIVER_NAMES = frozenset({"_rank_loop", "_serve_world"})
     INSTRUMENTED_DELEGATES = frozenset(
         {"run_superstep", "run_o_superstep", "run_a_superstep"}
     )
@@ -378,9 +377,6 @@ class FaultPointCoverage(Checker):
         return context.is_repro_module and (
             context.module_has_part("datampi") or context.module_has_part("serving")
         )
-
-    def _is_driver(self, name: str) -> bool:
-        return "superstep" in name or name in self.DRIVER_NAMES
 
     def _is_covered(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
         for node in ast.walk(func):
@@ -393,7 +389,7 @@ class FaultPointCoverage(Checker):
         return False
 
     def _visit_func(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if self._is_driver(node.name) and not self._is_covered(node):
+        if "superstep" in node.name and not self._is_covered(node):
             self.report(
                 node,
                 f"driver function {node.name}() has no faultinject.fire point and "

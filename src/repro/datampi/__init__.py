@@ -47,20 +47,24 @@ from repro.datampi.job import (
     run_o_superstep,
 )
 from repro.datampi.modes import (
-    A_OUTPUT_KEY,
-    O_SPLITS_KEY,
     IterativeJob,
     IterativeResult,
     StreamingJob,
     StreamResult,
     WindowResult,
-    recycle_world,
-    run_superstep,
 )
 from repro.datampi.partition import (
     RangePartitioner,
     hash_partitioner,
     validate_partition,
+)
+from repro.datampi.world import (
+    A_OUTPUT_KEY,
+    O_SPLITS_KEY,
+    RoundOutcome,
+    recycle_world,
+    run_superstep,
+    superstep_loop,
 )
 # The storage layer lives in repro.storage; these re-exports keep the
 # long-standing datampi surface intact.
@@ -105,8 +109,10 @@ __all__ = [
     "StreamingJob",
     "StreamResult",
     "WindowResult",
+    "RoundOutcome",
     "recycle_world",
     "run_superstep",
+    "superstep_loop",
     "RangePartitioner",
     "hash_partitioner",
     "validate_partition",

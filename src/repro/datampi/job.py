@@ -40,8 +40,8 @@ ATask = Callable[[AContext], Any]
 
 #: The DataMPI spec's three execution modes.  ``common`` is the run-once
 #: O/A job this class implements; ``iteration`` and ``streaming`` are
-#: driven by :mod:`repro.datampi.modes` on top of the same superstep
-#: phases below.
+#: driven by :mod:`repro.datampi.modes`, which runs the superstep phases
+#: below in :func:`repro.datampi.world.superstep_loop`.
 EXECUTION_MODES = ("common", "iteration", "streaming")
 
 
@@ -142,6 +142,16 @@ class DataMPIConf:
         return get_transport(self.transport, fault_plan=self.fault_plan)
 
 
+def add_counters(into: dict[str, int], counters: dict[str, int]) -> None:
+    """Add ``counters`` into ``into``, key by key.
+
+    The one counter fold: per-rank counters into a job's or a round's,
+    and a round's record into a run's totals.
+    """
+    for name, value in counters.items():
+        into[name] = into.get(name, 0) + value
+
+
 def merge_outputs(outputs: list[Any]) -> list[Any]:
     """Concatenate per-A-rank list outputs in rank order (Nones skipped).
 
@@ -224,7 +234,7 @@ def run_a_superstep(
     """Run one A rank's half of a superstep; returns (output, counters).
 
     The caller owns ``store`` — run-once jobs clean it up immediately,
-    iterative/streaming drivers reset and reuse it across supersteps.
+    the superstep loop resets and reuses it across rounds.
     """
     ctx = AContext(bcomm, store, sort=conf.sort, cache=cache, superstep=superstep)
     faultinject.fire("a-phase", rank=bcomm.comm.rank, superstep=superstep)
@@ -340,6 +350,5 @@ class DataMPIJob:
         outputs = [result for side, result, _ in rank_results if side == "a"]
         counters: dict[str, int] = {}
         for _side, _result, rank_counters in rank_results:
-            for name, value in rank_counters.items():
-                counters[name] = counters.get(name, 0) + value
+            add_counters(counters, rank_counters)
         return JobResult(outputs=outputs, counters=counters)

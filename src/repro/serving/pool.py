@@ -15,7 +15,7 @@ then serves an unbounded stream of job submissions on the live ranks:
   cold :class:`~repro.datampi.job.DataMPIJob` runs, so pooled outputs
   are byte-identical to cold-world runs on every transport;
 * between jobs every rank is **recycled** with
-  :func:`repro.datampi.modes.recycle_world` — KV-cache pins
+  :func:`repro.datampi.world.recycle_world` — KV-cache pins
   (``o.splits``, ``a.output``) are cleared alongside
   ``ChunkStore.reset()`` so job N's state can never leak into job N+1;
 * a failed task fails *its submission's* future, not the pool: the
@@ -24,9 +24,12 @@ then serves an unbounded stream of job submissions on the live ranks:
 
 Plumbing: the frontend talks to rank 0 over a request pipe and hears
 back over a result pipe, both created before the world launches so
-forked ranks inherit them.  Rank 0 broadcasts each request to the world
-(every rank takes the same branch), the world runs one superstep, rank 0
-gathers the outcomes and resolves the submission.
+forked ranks inherit them.  The world runs
+:func:`repro.datampi.world.superstep_loop` — the round Iteration and
+Streaming mode run — with the request pipe as its step source: rank 0
+broadcasts each request (every rank takes the same branch), the world
+runs one superstep and is recycled, and rank 0 answers the result pipe
+with the settled round.
 
 Example::
 
@@ -44,19 +47,13 @@ Example::
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import threading
+from itertools import count
 from typing import Any, Sequence
 
 from repro.common.errors import ConfigError, JobError, MPIError
-from repro.datampi.communicator import BipartiteComm
 from repro.datampi.job import DataMPIJob, JobResult
-from repro.datampi.modes import (
-    _dumps,
-    _merge_outcomes,
-    recycle_world,
-    run_superstep,
-)
+from repro.datampi.world import Control, RoundOutcome, superstep_loop
 from repro.storage import StorageConfig
 from repro.mpi import faultinject
 from repro.mpi.comm import Comm
@@ -212,11 +209,43 @@ class WorldPool:
         idle_timeout = self.world_timeout
         storage = self.storage
 
-        def rank_main(comm: Comm):
-            return _serve_world(
-                comm, jobs, num_o, num_a, request_recv, result_send,
-                idle_timeout, storage,
+        def rank_main(comm: Comm) -> None:
+            """Every rank's main: serve submissions until a stop request."""
+            supersteps = count(1)
+            request: Control = ()
+
+            def bind(control: Control):
+                _kind, _seq, name, _splits = control
+                superstep = next(supersteps)
+                faultinject.fire("pool-submit", rank=comm.rank, superstep=superstep)
+                return jobs[name].conf, jobs[name].o_task, jobs[name].a_task, superstep
+
+            def next_step() -> tuple[Control, Sequence[Any] | None]:
+                nonlocal request
+                request = request_recv.recv()
+                return request, request[3] if request[0] == "job" else None
+
+            def settle(outcome: RoundOutcome) -> None:
+                # A failed task fails this submission, not the world.
+                if outcome.error is not None:
+                    result_send.send((request[1], "err", outcome.error))
+                    return
+                payload = {"outputs": outcome.outputs, "counters": outcome.counters}
+                result_send.send((request[1], "ok", payload))
+
+            superstep_loop(
+                comm, num_o, num_a, storage, bind, next_step, settle,
+                cache_input=True, recycle=True, idle_timeout=idle_timeout,
             )
+            # Clean stop only: a rank dying out of the loop above must NOT
+            # say goodbye — on an elastic transport the world may come
+            # back, and the dispatcher has to survive the restart to serve
+            # it.
+            if comm.rank == 0:
+                try:
+                    result_send.send(None)
+                except (OSError, ValueError):
+                    pass
 
         transport = get_transport(self.transport)
         # Elastic transports (tcp with respawns) re-form the world after a
@@ -356,76 +385,3 @@ class WorldPool:
         for future in self._pending.values():
             future._fail(error)
         self._pending.clear()
-
-
-# -- the rank-side serving loop ------------------------------------------------
-
-
-def _serve_world(
-    comm: Comm,
-    jobs: dict[str, DataMPIJob],
-    num_o: int,
-    num_a: int,
-    request_recv,
-    result_send,
-    idle_timeout: float,
-    storage: StorageConfig | None = None,
-):
-    """Every rank's main: serve submissions until a stop request.
-
-    Rank 0 reads requests from the pipe and broadcasts them; every rank
-    runs the shared superstep pipeline and is recycled afterwards, so no
-    per-job state survives into the next submission.
-    """
-    bcomm = BipartiteComm(comm, num_o, num_a)
-    is_root = comm.rank == 0
-    storage = storage or StorageConfig()
-    cache = storage.make_cache()
-    store = None if bcomm.is_o else storage.make_store()
-    superstep = 0
-    try:
-        while True:
-            request = request_recv.recv() if is_root else None
-            control = comm.bcast(
-                _dumps(request) if is_root else None, root=0,
-                timeout=idle_timeout,
-            )
-            request = pickle.loads(control)
-            if request[0] == "stop":
-                break
-            _kind, seq, name, splits = request
-            superstep += 1
-            faultinject.fire("pool-submit", rank=comm.rank, superstep=superstep)
-            conf = jobs[name].conf
-            status, error, output, counters, _scatter = run_superstep(
-                bcomm, conf, jobs[name].o_task, jobs[name].a_task,
-                splits if is_root else None, store, cache, superstep,
-                cache_input=True,
-            )
-            gathered = comm.gather(_dumps((status, error, output, counters)),
-                                   root=0)
-            # The leak fix this module exists to carry: clear the cache
-            # pins (o.splits, a.output) with the store reset, *before*
-            # the next request can reuse them as its input.
-            recycle_world(cache, store)
-            if is_root:
-                outcomes, _gather_bytes, summed, errors = _merge_outcomes(gathered)
-                if errors:
-                    result_send.send((seq, "err", errors[0][1]))
-                else:
-                    outputs = [outcomes[r][2] for r in range(num_o, comm.size)]
-                    result_send.send(
-                        (seq, "ok", {"outputs": outputs, "counters": summed})
-                    )
-        # Clean stop only: a rank dying out of the loop above must NOT say
-        # goodbye — on an elastic transport the world may come back, and
-        # the dispatcher has to survive the restart to serve it.
-        if is_root:
-            try:
-                result_send.send(None)
-            except (OSError, ValueError):
-                pass
-    finally:
-        if store is not None:
-            store.cleanup()
-    return None

@@ -3,8 +3,9 @@
 BigDataBench's text workloads are batch jobs; these variants feed the
 same O/A tasks an (in principle unbounded) line stream through
 :class:`~repro.datampi.modes.StreamingJob`.  Lines are chunked into
-splits, admitted window by window, and each window's counts are flushed
-with a watermark.  Summing the per-window counts reproduces the batch
+splits, admitted window by window (one round of
+:func:`repro.datampi.world.superstep_loop` each), and each window's
+counts are flushed with a watermark.  Summing the per-window counts reproduces the batch
 result exactly — asserted by the transport-equivalence suite — so the
 streaming pipeline is a pure latency/footprint trade, not a different
 answer.

@@ -12,6 +12,7 @@ import pytest
 import repro.datampi.checkpoint
 import repro.datampi.job
 import repro.datampi.modes
+import repro.datampi.world
 import repro.experiments.spec
 import repro.mpi.launcher
 import repro.mpi.transport.base
@@ -25,6 +26,7 @@ DOCTESTED_MODULES = [
     repro.datampi.checkpoint,
     repro.datampi.job,
     repro.datampi.modes,
+    repro.datampi.world,
     repro.experiments.spec,
     repro.mpi.launcher,
     repro.mpi.transport.base,
@@ -50,6 +52,7 @@ def test_public_api_examples_are_present():
     expectations = {
         repro.datampi.job: ("DataMPIConf", "DataMPIJob"),
         repro.datampi.modes: ("IterativeJob", "StreamingJob"),
+        repro.datampi.world: ("superstep_loop",),
         repro.storage.kvcache: ("KVCache",),
         repro.storage.spill: ("SpillStore",),
         repro.storage.config: ("StorageConfig",),

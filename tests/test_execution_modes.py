@@ -175,12 +175,13 @@ class TestIterativeFailures:
         with pytest.raises(MPIError, match="a-side kill"):
             job.run(SPLITS, 0)
 
-    def test_update_failure_propagates(self):
+    @pytest.mark.parametrize("mode", ("iteration", "common"))
+    def test_update_failure_propagates(self, mode):
         def bad_update(_state, _merged, _iteration):
             raise KeyError("update kill")
 
         job = IterativeJob(counting_o, counting_a, bad_update,
-                           DataMPIConf(num_o=2, num_a=2, mode="iteration"))
+                           DataMPIConf(num_o=2, num_a=2, mode=mode))
         with pytest.raises(MPIError, match="update kill"):
             job.run(SPLITS, 0)
 

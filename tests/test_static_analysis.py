@@ -299,7 +299,7 @@ class TestFaultPointCoverage:
 
     def test_delegating_driver_passes(self):
         source = """
-        def _rank_loop(comm, plan):
+        def superstep_loop(comm, plan):
             for window in plan:
                 run_superstep(comm, window)
         """
@@ -308,7 +308,7 @@ class TestFaultPointCoverage:
     def test_uninstrumented_rank_loop_flagged(self):
         findings = lint(
             """
-            def _rank_loop(comm, plan):
+            def superstep_loop(comm, plan):
                 for window in plan:
                     comm.barrier()
             """,
@@ -556,7 +556,8 @@ class TestMypyStrictSubset:
             ["mypy", "-p", "repro.common", "-p", "repro.storage",
              "-m", "repro.mpi.transport.codec",
              "-m", "repro.mpi.transport.channel",
-             "-m", "repro.workloads.base"],
+             "-m", "repro.workloads.base",
+             "-m", "repro.datampi.world"],
             capture_output=True, text=True, cwd=REPO_ROOT,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
