@@ -355,9 +355,9 @@ def _cmd_experiment_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # The runner's cleanup (claim release, worker shutdown) has
-        # already run on the way out; finished cells are checkpointed,
-        # so the run is resumable exactly where it stopped.
+        # The runner's cleanup (listener closed, workers told goodbye)
+        # has already run on the way out; finished cells are
+        # checkpointed, so the run is resumable exactly where it stopped.
         print(f"interrupted: finished cells are checkpointed under "
               f"{args.out!r}; re-run 'experiment run' to resume",
               file=sys.stderr)
@@ -534,9 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "spill to disk and cells report bytes_spilled")
     exp_run.add_argument("--serve", default=None, metavar="HOST:PORT",
                          help="also admit distributed workers ('repro "
-                              "experiment worker --join TOKEN') that "
-                              "claim cells via claim files next to the "
-                              "checkpoints; port 0 binds an ephemeral port.  "
+                              "experiment worker --join TOKEN') and hand "
+                              "them cells over their connections; port 0 "
+                              "binds an ephemeral port.  "
                               "Workers must authenticate: the printed join "
                               "token (HOST:PORT/KEY) carries a generated "
                               "key, or set REPRO_MATRIX_AUTHKEY on both "
@@ -545,9 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_worker = exp_sub.add_parser(
         "worker",
-        help="join a serving matrix run and execute claimable cells "
-             "(multi-host runs need the matrix --out directory on a "
-             "shared filesystem)",
+        help="join a serving matrix run and execute the cells it hands "
+             "out (needs a route to the parent's HOST:PORT, no filesystem "
+             "in common)",
     )
     exp_worker.add_argument("--join", required=True, metavar="TOKEN",
                             help="join token the serving parent printed "

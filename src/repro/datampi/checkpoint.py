@@ -85,16 +85,11 @@ def write_checkpoint(directory: str, a_rank: int, store: ChunkStore) -> int:
 def write_manifest(directory: str, num_a: int, sort: bool, job_name: str) -> None:
     """Record job-level metadata once all rank checkpoints are written."""
     manifest = {"num_a": num_a, "sort": sort, "job_name": job_name, "complete": True}
-    with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle)
+    atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
 
 
 def read_manifest(directory: str) -> dict:
-    path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.exists(path):
-        raise CheckpointError(f"no checkpoint manifest in {directory}")
-    with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = read_json(os.path.join(directory, MANIFEST_NAME))
     if not manifest.get("complete"):
         raise CheckpointError(f"incomplete checkpoint in {directory}")
     return manifest

@@ -17,10 +17,10 @@ import threading
 
 import pytest
 
-import repro.experiments.matrix as matrix_module
+import repro.experiments.workers as workers_module
 import repro.mpi.transport.tcp as tcp_module
 from repro.common.errors import MPIError
-from repro.experiments.matrix import (
+from repro.experiments.workers import (
     _MatrixServer,
     _WK_HELLO,
     _WK_WELCOME,
@@ -60,7 +60,7 @@ def _short_stray_bounds(monkeypatch):
     monkeypatch.delenv("REPRO_TCP_AUTHKEY", raising=False)
     monkeypatch.delenv("REPRO_MATRIX_AUTHKEY", raising=False)
     monkeypatch.setattr(tcp_module, "_REGISTER_TIMEOUT", STRAY_BOUND)
-    monkeypatch.setattr(matrix_module, "_WK_HELLO_TIMEOUT", STRAY_BOUND)
+    monkeypatch.setattr(workers_module, "_WK_HELLO_TIMEOUT", STRAY_BOUND)
 
 
 class _EvilPayload:
@@ -208,8 +208,7 @@ def _matrix_server(attack, tmp_path, spawn_doomed_rank):
     spec = ExperimentSpec("hostile-peers", (
         CellSpec("wordcount", "common", "hadoop-model", "tiny"),
     ))
-    with _MatrixServer(spec, str(tmp_path), "127.0.0.1:0", 0.02,
-                       authkey=KEY) as server:
+    with _MatrixServer(spec, "127.0.0.1:0", 0.02, authkey=KEY) as server:
         address = parse_address(server.address)
         hostile = attack(address, _WK_HELLO)
         worker = connect_authenticated(address, KEY, DROP_DEADLINE)

@@ -170,6 +170,16 @@ class TestCheckpointRestart:
         with pytest.raises(CheckpointError):
             job.restart(str(tmp_path / "nope"))
 
+    def test_restart_from_truncated_manifest_fails(self, tmp_path):
+        """A torn manifest is checkpoint damage, named as such with its
+        path — not a bare JSONDecodeError from the parser."""
+        job = self.make_job(tmp_path)
+        job.run([LINES[:2], LINES[2:]])
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        manifest.write_text('{"num_a": 1, "so')
+        with pytest.raises(CheckpointError, match="manifest.json"):
+            job.restart()
+
     def test_restart_wrong_width_fails(self, tmp_path):
         job = self.make_job(tmp_path)
         job.run([LINES[:2], LINES[2:]])

@@ -1,47 +1,52 @@
-"""Distributed MatrixRunner: claim files, cooperating workers, determinism.
+"""Distributed MatrixRunner: the parent's queue, cooperating workers, determinism.
 
 The distributed strategy (``serve=`` + :func:`run_matrix_worker`) must be
 behaviourally indistinguishable from a serial run: the parent stays the
-only checkpoint writer, claim files arbitrate cell ownership exactly
-once, a dead worker's claims are reclaimed, and the rendered reports are
+only checkpoint writer, its queue hands every cell out exactly once, a
+dead worker's cell goes back into it, and the rendered reports are
 byte-identical to a serial run of the same spec.
 """
 
 import importlib.util
-import json
 import os
 import pathlib
 import pickle
+import select
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.common.errors import ConfigError, JobError, MPIError
+import repro.experiments.matrix as matrix_module
+import repro.experiments.workers as workers_module
 from repro.experiments.matrix import (
     MATRIX_AUTHKEY_ENV_VAR,
+    CellResult,
     MatrixRunner,
+    run_matrix_worker,
+)
+from repro.experiments.workers import (
     _MatrixServer,
+    _WK_BYE,
+    _WK_CELL,
     _WK_HELLO,
+    _WK_RESULT,
     _WK_WELCOME,
     _WORKER_PROTO,
-    claim_is_stale,
-    claim_owner,
-    claim_path,
-    claim_record,
-    refresh_claim,
-    release_claim,
-    run_matrix_worker,
-    try_claim_cell,
 )
 from repro.mpi.transport import (
     answer_challenge,
     parse_address,
     parse_authkey,
 )
+from repro.mpi.transport.channel import connect_authenticated
 from repro.mpi.transport.codec import WIRE_HEADER, recv_frame, send_frame
 from repro.experiments.reportbuilder import ReportBuilder
-from repro.experiments.spec import CellSpec, ExperimentSpec
+from repro.experiments.spec import CellSpec, ExperimentSpec, full_spec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -100,78 +105,32 @@ def run_with_workers(runner: MatrixRunner, num_workers: int,
     return result, executed
 
 
-class TestClaimFiles:
-    def test_first_claim_wins(self, tmp_path):
-        out = str(tmp_path)
-        assert try_claim_cell(out, "cell-a", "hash", "worker-1") is True
-        assert try_claim_cell(out, "cell-a", "hash", "worker-2") is False
-        assert claim_owner(out, "cell-a") == "worker-1"
+def join_raw(address: str) -> tuple[socket.socket, dict]:
+    """A hand-driven worker: authenticated and admitted, nothing asked
+    yet.  Returns its socket and the ``WELCOME`` payload."""
+    sock = connect_authenticated(
+        parse_address(address), parse_authkey(address), 10.0)
+    assert sock is not None
+    sock.settimeout(10.0)
+    send_frame(sock, _WK_HELLO, obj={"proto": _WORKER_PROTO})
+    frame = recv_frame(sock)
+    assert frame is not None and frame[0] == _WK_WELCOME
+    return sock, frame[2]
 
-    def test_release_makes_cell_claimable_again(self, tmp_path):
-        out = str(tmp_path)
-        assert try_claim_cell(out, "cell-a", "hash", "worker-1")
-        release_claim(out, "cell-a")
-        assert claim_owner(out, "cell-a") is None
-        assert try_claim_cell(out, "cell-a", "hash", "worker-2")
 
-    def test_release_of_unclaimed_cell_is_a_noop(self, tmp_path):
-        release_claim(str(tmp_path), "never-claimed")
+def ask(sock: socket.socket, result: dict | None = None):
+    """One request/response turn of a hand-driven worker: hand over
+    ``result`` (a result document, or nothing), get the next frame."""
+    send_frame(sock, _WK_RESULT, obj={"result": result})
+    return recv_frame(sock)
 
-    def test_claim_records_owner_and_spec_hash(self, tmp_path):
-        out = str(tmp_path)
-        try_claim_cell(out, "cell-b", "deadbeef", "worker-3")
-        with open(claim_path(out, "cell-b"), encoding="utf-8") as handle:
-            record = json.load(handle)
-        assert record["owner"] == "worker-3"
-        assert record["spec_hash"] == "deadbeef"
 
-    def test_concurrent_claims_yield_exactly_one_winner(self, tmp_path):
-        out = str(tmp_path)
-        wins: list[str] = []
-        barrier = threading.Barrier(8)
+def fake_result(cell: CellSpec) -> dict:
+    return CellResult(spec=cell, output_checksum="made-up").to_dict()
 
-        def contender(name: str) -> None:
-            barrier.wait()
-            if try_claim_cell(out, "contested", "hash", name):
-                wins.append(name)
 
-        threads = [threading.Thread(target=contender, args=(f"w{i}",))
-                   for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10.0)
-        assert len(wins) == 1
-        assert claim_owner(out, "contested") == wins[0]
-
-    def test_refresh_claim_keeps_cell_claimed_under_new_owner(self, tmp_path):
-        """Re-stamping (a reconnected worker's new identity) must never
-        open a window where the cell looks unclaimed."""
-        out = str(tmp_path)
-        assert try_claim_cell(out, "cell-a", "hash", "worker-1")
-        refresh_claim(out, "cell-a", "hash", "worker-2")
-        assert claim_owner(out, "cell-a") == "worker-2"
-        assert not try_claim_cell(out, "cell-a", "hash", "worker-3")
-
-    def test_claim_staleness_rules(self):
-        local = socket.gethostname()
-        assert claim_is_stale(None)
-        assert claim_is_stale({})  # pre-liveness record: no pid at all
-        # This very process's pid marks a *previous incarnation* of the
-        # parent (a restarted parent reuses nothing else), so it is stale.
-        assert claim_is_stale({"pid": os.getpid(), "host": local})
-        assert claim_is_stale({"pid": "not-a-pid", "host": local})
-        # pid 1 is alive on any Linux box, and not provably ours to kill.
-        assert not claim_is_stale({"pid": 1, "host": local})
-        # A remote host's claim is not provably dead from here.
-        assert not claim_is_stale({"pid": 12345, "host": "elsewhere"})
-
-    def test_claims_record_pid_and_host_for_liveness(self, tmp_path):
-        out = str(tmp_path)
-        assert try_claim_cell(out, "cell-a", "hash", "worker-1")
-        record = claim_record(out, "cell-a")
-        assert record["pid"] == os.getpid()
-        assert record["host"] == socket.gethostname()
+def bare_server(spec: ExperimentSpec | None = None) -> _MatrixServer:
+    return _MatrixServer(spec or small_spec(), "127.0.0.1:0", 0.02)
 
 
 class TestDistributedExecution:
@@ -182,7 +141,7 @@ class TestDistributedExecution:
         result, executed = run_with_workers(runner, num_workers=1)
         assert not result.failed_cells()
         assert result.executed == len(spec.cells)
-        # Work genuinely split: the worker claimed at least one cell.
+        # Work genuinely split: the worker took at least one cell.
         assert executed[0] >= 1
         assert executed[0] < len(spec.cells)
         assert deterministic_record(result) == deterministic_record(serial)
@@ -201,36 +160,30 @@ class TestDistributedExecution:
         assert diff_reports.compare_reports(
             tmp_path / "rep-serial", tmp_path / "rep-dist") == []
 
-    def test_no_claim_files_left_behind(self, tmp_path):
-        runner = MatrixRunner(small_spec(), str(tmp_path), serve=SERVE)
-        run_with_workers(runner, num_workers=1)
-        leftovers = [name for name in os.listdir(tmp_path / "cells")
-                     if name.endswith(".claim")]
-        assert leftovers == []
-
-    def test_interrupt_releases_parent_claims(self, tmp_path, monkeypatch):
-        """A Ctrl-C mid-served-run must not leave the parent's claim
-        files behind — a leftover claim looks like a live owner and
-        blocks the cell until the next run's debris sweep."""
+    def test_interrupt_leaves_only_cell_checkpoints(self, tmp_path,
+                                                    monkeypatch):
+        """A Ctrl-C mid-served-run leaves nothing under ``cells/`` but
+        finished cells' checkpoints, and the next run resumes from them."""
         spec = small_spec()
         out = str(tmp_path)
-        runner = MatrixRunner(spec, out, serve=SERVE)
+        original = MatrixRunner.execute_cell
+        calls: list[str] = []
 
-        def claim_then_die(self, server, remaining, record):
-            for cell in list(remaining.values())[:3]:
-                assert try_claim_cell(out, cell.cell_id, spec.spec_hash,
-                                      "parent")
-            raise KeyboardInterrupt
+        def interrupted_at_third(self, cell):
+            calls.append(cell.cell_id)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return original(self, cell)
 
-        monkeypatch.setattr(MatrixRunner, "_serve_cells", claim_then_die)
+        monkeypatch.setattr(MatrixRunner, "execute_cell", interrupted_at_third)
         with pytest.raises(KeyboardInterrupt):
-            runner.run()
-        leftovers = [name for name in os.listdir(tmp_path / "cells")
-                     if name.endswith(".claim")]
-        assert leftovers == []
-        # The interrupted run resumes: a fresh runner finishes the spec.
-        result = MatrixRunner(spec, out).run()
+            MatrixRunner(spec, out, serve=SERVE).run()
+        assert sorted(os.listdir(tmp_path / "cells")) == \
+            sorted(f"{cell_id}.json" for cell_id in calls[:2])
+        monkeypatch.setattr(MatrixRunner, "execute_cell", original)
+        result = MatrixRunner(spec, out, serve=SERVE).run()
         assert not result.failed_cells()
+        assert (result.resumed, result.executed) == (2, len(spec.cells) - 2)
 
     def test_parent_alone_completes_a_served_run(self, tmp_path):
         """Serving with no worker ever joining must still finish."""
@@ -239,51 +192,32 @@ class TestDistributedExecution:
         assert not result.failed_cells()
         assert result.executed == len(small_spec().cells)
 
-    def test_stale_claims_from_a_dead_run_are_swept(self, tmp_path):
-        """Claims left by a previous (crashed) run must not block cells."""
-        spec = small_spec()
-        out = str(tmp_path)
-        for cell in spec.cells:
-            assert try_claim_cell(out, cell.cell_id, spec.spec_hash,
-                                  "worker-from-last-tuesday")
-        result = MatrixRunner(spec, out, serve=SERVE).run()
-        assert not result.failed_cells()
-        assert result.executed == len(spec.cells)
-
     def test_worker_reconnects_after_dropped_result_send(self, tmp_path,
                                                          monkeypatch):
         """A worker whose socket dies with a result in hand must reconnect
-        to the still-serving parent, re-stamp its claim with the identity
-        the parent hands back, and resend — losing neither the cell nor
-        the run."""
-        import repro.experiments.matrix as matrix_module
-
+        to the still-serving parent and resend — losing neither the cell
+        nor the run, and computing no cell twice."""
         spec = small_spec()
-        out = str(tmp_path)
-        real_claim = matrix_module.try_claim_cell
+        # Keep the parent off the queue: every result in this test must
+        # travel the worker's socket.
+        monkeypatch.setattr(_MatrixServer, "take", lambda self: None)
 
-        def workers_only(out_dir, cell_id, spec_hash, owner):
-            # Keep the parent from racing the worker to the cells: every
-            # result in this test must travel the worker's socket.
-            if owner == "parent":
-                return False
-            return real_claim(out_dir, cell_id, spec_hash, owner)
-
-        real_send = matrix_module.send_frame
+        real_send = workers_module.send_frame
         dropped: list[int] = []
 
         def flaky_send(sock, kind, *args, **kwargs):
-            if (kind == matrix_module._WK_RESULT and not dropped
+            if (kind == _WK_RESULT and kwargs["obj"]["result"] is not None
+                    and not dropped
                     and threading.current_thread().name == "flaky-worker"):
                 dropped.append(kind)
                 sock.close()
                 raise OSError("injected: connection reset mid-result")
             return real_send(sock, kind, *args, **kwargs)
 
-        monkeypatch.setattr(matrix_module, "try_claim_cell", workers_only)
-        monkeypatch.setattr(matrix_module, "send_frame", flaky_send)
+        monkeypatch.setattr(workers_module, "send_frame", flaky_send)
 
-        runner = MatrixRunner(spec, out, serve=SERVE, worker_timeout=60.0)
+        runner = MatrixRunner(spec, str(tmp_path), serve=SERVE,
+                              worker_timeout=60.0)
         executed: dict[str, int] = {}
 
         def worker() -> None:
@@ -327,9 +261,8 @@ class TestDistributedExecution:
         assert result.resumed == len(spec.cells)
 
     def test_no_resume_keeps_workers_in_the_game(self, tmp_path):
-        """resume=False deletes the stale checkpoints, so joined workers
-        (which decide from the files on disk) re-execute cells instead of
-        silently degrading the run to parent-only."""
+        """resume=False queues every cell again, so joined workers take
+        their share instead of the run degrading to parent-only."""
         spec = small_spec()
         out = str(tmp_path)
         MatrixRunner(spec, out).run()
@@ -350,20 +283,19 @@ class TestDistributedExecution:
         assert result.resumed == len(spec.cells)
 
     def test_mid_claim_worker_death_is_reclaimed(self, tmp_path, monkeypatch):
-        """A claim whose owner was admitted but died before streaming its
-        result must be released and re-executed by the parent."""
+        """A cell whose worker was admitted but died before streaming its
+        result must go back into the queue and be re-executed."""
         spec = small_spec()
         out = str(tmp_path)
-        victim = spec.cells[0].cell_id
-
-        import repro.experiments.matrix as matrix_module
 
         original = matrix_module._run_cell_worker
+        victims: list[str] = []
 
         def dying_worker(address: str) -> None:
-            # A worker that claims its first cell and then vanishes
+            # A worker that is handed its first cell and then vanishes
             # without sending the result (its socket closes with it).
             def die(payload):
+                victims.append(CellSpec.from_dict(payload["cell"]).cell_id)
                 raise SystemExit(0)
 
             monkeypatch.setattr(matrix_module, "_run_cell_worker", die)
@@ -383,7 +315,287 @@ class TestDistributedExecution:
         assert not result.failed_cells()
         assert {r.spec.cell_id for r in result.results} == \
             {cell.cell_id for cell in spec.cells}
-        assert victim in {r.spec.cell_id for r in result.results}
+        assert len(victims) <= 1
+        assert result.executed == len(spec.cells)
+
+    def test_worker_needs_no_mount_in_common_with_the_parent(
+        self, tmp_path, monkeypatch
+    ):
+        """The parent's ``--out`` is relative and the worker runs from an
+        unrelated, empty directory: the run completes, the worker writes
+        nothing anywhere, and ``cells/`` holds one checkpoint per cell."""
+        spec = small_spec()
+        (tmp_path / "parent").mkdir()
+        (tmp_path / "worker").mkdir()
+        monkeypatch.chdir(tmp_path / "parent")
+        runner = MatrixRunner(spec, "matrix-dist", serve=SERVE,
+                              worker_timeout=60.0)
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "experiment", "worker",
+             "--join", runner.serve],
+            cwd=tmp_path / "worker", text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        original = MatrixRunner.execute_cell
+        progress_lines: list[str] = []
+
+        def after_the_workers_first_cell(self, cell):
+            # The worker prints "joining ..." and then one line per cell
+            # it executed: the parent computes nothing before the second.
+            while len(progress_lines) < 2:
+                progress_lines.append(worker.stdout.readline())
+            return original(self, cell)
+
+        monkeypatch.setattr(MatrixRunner, "execute_cell",
+                            after_the_workers_first_cell)
+        try:
+            result = runner.run()
+            output = "".join(progress_lines) + worker.communicate(timeout=30)[0]
+        finally:
+            worker.kill()
+        assert worker.returncode == 0, output
+        assert "cell(s) executed" in output and "0 cell(s)" not in output
+        assert not result.failed_cells()
+        assert os.listdir(tmp_path / "worker") == []
+        assert sorted(os.listdir(tmp_path / "parent" / "matrix-dist" / "cells")) \
+            == sorted(f"{cell.cell_id}.json" for cell in spec.cells)
+
+    def test_failed_run_closes_the_listener(self, tmp_path):
+        """The listener is bound at construction; a run() that fails
+        before serving anything must still close it, or a joining worker
+        hangs to its handshake timeout against nobody."""
+        blocker = tmp_path / "a-regular-file"
+        blocker.write_text("")
+        runner = MatrixRunner(small_spec(), str(blocker / "sub"), serve=SERVE)
+        with pytest.raises(NotADirectoryError):
+            runner.run()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(parse_address(runner.serve), timeout=5.0)
+
+    def test_silent_worker_stalls_the_run_at_worker_timeout(self, tmp_path,
+                                                            monkeypatch):
+        """A connected worker that took a cell and never answers must
+        not hang the run past ``worker_timeout``."""
+        spec = small_spec()
+        runner = MatrixRunner(spec, str(tmp_path), serve=SERVE,
+                              worker_timeout=0.5)
+        holding = threading.Event()
+        release = threading.Event()
+
+        def silent_worker() -> None:
+            sock, _welcome = join_raw(runner.serve)
+            try:
+                frame = ask(sock)
+                if frame is not None and frame[0] == _WK_CELL:
+                    holding.set()
+                release.wait(60.0)
+            finally:
+                sock.close()
+
+        original = MatrixRunner.execute_cell
+
+        def once_the_worker_holds_a_cell(self, cell):
+            assert holding.wait(30.0)
+            return original(self, cell)
+
+        monkeypatch.setattr(MatrixRunner, "execute_cell",
+                            once_the_worker_holds_a_cell)
+        thread = threading.Thread(target=silent_worker)
+        thread.start()
+        try:
+            with pytest.raises(JobError, match="distributed matrix stalled"):
+                runner.run()
+        finally:
+            release.set()
+            thread.join(30.0)
+        assert not thread.is_alive()
+        # Everything but the silent worker's cell was recorded.
+        assert len(os.listdir(tmp_path / "cells")) == len(spec.cells) - 1
+
+
+class TestTheParentsQueue:
+    """The server alone, driven by hand-written workers: who gets a cell,
+    what a result does to the queue, what a death does to it."""
+
+    def test_welcome_carries_the_spec_and_nothing_of_the_filesystem(self):
+        spec = small_spec()
+        with bare_server(spec) as server:
+            sock, welcome = join_raw(server.address)
+            sock.close()
+        assert welcome == {"spec": spec.to_dict(), "interval": 0.02}
+
+    def test_run_over_is_a_goodbye_not_a_hangup(self):
+        with bare_server() as server:
+            sock, _welcome = join_raw(server.address)
+            send_frame(sock, _WK_RESULT, obj={"result": None})
+        try:
+            frame = recv_frame(sock)
+            assert frame is not None and frame[0] == _WK_BYE
+        finally:
+            sock.close()
+
+    def test_dead_workers_cell_is_requeued_within_two_seconds(self):
+        spec = small_spec()
+        with bare_server(spec) as server:
+            server.offer(spec.cells[:1])
+            sock, _welcome = join_raw(server.address)
+            frame = ask(sock)
+            assert frame[0] == _WK_CELL
+            assert frame[2] == {"cell": spec.cells[0].to_dict()}
+            assert server.take() is None  # it is the worker's now
+            sock.close()
+            died = time.monotonic()
+            assert server.wait(2.0)
+            assert server.take() == spec.cells[0]
+            assert time.monotonic() - died < 2.0
+            assert server.drain() == []
+
+    @pytest.mark.parametrize("bad", [
+        {"not-result": 1},
+        ["not", "a", "dict"],
+        {"result": "not a result document"},
+        {"result": {"status": "ok"}},
+    ], ids=["missing-result", "non-dict", "non-dict-result", "partial-result"])
+    def test_malformed_result_drops_the_worker_and_requeues_its_cell(
+        self, bad
+    ):
+        spec = small_spec()
+        with bare_server(spec) as server:
+            server.offer(spec.cells[:2])
+            sock, _welcome = join_raw(server.address)
+            try:
+                assert ask(sock)[0] == _WK_CELL
+                send_frame(sock, _WK_RESULT, obj=bad)
+                assert recv_frame(sock) is None  # dropped: EOF, no goodbye
+            finally:
+                sock.close()
+            # Its cell is back at the *front*, and the server still serves.
+            assert server.take() == spec.cells[0]
+            assert server.drain() == []
+            good, _welcome = join_raw(server.address)
+            try:
+                assert ask(good)[2] == {"cell": spec.cells[1].to_dict()}
+            finally:
+                good.close()
+
+    def test_unasked_result_is_recorded_once(self):
+        """A restarted parent's worker resends what it computed for the
+        previous one: recorded while that cell is still queued, dropped
+        once it is recorded."""
+        spec = small_spec()
+        first, second, third = spec.cells[:3]
+        with bare_server(spec) as server:
+            server.offer([first, second, third])
+            sock, _welcome = join_raw(server.address)
+            try:
+                frame = ask(sock, fake_result(third))
+                assert frame[2] == {"cell": first.to_dict()}
+                assert [cell_id for cell_id, _result in server.drain()] == \
+                    [third.cell_id]
+                # The same result again, instead of an answer: dropped,
+                # and the unanswered cell comes straight back.
+                frame = ask(sock, fake_result(third))
+                assert frame[2] == {"cell": first.to_dict()}
+                assert server.drain() == []
+                frame = ask(sock, fake_result(first))
+                assert frame[2] == {"cell": second.to_dict()}
+                assert [cell_id for cell_id, _result in server.drain()] == \
+                    [first.cell_id]
+                assert server.take() is None
+            finally:
+                sock.close()
+
+    def test_result_for_a_cell_the_parent_took_is_dropped(self):
+        spec = small_spec()
+        with bare_server(spec) as server:
+            server.offer(spec.cells[:2])
+            mine = server.take()
+            sock, _welcome = join_raw(server.address)
+            try:
+                assert ask(sock, fake_result(mine))[0] == _WK_CELL
+                assert server.drain() == []
+            finally:
+                sock.close()
+
+    def test_every_cell_is_recorded_exactly_once_under_churn(self):
+        """More workers than cores, a preemptive scheduler, workers that
+        keep dying with a cell in hand, and the parent taking cells too:
+        no cell is lost and none is recorded twice."""
+        cells = full_spec().cells
+        recorded: list[str] = []
+
+        def worker(slot: int, address: str) -> None:
+            sock, result, turns = None, None, 0
+            try:
+                while True:
+                    if sock is None:
+                        sock, result = join_raw(address)[0], None
+                    frame = ask(sock, result)
+                    if frame is None or frame[0] != _WK_CELL:
+                        return
+                    turns += 1
+                    if turns % 4 == slot % 4:  # dies holding this cell
+                        sock.close()
+                        sock = None
+                    else:
+                        result = fake_result(CellSpec.from_dict(frame[2]["cell"]))
+            except (OSError, AssertionError):
+                pass  # the run ended while this worker was rejoining
+            finally:
+                if sock is not None:
+                    sock.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with bare_server() as server:
+                server.offer(cells)
+                threads = [threading.Thread(target=worker,
+                                            args=(slot, server.address))
+                           for slot in range(8)]
+                for thread in threads:
+                    thread.start()
+                executing = threading.Event()  # never set: a bounded pause
+                while len(recorded) < len(cells):
+                    mine = server.take()
+                    if mine is not None:
+                        executing.wait(0.002)  # the parent's cell takes a moment
+                        recorded.append(mine.cell_id)
+                    else:
+                        assert server.wait(20.0), "the queue stalled"
+                    recorded += [cell_id for cell_id, _r in server.drain()]
+            for thread in threads:
+                thread.join(20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(recorded) == sorted(cell.cell_id for cell in cells)
+
+    def test_requeued_cell_goes_to_exactly_one_idle_worker(self, wait_until):
+        spec = small_spec()
+        with bare_server(spec) as server:
+            server.offer(spec.cells[:1])
+            doomed, _welcome = join_raw(server.address)
+            assert ask(doomed)[0] == _WK_CELL
+            idle = [join_raw(server.address)[0] for _ in range(2)]
+            try:
+                for sock in idle:  # both ask; the queue is empty
+                    send_frame(sock, _WK_RESULT, obj={"result": None})
+                wait_until(lambda: len(server._in_flight) == 3)
+                assert select.select(idle, [], [], 0.2)[0] == []
+                doomed.close()
+                winners, _w, _x = select.select(idle, [], [], 10.0)
+                assert len(winners) == 1
+                frame = recv_frame(winners[0])
+                assert frame[2] == {"cell": spec.cells[0].to_dict()}
+                loser = next(sock for sock in idle if sock is not winners[0])
+                assert select.select([loser], [], [], 0.5)[0] == []
+                assert server.take() is None
+            finally:
+                doomed.close()
+                for sock in idle:
+                    sock.close()
 
 
 class _EvilPayload:
@@ -403,7 +615,7 @@ class TestWorkerAuthentication:
     environment, never the wire."""
 
     def _server(self, tmp_path) -> _MatrixServer:
-        return _MatrixServer(small_spec(), str(tmp_path), "127.0.0.1:0", 0.02)
+        return bare_server()
 
     def test_join_token_embeds_a_generated_key(self, tmp_path):
         runner = MatrixRunner(small_spec(), str(tmp_path), serve=SERVE)
@@ -483,63 +695,6 @@ class TestWorkerAuthentication:
         assert not os.path.exists(flag)
 
 
-class TestClaimAtomicity:
-    def test_claim_file_never_observable_without_owner(self, tmp_path):
-        """A reader racing the claimant must never see a claim file
-        without its owner record — the JSON is linked into place whole,
-        so a mid-write window would let the coordinator mistake a live
-        claim for a dead one and double-execute the cell."""
-        out = str(tmp_path)
-        stop = threading.Event()
-        bad: list[str] = []
-
-        def reader() -> None:
-            path = claim_path(out, "contested")
-            while not stop.is_set():
-                try:
-                    with open(path, encoding="utf-8") as handle:
-                        content = handle.read()
-                except FileNotFoundError:
-                    continue
-                try:
-                    doc = json.loads(content)
-                except ValueError:
-                    bad.append(content)
-                    continue
-                if "owner" not in doc:
-                    bad.append(content)
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        try:
-            for _ in range(300):
-                assert try_claim_cell(out, "contested", "hash", "w")
-                release_claim(out, "contested")
-        finally:
-            stop.set()
-            thread.join(10.0)
-        assert bad == []
-
-    def test_no_temp_files_left_behind(self, tmp_path):
-        out = str(tmp_path)
-        assert try_claim_cell(out, "cell-a", "hash", "winner")
-        assert not try_claim_cell(out, "cell-a", "hash", "loser")
-        leftovers = [name for name in os.listdir(tmp_path / "cells")
-                     if name.endswith(".tmp")]
-        assert leftovers == []
-
-    def test_orphaned_temp_files_are_swept(self, tmp_path):
-        """A claimant killed mid-claim leaves its temp file behind; the
-        distributed run's startup sweep must clear it."""
-        from repro.experiments.matrix import sweep_claim_debris
-
-        os.makedirs(tmp_path / "cells", exist_ok=True)
-        orphan = tmp_path / "cells" / "cell-x.claim.deadhost.123.456.tmp"
-        orphan.write_text("{}")
-        sweep_claim_debris(str(tmp_path))
-        assert not orphan.exists()
-
-
 class TestWorkersValidation:
     """`--parallel 0` is documented (CPU count); everything else bogus
     must be a one-line ConfigError, never a pool traceback."""
@@ -587,15 +742,12 @@ class TestWorkerEntryPoint:
         """One connection that never sends a hello must not wedge the
         acceptor: a real worker arriving later still gets admitted."""
         import socket as socket_module
-        import time
 
-        import repro.experiments.matrix as matrix_module
-
-        monkeypatch.setattr(matrix_module, "_WK_HELLO_TIMEOUT", 0.3)
+        monkeypatch.setattr(workers_module, "_WK_HELLO_TIMEOUT", 0.3)
         spec = small_spec()
         runner = MatrixRunner(spec, str(tmp_path), serve=SERVE)
         # Slow the parent down so the matrix outlives the stray's timeout
-        # window and the admitted worker demonstrably claims cells.
+        # window and the admitted worker demonstrably takes cells.
         original = MatrixRunner.execute_cell
 
         def slowed(self, cell):

@@ -557,7 +557,8 @@ class TestMypyStrictSubset:
              "-m", "repro.mpi.transport.codec",
              "-m", "repro.mpi.transport.channel",
              "-m", "repro.workloads.base",
-             "-m", "repro.datampi.world"],
+             "-m", "repro.datampi.world",
+             "-m", "repro.experiments.workers"],
             capture_output=True, text=True, cwd=REPO_ROOT,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
