@@ -85,6 +85,7 @@ def run_superstep(
     superstep: int,
     *,
     cache_input: bool,
+    pin_output: bool,
 ) -> tuple[str, str | None, Any, dict[str, int], int]:
     """Input + shuffle + compute for one rank.
 
@@ -92,6 +93,11 @@ def run_superstep(
     ``scatter_bytes`` is non-zero only on the input root.  Task exceptions
     are caught and reported via ``status`` so the failure can travel the
     control channel instead of wedging peers in blocking receives.
+
+    ``pin_output`` pins an A rank's output under ``a.output`` for the
+    next superstep's A task; a world that is recycled after the round
+    passes False, because sizing the whole output for a pin that is
+    cleared before anything can read it is pure cost.
 
     :func:`superstep_loop` is its only caller in the runtime, which is
     what keeps every driver's shuffle byte-identical to a cold
@@ -145,7 +151,7 @@ def run_superstep(
             status = "err"
             error = f"A rank {bcomm.a_index} failed at superstep {superstep}: {exc!r}"
             output = None
-        if cache is not None:
+        if cache is not None and pin_output:
             cache.put(A_OUTPUT_KEY, output)
         store.reset()
 
@@ -166,12 +172,14 @@ def recycle_world(cache: KVCache | None, store: ChunkStore | None) -> None:
 
     A world serving a stream of jobs must not let job N's state leak into
     job N+1: the superstep machinery pins an O rank's input splits under
-    ``o.splits`` and an A rank's output under ``a.output`` in the KV
-    cache (deliberately — that is what makes warm *iterations* cheap),
-    and the A-side :class:`ChunkStore` keeps its spill bookkeeping.
-    Between pooled jobs those pins are stale state: splits pinned by job
-    N would be served as job N+1's input, and job N's output would be
-    readable from job N+1's ``ctx.cache``.
+    ``o.splits`` in the KV cache (deliberately — that is what makes warm
+    *iterations* cheap), a task may have cached state of its own, and
+    the A-side :class:`ChunkStore` keeps its spill bookkeeping.  Between
+    pooled jobs all of that is stale: splits pinned by job N would be
+    served as job N+1's input, and job N's entries would be readable
+    from job N+1's ``ctx.cache``.  (The other pin, an A rank's
+    ``a.output``, is never made on a recycled world — see
+    :func:`run_superstep` — so there is none to clear.)
 
     Recycling clears the whole cache (entry state only — the hit/miss
     counters survive, they are cumulative measurements) alongside
@@ -241,8 +249,9 @@ def superstep_loop(
     The keyword parameters are exactly what differs between the drivers:
     ``cache_input`` pins the O ranks' splits across rounds (Iteration
     mode, the pool); ``recycle`` clears every rank's per-job state after
-    each round (the pool); ``idle_timeout`` bounds a non-root rank's wait
-    for the next control (the pool idles between submissions);
+    each round, and so skips the ``a.output`` pin nothing could read (the
+    pool); ``idle_timeout`` bounds a non-root rank's wait for the next
+    control (the pool idles between submissions);
     ``one_round`` is the Common replay — a fresh world per iteration that
     returns 0 after its single round with no ``"stop"`` broadcast, and
     keeps no cache because nothing outlives the round.
@@ -296,12 +305,12 @@ def superstep_loop(
 
             status, error, output, counters, scatter_bytes = run_superstep(
                 bcomm, conf, invoke_o, invoke_a, splits, store, cache, superstep,
-                cache_input=cache_input,
+                cache_input=cache_input, pin_output=not recycle,
             )
             gathered = comm.gather(_dumps((status, error, output, counters)), root=0)
             if recycle:
-                # Clear the pins (o.splits, a.output) with the store reset,
-                # *before* the next control can reuse them as its input.
+                # Clear the o.splits pin and task-cached state with the store
+                # reset, *before* the next control can reuse them as its input.
                 recycle_world(cache, store)
 
             if gathered is not None:  # the root

@@ -15,9 +15,10 @@ then serves an unbounded stream of job submissions on the live ranks:
   cold :class:`~repro.datampi.job.DataMPIJob` runs, so pooled outputs
   are byte-identical to cold-world runs on every transport;
 * between jobs every rank is **recycled** with
-  :func:`repro.datampi.world.recycle_world` — KV-cache pins
-  (``o.splits``, ``a.output``) are cleared alongside
-  ``ChunkStore.reset()`` so job N's state can never leak into job N+1;
+  :func:`repro.datampi.world.recycle_world` — the ``o.splits`` pin and
+  whatever a task cached are cleared alongside ``ChunkStore.reset()``
+  (a recycled world never pins ``a.output`` at all) so job N's state can
+  never leak into job N+1;
 * a failed task fails *its submission's* future, not the pool: the
   failure travels the outcome gather like any mode driver's, and the
   world keeps serving.
@@ -27,9 +28,11 @@ back over a result pipe, both created before the world launches so
 forked ranks inherit them.  The world runs
 :func:`repro.datampi.world.superstep_loop` — the round Iteration and
 Streaming mode run — with the request pipe as its step source: rank 0
-broadcasts each request (every rank takes the same branch), the world
-runs one superstep and is recycled, and rank 0 answers the result pipe
-with the settled round.
+broadcasts each request's ``("job", seq, name)`` (every rank takes the
+same branch) and keeps the submitted splits to itself, so input crosses
+the wire once — from the input root to the O rank that owns it — the
+world runs one superstep and is recycled, and rank 0 answers the result
+pipe with the settled round.
 
 Example::
 
@@ -215,7 +218,7 @@ class WorldPool:
             request: Control = ()
 
             def bind(control: Control):
-                _kind, _seq, name, _splits = control
+                _kind, _seq, name = control
                 superstep = next(supersteps)
                 faultinject.fire("pool-submit", rank=comm.rank, superstep=superstep)
                 return jobs[name].conf, jobs[name].o_task, jobs[name].a_task, superstep
@@ -223,7 +226,11 @@ class WorldPool:
             def next_step() -> tuple[Control, Sequence[Any] | None]:
                 nonlocal request
                 request = request_recv.recv()
-                return request, request[3] if request[0] == "job" else None
+                if request[0] != "job":
+                    return request, None
+                # The world hears only which job to run; the input goes
+                # once, over TAG_SPLITS, to the O rank that owns it.
+                return request[:3], request[3]
 
             def settle(outcome: RoundOutcome) -> None:
                 # A failed task fails this submission, not the world.

@@ -317,3 +317,76 @@ class TestChannelContract:
     def test_bind_failure_propagates_as_oserror(self):
         with pytest.raises(OSError):
             listen_on("203.0.113.7", 0, 1)
+
+    def test_both_ends_of_a_pair_are_born_with_nagle_off(self):
+        """Frames are one ``sendmsg`` each, so Nagle only ever costs: a
+        second small frame waits out the peer's delayed-ACK timer."""
+        listener = listen_on("127.0.0.1", 0, 1)
+        dialled: list[socket.socket | None] = []
+        try:
+            address = listener.getsockname()[:2]
+            dialler = threading.Thread(target=lambda: dialled.append(
+                connect_authenticated(address, KEY, DROP_DEADLINE)))
+            dialler.start()
+            accepted = accept_authenticated(listener, KEY, DROP_DEADLINE)
+            dialler.join(DROP_DEADLINE)
+            try:
+                assert accepted is not None and dialled[0] is not None
+                for sock in (accepted, dialled[0]):
+                    assert sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+            finally:
+                for sock in (accepted, *dialled):
+                    if sock is not None:
+                        sock.close()
+        finally:
+            listener.close()
+
+    def test_a_wrong_key_peer_leaves_no_open_fd_on_either_side(self):
+        listener = listen_on("127.0.0.1", 0, 1)
+        try:
+            address = listener.getsockname()[:2]
+            open_fds = len(os.listdir("/proc/self/fd"))
+            rejected: list[BaseException] = []
+
+            def dial() -> None:
+                try:
+                    connect_authenticated(address, b"not-the-key", DROP_DEADLINE)
+                except MPIError as exc:
+                    rejected.append(exc)
+
+            dialler = threading.Thread(target=dial)
+            dialler.start()
+            assert accept_authenticated(listener, KEY, DROP_DEADLINE) is None
+            dialler.join(DROP_DEADLINE)
+            assert len(rejected) == 1
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+        finally:
+            listener.close()
+
+    def test_accept_closes_the_connection_on_an_unexpected_error(
+        self, monkeypatch
+    ):
+        """Only the two expected failure classes turn into ``None``, but
+        nothing — a bug in the challenge, an interrupt — may leave the
+        accepted fd open behind the exception."""
+        def broken_challenge(sock, authkey):
+            raise RuntimeError("challenge blew up")
+
+        monkeypatch.setattr(
+            "repro.mpi.transport.channel.deliver_challenge", broken_challenge)
+        listener = listen_on("127.0.0.1", 0, 1)
+        try:
+            peer = socket.create_connection(
+                listener.getsockname()[:2], timeout=DROP_DEADLINE)
+            try:
+                # Holding the traceback keeps the failed frame's locals
+                # alive: only an explicit close can hang up on the peer.
+                with pytest.raises(RuntimeError, match="blew up") as raised:
+                    accept_authenticated(listener, KEY, DROP_DEADLINE)
+                assert _was_dropped(peer)
+                assert raised.type is RuntimeError
+            finally:
+                peer.close()
+        finally:
+            listener.close()

@@ -119,6 +119,22 @@ class TestIterativeJob:
         job.run([list(range(3))], 0)
         assert seen == [(1, None), (2, [("n", 1)])]
 
+    @pytest.mark.parametrize("transport", ("shm", "inline", "tcp"))
+    def test_previous_output_pinned_on_every_backend(self, transport):
+        # The pin is skipped only on a world recycled after each round
+        # (the pool); what a forked rank saw comes back through the state.
+        def a_task(ctx, _state):
+            return [("previous", ctx.cache.get(A_OUTPUT_KEY))]
+
+        job = IterativeJob(
+            counting_o, a_task,
+            lambda state, merged, it: (state + [merged], it >= 2),
+            DataMPIConf(num_o=1, num_a=1, mode="iteration", transport=transport),
+        )
+        first = [("previous", None)]
+        assert job.run([list(range(3))], []).state == \
+            [first, [("previous", first)]]
+
     def test_update_sees_iteration_numbers(self):
         iterations = []
 

@@ -6,7 +6,9 @@ gather.  ``tests/data/superstep_wire.json`` was recorded before the four
 hand-written copies of that round became one loop: for one fixed 2x1 job
 per driver on the ``inline`` transport it holds every payload the root
 handed ``Comm.bcast``, every ``TAG_SPLITS`` answer, the fault points each
-rank fired in order, and every per-round counter record.  The suite
+rank fired in order, and every per-round counter record (re-recorded
+once since, when the pool's two ``("job", ...)`` controls stopped
+carrying the submitted splits; nothing else in the file moved).  The suite
 asserts the runtime still reproduces them byte-for-byte, and that a
 failing O task, A task or ``update`` ends every driver with the original
 cause.
@@ -97,12 +99,13 @@ def run_streaming(transport="inline", o_task=word_o, a_task=word_a):
     return [window.counters for window in result.windows], result.counters
 
 
-def run_pool(transport="inline", o_task=word_o, a_task=word_a):
+def run_pool(transport="inline", o_task=word_o, a_task=word_a,
+             inputs=POOL_INPUTS):
     """Two submissions through one warm world, then a clean stop."""
     job = DataMPIJob(o_task, a_task, conf("common"))
     with WorldPool(num_o=NUM_O, num_a=NUM_A, transport=transport) as pool:
         pool.register("wc", job).start()
-        records = [pool.run_job("wc", splits).counters for splits in POOL_INPUTS]
+        records = [pool.run_job("wc", splits).counters for splits in inputs]
     return records, {}
 
 
@@ -115,7 +118,7 @@ def run_driver(driver, tmp_path, transport="inline", **tasks):
 # -- recording -------------------------------------------------------------------
 
 
-def trace(driver, tmp_path):
+def trace(driver, tmp_path, **overrides):
     """Run ``driver``'s fixed job with the wire tapped; returns the pin."""
     lock = threading.Lock()
     bcasts, answers, fires = [], [], {}
@@ -141,7 +144,7 @@ def trace(driver, tmp_path):
     with (mock.patch.object(Comm, "bcast", bcast),
           mock.patch.object(Comm, "send", send),
           mock.patch.object(faultinject, "fire", fire)):
-        records, totals = run_driver(driver, tmp_path)
+        records, totals = run_driver(driver, tmp_path, **overrides)
     return {
         "bcast": bcasts,
         "splits": answers,
@@ -206,6 +209,23 @@ class TestPinnedRound:
             assert kinds == ["data"] * NUM_O + ["cached"] * NUM_O * (rounds - 1)
         else:  # fresh world, fresh window, or recycled between jobs
             assert kinds == ["data"] * NUM_O * rounds
+
+
+def test_pool_input_travels_once_to_the_rank_that_owns_it(tmp_path):
+    """The control names the job and nothing else — its size is the same
+    for a one-word and a 100 KB submission — and each O rank is answered
+    with exactly its stride of the submitted splits."""
+    inputs = ([["a"], ["b"], ["c"]],
+              [[f"word-{n}" * 40 for n in range(200)] for _split in range(5)])
+    pin = trace("pool", tmp_path, inputs=inputs)
+    controls = [bytes.fromhex(payload) for payload in pin["bcast"]]
+    assert [pickle.loads(control) for control in controls] == [
+        ("job", 1, "wc"), ("job", 2, "wc"), ("stop",)]
+    assert len(controls[0]) == len(controls[1])
+    answers = [(dest, pickle.loads(bytes.fromhex(payload)))
+               for dest, payload in pin["splits"]]
+    assert answers == [(o_index, ("data", splits[o_index::NUM_O]))
+                       for splits in inputs for o_index in range(NUM_O)]
 
 
 # The pool's JobResult.counters carry no mode.* record.

@@ -13,6 +13,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -37,6 +38,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Named test tags (RPL003: no literal ints at send/recv call sites).
 TAG_BULK = 5
 TAG_LATE = 9
+TAG_CHUNK = 11
+TAG_REPLY = 12
 
 
 @pytest.fixture(autouse=True)
@@ -258,6 +261,28 @@ class TestProcessWorld:
             return comm.recv(source=0, tag=TAG_BULK).payload == blob
 
         assert mpi_run(3, main, transport="tcp")[1:] == [True, True]
+
+    def test_two_small_sends_then_a_reply_never_wait_on_a_timer(self):
+        """A chunk, then its EOF, then the peer's answer — the shape of
+        every small job.  With Nagle on, the second send sits behind the
+        peer's delayed ACK (~40 ms a round, 2 s for these 50); a socket
+        born anywhere but ``channel.py`` would bring that back."""
+        rounds = 50
+
+        def main(comm):
+            started = time.perf_counter()
+            for number in range(rounds):
+                if comm.rank == 0:
+                    comm.send(1, b"chunk", tag=TAG_CHUNK)
+                    comm.send(1, b"", tag=TAG_CHUNK)
+                    assert comm.recv(source=1, tag=TAG_REPLY).payload == number
+                else:
+                    comm.recv(source=0, tag=TAG_CHUNK)
+                    comm.recv(source=0, tag=TAG_CHUNK)
+                    comm.send(0, number, tag=TAG_REPLY)
+            return time.perf_counter() - started
+
+        assert max(mpi_run(2, main, transport="tcp")) < 1.0
 
     def test_finished_rank_keeps_fabric_alive_for_peers(self):
         """A rank returning early must not tear down its sockets while

@@ -153,6 +153,32 @@ class TestWorldRecycling:
         assert dict(second.merged_outputs())["leaked"] is False
         assert dict(second.merged_outputs())["c"] == 2
 
+    def test_task_cached_state_does_not_cross_job_boundary(self, backend):
+        """A recycled world skips the ``a.output`` pin, not the clearing:
+        what a task of job N put in ``ctx.cache`` is gone in job N+1 on
+        both sides of the world."""
+
+        def o_task(ctx, split):
+            ctx.send("o-saw", ctx.cache.get("mine"))
+            ctx.cache.put("mine", split)
+
+        def a_task(ctx):
+            mine = ctx.cache.get("mine")
+            ctx.cache.put("mine", "job state")
+            return [("a-saw", mine)] + \
+                [(key, list(vals)) for key, vals in ctx.grouped()]
+
+        job = DataMPIJob(o_task, a_task,
+                         DataMPIConf(num_o=2, num_a=1, transport=backend))
+        pool = WorldPool(num_o=2, num_a=1, transport=backend)
+        pool.register("spy", job)
+        with pool:
+            pool.start()
+            results = [pool.run_job("spy", [["a"], ["b"]]) for _job in range(2)]
+        for result in results:
+            assert dict(result.merged_outputs()) == \
+                {"a-saw": None, "o-saw": [None, None]}
+
 
 def _segment_files(directory) -> list[str]:
     return [name for name in os.listdir(directory) if name.endswith(".seg")]
