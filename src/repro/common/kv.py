@@ -5,6 +5,11 @@ communication is key-value based rather than buffer based.  All three
 engines in this reproduction (Hadoop, Spark, DataMPI) exchange
 :class:`KeyValue` records, and the serialization here defines the byte
 sizes the performance models charge to disks and networks.
+
+One record on the wire is a ``>II`` header (encoded key and value
+lengths) followed by the two fields, each one tag byte plus payload.
+The size/encode/decode kernels handle exact ``str``, ``None`` and ``int``
+inline; the general ``isinstance`` chains are the only fallback.
 """
 
 from __future__ import annotations
@@ -25,6 +30,15 @@ class KeyValue(NamedTuple):
 
 
 def _field_size(obj: Any) -> int:
+    # Exact-type front for the leaves the shuffle carries; everything
+    # else (bool, bytes, views, containers, subclasses) takes the chain.
+    kind = type(obj)
+    if kind is str:
+        return len(obj) if obj.isascii() else len(obj.encode("utf-8"))
+    if obj is None:
+        return 0
+    if kind is int or kind is float:
+        return 8
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
     if isinstance(obj, memoryview):
@@ -82,6 +96,13 @@ def _decode_items(payload: bytes | memoryview) -> list[Any]:
 
 
 def _encode_field(obj: Any) -> bytes:
+    kind = type(obj)
+    if kind is str:
+        return b"S" + obj.encode("utf-8")
+    if obj is None:
+        return b"N"
+    if kind is int:
+        return b"I%d" % obj
     if isinstance(obj, bytes):
         return b"B" + obj
     if isinstance(obj, str):
@@ -152,37 +173,91 @@ def encode_record(key: Any, value: Any) -> bytes:
     return _LEN.pack(len(key_bytes), len(value_bytes)) + key_bytes + value_bytes
 
 
+def _truncated(offset: int, promised: int, remaining: int) -> ValueError:
+    return ValueError(f"truncated record at offset {offset}: "
+                      f"{promised} bytes promised, {remaining} remain")
+
+
 def decode_record(data: bytes | memoryview,
                   offset: int = 0) -> tuple[KeyValue, int]:
     """Decode one record at ``offset``; returns ``(record, next_offset)``.
 
     ``data`` may be ``bytes`` or a ``memoryview``; with a view the field
     payloads are sliced without copying (the transport's zero-copy read
-    path decodes records straight out of a shared batch buffer).
+    path decodes records straight out of a shared batch buffer).  A
+    record that runs past the end of ``data`` raises ``ValueError``
+    instead of decoding a short slice.
     """
-    key_len, value_len = _LEN.unpack_from(data, offset)
     start = offset + _LEN.size
-    key = _decode_field(data[start:start + key_len])
-    value = _decode_field(data[start + key_len:start + key_len + value_len])
-    return KeyValue(key, value), start + key_len + value_len
+    if start > len(data):
+        raise _truncated(offset, _LEN.size, len(data) - offset)
+    key_len, value_len = _LEN.unpack_from(data, offset)
+    middle = start + key_len
+    stop = middle + value_len
+    if stop > len(data):
+        raise _truncated(offset, stop - offset, len(data) - offset)
+    return KeyValue(_decode_field(data[start:middle]),
+                    _decode_field(data[middle:stop])), stop
 
 
 def encode_stream(records: Iterable[tuple[Any, Any]]) -> bytes:
-    """Encode an iterable of ``(key, value)`` pairs into one byte string."""
-    out = bytearray()
+    """Encode an iterable of ``(key, value)`` pairs into one byte string.
+
+    The O side's per-record kernel: exact ``str`` / ``None`` / ``int``
+    fields are encoded inline, all others through :func:`_encode_field`.
+    """
+    parts: list[bytes] = []
+    pack, general = _LEN.pack, _encode_field
     for key, value in records:
-        key_bytes = _encode_field(key)
-        value_bytes = _encode_field(value)
-        out += _LEN.pack(len(key_bytes), len(value_bytes))
-        out += key_bytes
-        out += value_bytes
-    return bytes(out)
+        if type(key) is str:
+            key_bytes = b"S" + key.encode("utf-8")
+        else:
+            key_bytes = general(key)
+        kind = type(value)
+        if value is None:
+            value_bytes = b"N"
+        elif kind is int:
+            value_bytes = b"I%d" % value
+        elif kind is str:
+            value_bytes = b"S" + value.encode("utf-8")
+        else:
+            value_bytes = general(value)
+        parts += (pack(len(key_bytes), len(value_bytes)), key_bytes, value_bytes)
+    return b"".join(parts)
 
 
 def decode_stream(data: bytes | memoryview) -> Iterator[KeyValue]:
     """Decode all records from :func:`encode_stream` output (``bytes`` or
-    ``memoryview`` — views decode in place)."""
-    offset = 0
-    while offset < len(data):
-        record, offset = decode_record(data, offset)
-        yield record
+    ``memoryview`` — views decode in place).
+
+    The A side's per-record kernel: ``str`` / ``None`` / ``int`` fields
+    are built straight off the slice, every other tag goes through
+    :func:`_decode_field` — one generator resume per record, no helper
+    frames.  A stream cut off a record boundary raises ``ValueError``.
+    """
+    unpack, header, general = _LEN.unpack_from, _LEN.size, _decode_field
+    new, end, offset = tuple.__new__, len(data), 0
+    while offset < end:
+        start = offset + header
+        if start > end:
+            raise _truncated(offset, header, end - offset)
+        key_len, value_len = unpack(data, offset)
+        middle = start + key_len
+        stop = middle + value_len
+        if stop > end:
+            raise _truncated(offset, stop - offset, end - offset)
+        if key_len and data[start] == _T_STR:
+            key = str(data[start + 1:middle], "utf-8")
+        else:
+            key = general(data[start:middle])
+        tag = data[middle] if value_len else 0
+        if tag == _T_NONE:
+            value = None
+        elif tag == _T_INT:
+            value = int(bytes(data[middle + 1:stop]))
+        elif tag == _T_STR:
+            value = str(data[middle + 1:stop], "utf-8")
+        else:
+            value = general(data[middle:stop])
+        yield new(KeyValue, (key, value))
+        offset = stop

@@ -1,6 +1,7 @@
 """O-side partitioned send buffers — the pipelining half of DataMPI.
 
-Each O task keeps one buffer per destination A task.  When a buffer
+Each O task keeps one buffer per destination A task, charged per record
+by ``record_size`` (nothing is encoded until the flush).  When a buffer
 exceeds the send threshold it is *flushed*: sorted by key (DataMPI
 delivers key-ordered data to A tasks), optionally run through a combiner,
 encoded, and sent immediately — while the O task keeps computing.  This
@@ -17,6 +18,7 @@ does not translate into per-chunk descriptor traffic.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.common.errors import DataMPIError
@@ -59,9 +61,10 @@ class PartitionedSendBuffer:
     def add(self, destination: int, key: Any, value: Any) -> None:
         """Buffer one record; flush the destination if over threshold."""
         self._records[destination].append((key, value))
-        self._bytes[destination] += record_size(key, value)
+        buffered = self._bytes[destination] + record_size(key, value)
+        self._bytes[destination] = buffered
         self.records_buffered += 1
-        if self._bytes[destination] >= self._threshold:
+        if buffered >= self._threshold:
             self.flush(destination)
 
     def flush(self, destination: int) -> None:
@@ -70,7 +73,7 @@ class PartitionedSendBuffer:
         if not records:
             return
         if self._sort:
-            records.sort(key=lambda kv: kv[0])
+            records.sort(key=itemgetter(0))
         if self._combiner is not None:
             records = self._combine(records)
         payload = encode_stream(records)

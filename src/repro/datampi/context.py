@@ -10,6 +10,7 @@ is enabled) and returns its output.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Any, Iterator
 
 from repro.common.errors import CommunicatorError
@@ -37,6 +38,7 @@ class OContext:
     ):
         self._bcomm = bcomm
         self._partitioner = partitioner or hash_partitioner
+        self._num_a = bcomm.num_a
         self._closed = False
         #: Rank-lifetime KV cache (iteration/streaming modes); None in
         #: run-once jobs, whose ranks do not outlive a single superstep.
@@ -76,9 +78,10 @@ class OContext:
         """Emit one key-value pair toward its A task (pipelined)."""
         if self._closed:
             raise CommunicatorError("send after O context was closed")
-        destination = validate_partition(
-            self._partitioner(key, self._bcomm.num_a), self._bcomm.num_a
-        )
+        num_a = self._num_a
+        destination = self._partitioner(key, num_a)
+        if not 0 <= destination < num_a:
+            validate_partition(destination, num_a)  # raises its message
         self._buffer.add(destination, key, value)
 
     def close(self) -> None:
@@ -181,7 +184,7 @@ class AContext:
         cost), preserving first-seen key order.
         """
         if self._sort:
-            for key, group in itertools.groupby(self, key=lambda kv: kv.key):
+            for key, group in itertools.groupby(self, key=itemgetter(0)):
                 yield key, [record.value for record in group]
         else:
             table: dict[Any, list[Any]] = {}

@@ -6,22 +6,25 @@ read it locally.  The :class:`ChunkStore` accumulates the sorted chunks
 sent by O tasks; payloads live in a :class:`~repro.storage.spill.SpillStore`
 whose budget is the spill threshold, so when the buffered total exceeds
 it the least-recently-received chunks move to mmap-backed segment files
-and stream back lazily during the merge.  The merged iterator is a k-way
-merge (``heapq.merge``) over all chunks, yielding records in global key
-order when sorting is enabled.
+and stream back lazily during the merge.  The merged iterator yields
+records in global key order when sorting is enabled: one stable sort of
+the concatenated chunks when nothing spilled, a lazy k-way merge
+(``heapq.merge``) as soon as any chunk did.
 
 Chunks carry an *origin* — ``(source O rank, per-source sequence)`` — and
-the merge always visits chunks in origin order.  ``heapq.merge`` breaks
-key ties by iterator position, so without a canonical order the output
-for equal keys (and any floating-point reduction over it) would depend on
-chunk *arrival* order, which true multiprocess transports cannot
-guarantee.  With origins, every transport backend produces byte-identical
-output — whether a given chunk happened to spill or not.
+both paths visit chunks in origin order.  A stable sort and
+``heapq.merge`` alike break key ties by position, so without a canonical
+order the output for equal keys (and any floating-point reduction over
+it) would depend on chunk *arrival* order, which true multiprocess
+transports cannot guarantee.  With origins, every transport backend
+produces byte-identical output — whether a given chunk spilled or not.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from operator import itemgetter
 from typing import Iterator
 
 from repro.common.kv import KeyValue, decode_stream
@@ -59,36 +62,34 @@ class ChunkStore:
             self._auto_sequence += 1
         self._spill.put(origin, chunk)
 
-    def chunk_iterators(self) -> list[Iterator[KeyValue]]:
-        """One decoding iterator per stored chunk, in origin order.
-
-        Spilled chunks decode lazily out of their mapped segment during
-        the merge, so a dataset that spilled precisely because it outgrew
-        memory is not fully materialized as records; resident chunks are
-        decoded eagerly.  Every chunk decodes through a ``memoryview`` so
-        record fields are sliced in place instead of copied (leaf values
-        still materialise as ordinary objects — no view outlives the
-        decode).
-        """
-        iterators: list[Iterator[KeyValue]] = []
-        for origin in sorted(self._spill.keys()):
-            view = self._spill.get(origin)
-            if self._spill.is_spilled(origin):
-                iterators.append(decode_stream(view))
-            else:
-                iterators.append(iter(list(decode_stream(view))))
-        return iterators
-
     def merged(self, sort: bool = True) -> Iterator[KeyValue]:
         """Iterate all records; in global key order when ``sort`` is true.
 
         Key ties break by chunk origin, so the stream is identical no
         matter in which order chunks arrived (or which of them spilled).
+        A store that never spilled decodes every chunk into one list and
+        sorts it once: Timsort finds the presorted runs, and a stable
+        sort of the origin-ordered concatenation breaks ties exactly as
+        ``heapq.merge`` does by iterator position.  With any chunk
+        spilled the merge stays lazy — spilled chunks decode out of their
+        mapped segment as it advances, so a dataset that spilled because
+        it outgrew memory is never materialized as records.  Every chunk
+        decodes through a ``memoryview`` (no view outlives the decode).
         """
-        iterators = self.chunk_iterators()
+        spill = self._spill
+        origins = sorted(spill.keys())
+        chunks = [decode_stream(spill.get(origin)) for origin in origins]
+        spilled = [spill.is_spilled(origin) for origin in origins]
+        if not any(spilled):
+            records = list(itertools.chain.from_iterable(chunks))
+            if sort:
+                records.sort(key=itemgetter(0))
+            return iter(records)
+        iterators = [chunk if lazy else iter(list(chunk))
+                     for lazy, chunk in zip(spilled, chunks)]
         if sort:
-            return heapq.merge(*iterators, key=lambda kv: kv.key)
-        return (record for iterator in iterators for record in iterator)
+            return heapq.merge(*iterators, key=itemgetter(0))
+        return itertools.chain.from_iterable(iterators)
 
     def raw_chunks(self) -> list[bytes]:
         """All encoded chunks in origin order (spilled chunks are read

@@ -1,5 +1,10 @@
 """Unit and property tests for the key-value record codec."""
 
+import random
+import struct
+import sys
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +17,7 @@ from repro.common.kv import (
     encode_stream,
     record_size,
 )
+from repro.datampi.partition import hash_partitioner
 
 fields = st.one_of(
     st.text(max_size=40),
@@ -89,3 +95,299 @@ class TestRecordSize:
     @given(fields, fields)
     def test_size_positive(self, key, value):
         assert record_size(key, value) >= 8
+
+
+# ---------------------------------------------------------------------------
+# Reference codec: the general, one-helper-call-per-field implementation the
+# exact-type kernels in ``repro.common.kv`` replaced.  Kept here, whole and
+# independent of the module under test, so the differential properties below
+# compare the kernels with something they cannot share a bug with.
+# ---------------------------------------------------------------------------
+
+_REF_LEN = struct.Struct(">II")
+_REF_ITEM = struct.Struct(">I")
+
+
+def _ref_field_size(obj):
+    if isinstance(obj, (bytes, bytearray)):
+        return len(obj)
+    if isinstance(obj, memoryview):
+        return obj.nbytes
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8"))
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, (int, float)):
+        return 8
+    if obj is None:
+        return 0
+    if isinstance(obj, (list, tuple)):
+        return sum(_ref_field_size(item) for item in obj) + 4
+    if isinstance(obj, dict):
+        return sum(_ref_field_size(k) + _ref_field_size(v)
+                   for k, v in obj.items()) + 4
+    return len(repr(obj))
+
+
+def _ref_encode_items(items):
+    out = bytearray()
+    for item in items:
+        encoded = _ref_encode_field(item)
+        out += _REF_ITEM.pack(len(encoded)) + encoded
+    return bytes(out)
+
+
+def _ref_encode_field(obj):
+    if isinstance(obj, bytes):
+        return b"B" + obj
+    if isinstance(obj, str):
+        return b"S" + obj.encode("utf-8")
+    if isinstance(obj, bool):
+        return b"T" if obj else b"F"
+    if isinstance(obj, int):
+        return b"I" + str(obj).encode("ascii")
+    if isinstance(obj, float):
+        return b"D" + struct.pack(">d", obj)
+    if obj is None:
+        return b"N"
+    if isinstance(obj, tuple):
+        return b"U" + _ref_encode_items(obj)
+    if isinstance(obj, list):
+        return b"L" + _ref_encode_items(obj)
+    if isinstance(obj, dict):
+        return b"M" + _ref_encode_items(
+            item for pair in obj.items() for item in pair)
+    raise TypeError(f"cannot encode field of type {type(obj).__name__}")
+
+
+def _ref_decode_items(payload):
+    items, offset = [], 0
+    while offset < len(payload):
+        (length,) = _REF_ITEM.unpack_from(payload, offset)
+        offset += _REF_ITEM.size
+        items.append(_ref_decode_field(payload[offset:offset + length]))
+        offset += length
+    return items
+
+
+def _ref_decode_field(data):
+    tag, payload = bytes(data[:1]), data[1:]
+    if tag == b"B":
+        return bytes(payload)
+    if tag == b"S":
+        return str(payload, "utf-8")
+    if tag in (b"T", b"F"):
+        return tag == b"T"
+    if tag == b"I":
+        return int(bytes(payload))
+    if tag == b"D":
+        return struct.unpack(">d", payload)[0]
+    if tag == b"N":
+        return None
+    if tag == b"U":
+        return tuple(_ref_decode_items(payload))
+    if tag == b"L":
+        return _ref_decode_items(payload)
+    if tag == b"M":
+        flat = _ref_decode_items(payload)
+        return dict(zip(flat[0::2], flat[1::2]))
+    raise ValueError(f"unknown field tag {tag!r}")
+
+
+def _ref_encode_record(key, value):
+    key_bytes, value_bytes = _ref_encode_field(key), _ref_encode_field(value)
+    return _REF_LEN.pack(len(key_bytes), len(value_bytes)) + key_bytes + value_bytes
+
+
+def _ref_encode_stream(records):
+    return b"".join(_ref_encode_record(key, value) for key, value in records)
+
+
+def _ref_decode_stream(data):
+    offset = 0
+    while offset < len(data):
+        key_len, value_len = _REF_LEN.unpack_from(data, offset)
+        start = offset + _REF_LEN.size
+        offset = start + key_len + value_len
+        yield KeyValue(_ref_decode_field(data[start:start + key_len]),
+                       _ref_decode_field(data[start + key_len:offset]))
+
+
+class Word(str):
+    """A ``str`` subclass: must take the general chain, not the exact-type
+    front, and still encode as a plain string."""
+
+
+#: Leaves the ``fields`` strategy does not reach: non-ASCII and astral
+#: text, a str subclass, ints beyond 64 bits.  ``fields`` already draws
+#: ``True`` next to ``1`` and negative ints.
+leaves = st.one_of(
+    fields,
+    st.text(alphabet="aé中\U0001F600\U00010348", max_size=12),
+    st.text(max_size=8).map(Word),
+    st.sampled_from([2**70, -(2**70), 1, True, 0, False]),
+)
+hashable_leaves = st.one_of(
+    st.text(max_size=8), st.integers(), st.booleans(), st.none(),
+    st.binary(max_size=8),
+)
+values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(hashable_leaves, inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+record_lists = st.lists(st.tuples(leaves, values), max_size=12)
+
+
+def _same(decoded, reference):
+    """Equal records of equal types: ``True == 1`` must not pass."""
+    return decoded == reference and repr(decoded) == repr(reference)
+
+
+class TestKernelsAgainstReference:
+    @given(record_lists)
+    def test_encode_bytes_equal_reference(self, records):
+        assert encode_stream(records) == _ref_encode_stream(records)
+        assert encode_stream(iter(records)) == _ref_encode_stream(records)
+        for key, value in records:
+            assert encode_record(key, value) == _ref_encode_record(key, value)
+
+    @given(record_lists)
+    def test_decode_equals_reference_over_bytes_and_views(self, records):
+        stream = _ref_encode_stream(records)
+        reference = list(_ref_decode_stream(stream))
+        for data in (stream, memoryview(stream)):
+            decoded = list(decode_stream(data))
+            assert _same(decoded, reference)
+            assert all(type(record) is KeyValue for record in decoded)
+            offset, singles = 0, []
+            while offset < len(stream):
+                record, offset = decode_record(data, offset)
+                singles.append(record)
+            assert _same(singles, reference)
+
+    @given(leaves, values)
+    def test_record_size_equals_reference(self, key, value):
+        assert record_size(key, value) == (
+            8 + _ref_field_size(key) + _ref_field_size(value))
+        view = memoryview(b"abcdef")
+        assert record_size(view, bytearray(b"xy")) == 8 + 6 + 2
+
+    def test_hash_partitioner_unchanged(self):
+        pinned = {"word": 1672872424, "h\u00e9llo": 1278500628,
+                  "\U0001F600": 2020677715, 2**70: 2942373536,
+                  True: 193789234}
+        for key, crc in pinned.items():
+            assert zlib.crc32(encode_record(key, None)) == crc
+            assert hash_partitioner(key, 7) == crc % 7
+        rng = random.Random(17)
+        alphabet = "abcxyz \u00e9\u4e2d\U0001F600"
+        for index in range(1000):
+            key = rng.choice([
+                "".join(rng.choice(alphabet) for _ in range(rng.randrange(12))),
+                rng.randrange(-10**6, 10**6), rng.random(), index % 2 == 0,
+                (index, "k"), None, Word("w%d" % index),
+            ])
+            parts = rng.randrange(1, 9)
+            assert hash_partitioner(key, parts) == (
+                zlib.crc32(_ref_encode_record(key, None)) % parts)
+
+
+class TestTruncatedStream:
+    """A stream cut anywhere but a record boundary must raise — never
+    decode a short slice into a shortened string."""
+
+    RECORDS = [("hello", "world"), ("abc", "defghij"), ("k", 12345)]
+
+    def test_the_silent_case(self):
+        stream = encode_stream(self.RECORDS[:2])[:-3]
+        with pytest.raises(ValueError, match="truncated record at offset 20"):
+            list(decode_stream(stream))
+
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    def test_every_proper_prefix(self, wrap):
+        stream = encode_stream(self.RECORDS)
+        boundaries = {}
+        for count in range(len(self.RECORDS) + 1):
+            boundaries[len(encode_stream(self.RECORDS[:count]))] = count
+        whole = [KeyValue(*record) for record in self.RECORDS]
+        for cut in range(len(stream)):
+            data, seen = wrap(stream[:cut]), []
+            if cut in boundaries:
+                assert list(decode_stream(data)) == whole[:boundaries[cut]]
+                continue
+            with pytest.raises(ValueError, match="truncated record") as info:
+                for record in decode_stream(data):
+                    seen.append(record)
+            # Whole records before the tear are fine; nothing wrong after.
+            assert seen == whole[:len(seen)]
+            offset = len(encode_stream(self.RECORDS[:len(seen)]))
+            assert f"offset {offset}:" in str(info.value)
+            assert f"{cut - offset} remain" in str(info.value)
+            with pytest.raises(ValueError, match="truncated record"):
+                decode_record(data, offset)
+
+    def test_message_names_promised_and_remaining(self):
+        stream = encode_stream([("hello", "world")])
+        with pytest.raises(ValueError) as info:
+            decode_record(stream[:-1])
+        assert str(info.value) == (
+            "truncated record at offset 0: 20 bytes promised, 19 remain")
+        with pytest.raises(ValueError, match="8 bytes promised, 5 remain"):
+            decode_record(stream[:5])
+
+    def test_empty_field_still_rejected(self):
+        for stream in (struct.pack(">II", 0, 1) + b"N",
+                       struct.pack(">II", 2, 0) + b"Sk",
+                       struct.pack(">II", 0, 0)):
+            with pytest.raises(ValueError, match="unknown field tag b''"):
+                list(decode_stream(stream))
+            with pytest.raises(ValueError, match="unknown field tag b''"):
+                decode_record(stream)
+
+
+def _python_calls(function):
+    """Python-level ``call`` events (function entries and generator
+    resumes) while ``function`` runs — machine-independent, no timing."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestKernelsStayKernels:
+    """No per-record helper frame may come back: decoding costs one
+    generator resume per record, encoding no Python call at all."""
+
+    N = 10_000
+    CHUNKS = {
+        "str-none": [("line %06d of text" % i, None) for i in range(N)],
+        "str-int": [("word%d" % i, i) for i in range(N)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHUNKS))
+    def test_decode_is_one_resume_per_record(self, name):
+        view = memoryview(encode_stream(self.CHUNKS[name]))
+        decoded = []
+        calls = _python_calls(lambda: decoded.extend(decode_stream(view)))
+        assert len(decoded) == self.N
+        assert calls <= 1.1 * self.N
+
+    @pytest.mark.parametrize("name", sorted(CHUNKS))
+    def test_encode_makes_no_per_record_call(self, name):
+        records = self.CHUNKS[name]
+        assert _python_calls(lambda: encode_stream(records)) <= 50

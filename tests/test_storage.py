@@ -15,14 +15,17 @@ Four families of guarantees:
   with ``bytes_spilled > 0`` and no leaked segment files.
 """
 
+import heapq
 import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bigdatabench import TextGenerator
 from repro.common.errors import ConfigError, DataMPIError
-from repro.common.kv import encode_stream, record_size
+from repro.common.kv import KeyValue, decode_stream, encode_stream, record_size
 from repro.datampi import DataMPIConf
 from repro.experiments.matrix import execute_cell
 from repro.experiments.spec import CellSpec, ExperimentSpec
@@ -237,6 +240,90 @@ class TestChunkStoreSpill:
         store.add(b"0" * 64, origin=(0, 0))
         assert store.spilled_bytes == store.bytes_spilled > 0
         store.cleanup()
+
+
+@st.composite
+def _origin_stamped_chunks(draw):
+    """Key-sorted chunks with heavy key duplication and a distinct value
+    per record (so a tie broken the wrong way shows), each stamped with
+    an explicit origin, listed in a shuffled *arrival* order."""
+    runs = draw(st.lists(
+        st.lists(st.sampled_from("abcde"), max_size=6), min_size=1, max_size=6))
+    serial = iter(range(10_000))
+    chunks = [((index % 3, index // 3),
+               [(key, next(serial)) for key in sorted(run)])
+              for index, run in enumerate(runs)]
+    return draw(st.permutations(chunks))
+
+
+class TestMergeEquivalenceUnderSpill:
+    """One stable sort (nothing spilled) and the lazy k-way merge (any
+    spill) are the same function of the chunks and their origins."""
+
+    #: budget, then (spills, bytes_spilled) after the adds and
+    #: spill_reads after one merged() + one merged(sort=False) — read off
+    #: the parent of the PR that added the resident sort, same inputs.
+    PINNED = [(None, (0, 0), 0, 0), (1, (4, 117), 4, 8), (60, (2, 65), 2, 4)]
+    PINNED_CHUNKS = [
+        ((1, 0), [("a", 10), ("c", 11), ("c", 12)]),
+        ((0, 1), [("b", 20), ("c", 21)]),
+        ((0, 0), [("a", 30), ("a", 31), ("d", 32)]),
+        ((1, 1), [("c", 40)]),
+    ]
+
+    @staticmethod
+    def _filled(chunks, budget):
+        store = ChunkStore() if budget is None else ChunkStore(
+            spill_threshold=budget)
+        for origin, records in chunks:
+            store.add(encode_stream(records), origin=origin)
+        return store
+
+    @settings(deadline=None, max_examples=60)
+    @given(_origin_stamped_chunks())
+    def test_resident_all_spilled_some_spilled_and_oracle_agree(self, chunks):
+        encoded = sorted((origin, encode_stream(records))
+                         for origin, records in chunks)
+        runs = [list(decode_stream(payload)) for _origin, payload in encoded]
+        oracle = list(heapq.merge(*runs, key=lambda kv: kv[0]))
+        in_origin_order = [record for run in runs for record in run]
+        total = sum(len(payload) for _origin, payload in encoded)
+        for budget in (None, 1, max(1, total // 2)):
+            store = self._filled(chunks, budget)
+            try:
+                spilled = [origin for origin, _payload in encoded
+                           if store._spill.is_spilled(origin)]
+                before = (store.spills, store.bytes_spilled)
+                if budget == 1:
+                    assert len(spilled) == sum(
+                        1 for _origin, payload in encoded if payload)
+                merged = list(store.merged())
+                assert merged == oracle
+                assert all(type(record) is KeyValue for record in merged)
+                # One read per spilled chunk per pass, none for resident.
+                assert store.spill_reads == len(spilled)
+                assert list(store.merged(sort=False)) == in_origin_order
+                assert store.spill_reads == 2 * len(spilled)
+                assert (store.spills, store.bytes_spilled) == before
+            finally:
+                store.cleanup()
+
+    @pytest.mark.parametrize("budget, spilled, reads_once, reads_twice", PINNED)
+    def test_spill_counters_equal_the_parents(self, budget, spilled,
+                                              reads_once, reads_twice):
+        store = self._filled(self.PINNED_CHUNKS, budget)
+        try:
+            assert (store.spills, store.bytes_spilled) == spilled
+            assert [tuple(record) for record in store.merged()] == [
+                ("a", 30), ("a", 31), ("a", 10), ("b", 20), ("c", 21),
+                ("c", 11), ("c", 12), ("c", 40), ("d", 32)]
+            assert store.spill_reads == reads_once
+            assert [record.value for record in store.merged(sort=False)] == [
+                30, 31, 32, 20, 21, 10, 11, 12, 40]
+            assert store.spill_reads == reads_twice
+            assert (store.spills, store.bytes_spilled) == spilled
+        finally:
+            store.cleanup()
 
 
 class TestKVCacheAccounting:
