@@ -9,6 +9,14 @@ is the "data movement is pipelining with the computation overlapped in O
 tasks" design of Section 2.3, and it is why DataMPI's shuffle is largely
 complete by the time the O phase ends (Section 4.4's network analysis).
 
+With ``sort`` and a combiner the buffer *groups on arrival*: a
+destination holds ``{key: [values]}``, not ``(key, value)`` tuples, so a
+repeat of a buffered key costs a dict lookup and an append — no tuple, no
+slot in the flush sort, no turn of the combine scan.  Bytes are still
+charged per record, so flush boundaries and chunks are byte-identical to
+sort-then-combine.  The first unhashable key (a list) moves the buffer to
+the tuple path, which serves ``sort=False`` and combiner-less jobs as ever.
+
 Encoded chunks leave here as ``bytes`` and stay binary all the way to
 the A task: the transports move them verbatim (``FMT_RAW`` — never
 through pickle), and the shm backend coalesces chunks below its batch
@@ -24,14 +32,20 @@ from typing import Any, Callable
 from repro.common.errors import DataMPIError
 from repro.common.kv import encode_stream, record_size
 
-#: Default flush threshold per destination buffer (bytes of encoded data).
+#: Default flush threshold per destination buffer, in *pre-combine*
+#: ``record_size`` bytes: every record added counts, repeats included, so a
+#: "256 KiB" WordCount buffer ships ≈ 33 KB chunks.
 DEFAULT_SEND_BUFFER_BYTES = 256 * 1024
 
 Combiner = Callable[[Any, list[Any]], Any]
 
 
 class PartitionedSendBuffer:
-    """Per-destination buffering with threshold-triggered pipelined sends."""
+    """Per-destination buffering with threshold-triggered pipelined sends.
+
+    ``add``/``flush`` are the tuple path; ``sort`` + combiner binds the
+    grouping pair over them, once, at construction — no per-record test.
+    """
 
     def __init__(
         self,
@@ -57,6 +71,11 @@ class PartitionedSendBuffer:
         self.bytes_sent = 0
         self.chunks_sent = 0
         self.records_combined_away = 0
+        if sort and combiner is not None:
+            #: Per destination, ``{first-seen key: [values in arrival order]}``.
+            self._tables: list[dict[Any, list[Any]]] = [{} for _ in range(num_destinations)]
+            self.add = self._add_grouped
+            self.flush = self._flush_grouped
 
     def add(self, destination: int, key: Any, value: Any) -> None:
         """Buffer one record; flush the destination if over threshold."""
@@ -76,18 +95,68 @@ class PartitionedSendBuffer:
             records.sort(key=itemgetter(0))
         if self._combiner is not None:
             records = self._combine(records)
+        self._ship(destination, records)
+        self._records[destination] = []
+
+    def _ship(self, destination: int, records: list[tuple[Any, Any]]) -> None:
+        """The tail of every flush.  Nothing is counted or released unless
+        the send returns: a failed flush can be retried."""
         payload = encode_stream(records)
         self._send(destination, payload)
         self.records_sent += len(records)
         self.bytes_sent += len(payload)
         self.chunks_sent += 1
-        self._records[destination] = []
         self._bytes[destination] = 0
 
+    def _add_grouped(self, destination: int, key: Any, value: Any) -> None:
+        """``add``, filing the value under its key; charged ``record_size``
+        like any record, so flushes fall where the tuple path puts them."""
+        table = self._tables[destination]
+        try:
+            values = table.get(key)
+        except TypeError:  # unhashable key: this buffer cannot group
+            self._ungroup()
+            self.add(destination, key, value)
+            return
+        if values is None:
+            table[key] = [value]
+        else:
+            values.append(value)
+        buffered = self._bytes[destination] + record_size(key, value)
+        self._bytes[destination] = buffered
+        self.records_buffered += 1
+        if buffered >= self._threshold:
+            self._flush_grouped(destination)
+
+    def _flush_grouped(self, destination: int) -> None:
+        """``flush`` of a table: what a stable sort and ``_combine`` make of
+        the same records (first-seen key object, values in arrival order)."""
+        table = self._tables[destination]
+        if not table:
+            return
+        combiner = self._combiner
+        assert combiner is not None
+        records = [
+            (key, values[0] if len(values) == 1 else combiner(key, values))
+            for key, values in sorted(table.items(), key=itemgetter(0))
+        ]
+        self.records_combined_away += sum(map(len, table.values())) - len(records)
+        self._ship(destination, records)
+        self._tables[destination] = {}
+
+    def _ungroup(self) -> None:
+        """Hand every table to the tuple path, for good.  Each key's arrival
+        order survives, which is all the flush's stable sort keeps."""
+        self._records = [
+            [(key, value) for key, values in table.items() for value in values]
+            for table in self._tables
+        ]
+        del self._tables, self.add, self.flush  # the class's own pair again
+
     def _combine(self, records: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
-        """Apply the combiner to runs of equal keys (records must be sorted,
-        or at least grouped; without sorting the combiner still reduces any
-        adjacent duplicates, mirroring a best-effort combiner)."""
+        """Apply the combiner to runs of equal keys: ``sort=False`` or an
+        unhashable key (records must be sorted, or at least grouped; without
+        sorting the combiner still reduces any adjacent duplicates)."""
         combined: list[tuple[Any, Any]] = []
         run_key: Any = None
         run_values: list[Any] = []

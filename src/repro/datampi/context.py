@@ -5,6 +5,10 @@ DataMPI's ``MPI_D_Send(key, value)`` / ``MPI_D_Recv()``.  An O task is a
 function ``o_task(ctx, split)`` that emits key-value pairs; an A task is
 a function ``a_task(ctx)`` that consumes them (in key order when sorting
 is enabled) and returns its output.
+
+A partitioner must be a pure function of ``(key, num_a)`` — equal keys
+have to meet at one A task — and under a combiner ``OContext`` relies on
+it: a key is routed once per buffer window, not once per record.
 """
 
 from __future__ import annotations
@@ -23,7 +27,11 @@ from repro.storage import ChunkStore, KVCache
 
 
 class OContext:
-    """Context handed to O tasks; ``send`` is the MPI_D_Send equivalent."""
+    """Context handed to O tasks; ``send`` is the MPI_D_Send equivalent.
+
+    ``send`` routes every record; a combiner (a job that expects repeated
+    keys) binds ``_send_remembering`` over it, once, at construction.
+    """
 
     def __init__(
         self,
@@ -40,6 +48,11 @@ class OContext:
         self._partitioner = partitioner or hash_partitioner
         self._num_a = bcomm.num_a
         self._closed = False
+        #: Where each key of the current buffer window went; emptied at
+        #: every flushed chunk, so it never outgrows the send buffers.
+        self._routes: dict[Any, int] = {}
+        if combiner is not None:
+            self.send = self._send_remembering
         #: Rank-lifetime KV cache (iteration/streaming modes); None in
         #: run-once jobs, whose ranks do not outlive a single superstep.
         self.cache = cache
@@ -54,7 +67,10 @@ class OContext:
         # chunks may already be in flight, before the EOFs — which is the
         # window where a death leaves peers mid-protocol.  Per-chunk (not
         # per-record) keeps the hot send path untouched.
+        routes = self._routes  # not ``self``: a combiner-less context stays acyclic
+
         def chunk_sink(a_index: int, payload: bytes) -> None:
+            routes.clear()
             faultinject.fire(
                 "shuffle", rank=bcomm.comm.rank, superstep=superstep
             )
@@ -84,6 +100,28 @@ class OContext:
             validate_partition(destination, num_a)  # raises its message
         self._buffer.add(destination, key, value)
 
+    def _send_remembering(self, key: Any, value: Any) -> None:
+        """``send`` with one partitioner call per distinct key per buffer
+        window.  Only a key whose *exact* type is ``str``, ``int`` or
+        ``bytes`` is remembered: for those ``==`` means the same encoding,
+        hence the same hash partition.  ``1``, ``True`` and ``1.0`` are equal
+        but encode, so may route, differently; they, tuples, subclasses and
+        unhashable keys are routed on every send.  A route is stored only
+        once it is known to be in range."""
+        if self._closed:
+            raise CommunicatorError("send after O context was closed")
+        kind = type(key)
+        remembered = kind is str or kind is int or kind is bytes
+        destination = self._routes.get(key) if remembered else None
+        if destination is None:
+            num_a = self._num_a
+            destination = self._partitioner(key, num_a)
+            if not 0 <= destination < num_a:
+                validate_partition(destination, num_a)  # raises its message
+            if remembered:
+                self._routes[key] = destination
+        self._buffer.add(destination, key, value)
+
     def close(self) -> None:
         """Flush remaining buffers and signal EOF to every A task.
 
@@ -97,6 +135,7 @@ class OContext:
         try:
             self._buffer.flush_all()
         finally:
+            self._routes.clear()
             self._bcomm.send_eof()
             self._closed = True
 
@@ -180,17 +219,26 @@ class AContext:
         """Iterate ``(key, [values])`` groups.
 
         With sorting enabled this streams ``itertools.groupby`` runs; with
-        sorting disabled it must accumulate a dictionary (documented memory
-        cost), preserving first-seen key order.
+        sorting disabled it must accumulate every group (documented memory
+        cost), preserving first-seen key order: hashable keys through a
+        dict, an unhashable one (a list is a wire type) by an equality scan.
         """
         if self._sort:
             for key, group in itertools.groupby(self, key=itemgetter(0)):
                 yield key, [record.value for record in group]
         else:
-            table: dict[Any, list[Any]] = {}
-            for record in self:
-                table.setdefault(record.key, []).append(record.value)
-            yield from table.items()
+            groups: list[tuple[Any, list[Any]]] = []
+            index: dict[Any, list[Any]] = {}
+            for key, value in self:
+                fresh: list[Any] = []
+                try:
+                    values = index.setdefault(key, fresh)
+                except TypeError:
+                    values = next((held for seen, held in groups if seen == key), fresh)
+                if values is fresh:
+                    groups.append((key, values))
+                values.append(value)
+            yield from groups
 
     @property
     def counters(self) -> dict[str, int]:

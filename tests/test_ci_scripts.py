@@ -1,8 +1,10 @@
-"""The CI gate scripts: report determinism diff + benchmark baseline check."""
+"""The CI gate scripts: report determinism diff + benchmark baseline check,
+and the parent/change pair runner a gain claim is measured with."""
 
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ def _load(name: str):
 
 diff_reports = _load("diff_reports")
 check_bench = _load("check_bench_regression")
+bench_pairs = _load("bench_pairs")
 
 
 class TestDiffReports:
@@ -234,3 +237,158 @@ class TestCheckBenchRegression:
         baseline_path.write_text(json.dumps(self.BASELINE))
         assert check_bench.main(
             [str(report_path), "--baseline", str(baseline_path)]) == 1
+
+
+# A stand-in for ``python3 -m bench run``: logs which tree ran, then
+# prints the next canned ``[exit code, final object]`` of its tree.
+FAKE_BENCH = """
+import json, pathlib, sys
+tree = pathlib.Path.cwd()
+with open(tree.parent / "order.log", "a") as log:
+    log.write(tree.name + " " + " ".join(sys.argv[1:]) + "\\n")
+canned = json.loads((tree / "canned.json").read_text())
+done = tree / "done"
+index = int(done.read_text()) if done.exists() else 0
+done.write_text(str(index + 1))
+code, result = canned[index % len(canned)]
+print("machine nproc=2 python=3.11 platform=test")
+print("machine speed factor                 1.250000        (informational)")
+if result is not None:
+    print(json.dumps(result))
+sys.exit(code)
+"""
+
+
+def _result(failed=0, **metrics):
+    return {"correct": not failed, "attempted": 10, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "s"}
+                        for name, value in metrics.items()}}
+
+
+class TestBenchPairs:
+    BENCHMARK = {
+        "command": [sys.executable, "fake_bench.py"],
+        "paths": ["bench"],
+        "run_seconds": 10,
+        "workloads": [{"name": "w1", "why": ""}, {"name": "w2", "why": ""}],
+        "end_to_end": [
+            {"name": "job_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "bytes_moved", "unit": "bytes", "better": "lower", "bound": 0.15},
+        ],
+        "per_layer": [{"name": "kv.encode_s", "unit": "s", "better": "lower"}],
+    }
+
+    def trees(self, tmp_path, parent, change):
+        """Two fake checkouts whose runs print ``parent`` / ``change``."""
+        for side, canned in (("parent", parent), ("change", change)):
+            tree = tmp_path / side
+            tree.mkdir()
+            (tree / "BENCHMARK.json").write_text(json.dumps(self.BENCHMARK))
+            (tree / "fake_bench.py").write_text(FAKE_BENCH)
+            (tree / "canned.json").write_text(json.dumps(canned))
+        return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                "--out", str(tmp_path / "BENCH_0.json")]
+
+    def test_alternates_which_side_goes_first(self, tmp_path):
+        ok = [[0, _result(job_s=1.0, bytes_moved=5.0)]]
+        argv = self.trees(tmp_path, ok, ok)
+        assert bench_pairs.main(
+            argv + ["--workload", "w1,w2", "--seed", "7", "--pairs", "3"]) == 0
+        order = (tmp_path / "order.log").read_text().splitlines()
+        assert [line.split()[0] for line in order] == [
+            "parent", "change", "change", "parent", "parent", "change",  # w1
+            "change", "parent", "parent", "change", "change", "parent",  # w2
+        ]
+        assert order[0] == "parent --workload w1 --seed 7 --seconds 10 --trace 0"
+        assert order[-1] == "parent --workload w2 --seed 7 --seconds 10 --trace 0"
+        assert (tmp_path / "change" / "BENCHMARK.json").read_text() == json.dumps(
+            self.BENCHMARK)  # read, never written
+
+    def test_rows_and_verdicts(self, tmp_path):
+        parent = [[0, _result(job_s=value, bytes_moved=5.0)]
+                  for value in (1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01)]
+        change = [[0, _result(job_s=value, bytes_moved=5.0)]
+                  for value in (0.70, 0.72, 0.71, 0.69, 0.70, 0.73, 0.70, 0.71, 0.70, 0.72)]
+        argv = self.trees(tmp_path, parent, change)
+        assert bench_pairs.main(
+            argv + ["--workload", "w1", "--seed", "7", "--pairs", "10"]) == 0
+        document = json.loads((tmp_path / "BENCH_0.json").read_text())
+        assert document["command"] == self.BENCHMARK["command"]
+        [section] = document["sections"]
+        assert (section["seed"], section["trace"], section["pairs"]) == (7, 0, 10)
+        entry = section["workloads"]["w1"]
+        assert len(entry["runs"]) == 20
+        assert entry["runs"][0]["informational"] == {"machine speed factor": 1.25}
+        assert entry["runs"][0]["machine"] == "nproc=2 python=3.11 platform=test"
+        assert entry["summary"]["operations"] == {
+            "parent": {"failed": 0, "attempted": 100},
+            "change": {"failed": 0, "attempted": 100}}
+        job_s = entry["summary"]["metrics"]["job_s"]
+        assert job_s["verdict"] == "improved"
+        assert job_s["wins"] == {"parent": 0, "change": 10}
+        assert job_s["parent"]["median"] == 1.0 and job_s["change"]["median"] == 0.705
+        assert job_s["delta"]["base"] == 1.0
+        assert job_s["delta"]["ratio"] == pytest.approx(-0.295)
+        assert job_s["bound"] == 0.25 and job_s["every_change_run_better"]
+        moved = entry["summary"]["metrics"]["bytes_moved"]
+        assert moved["exactly_equal"] and moved["verdict"] == "inside-bound"
+        assert moved["wins"] == {"parent": 0, "change": 0}  # ties are nobody's
+
+    STEADY = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    NOISY = [1.0, 1.4, 0.8, 1.2, 0.7, 1.3, 1.0, 1.5, 0.9, 1.1]
+
+    @pytest.mark.parametrize("parent, change, verdict", [
+        (STEADY, [1.3] * 10, "worse"),
+        (STEADY, [1.1, 0.9] * 5, "inside-bound"),
+        (NOISY, [1.1, 0.9] * 5, "unresolved"),
+        (NOISY, [0.5] * 10, "improved"),
+        (STEADY, [0.9] * 9 + [1.2], "improved"),  # nine of ten
+        (STEADY, [0.9] * 8 + [1.2] * 2, "inside-bound"),  # eight of ten
+        # ten pairs make a claim; three wins of three do not
+        (STEADY[:3], [0.5] * 3, "inside-bound"),
+        # a median gap inside the parent's own spread is not a gain
+        (NOISY, [v - 0.05 for v in NOISY], "unresolved"),
+    ])
+    def test_verdict_table(self, parent, change, verdict):
+        assert bench_pairs.summarize(parent, change, "lower", 0.25)["verdict"] == verdict
+        # The same readings of a higher-is-better metric, mirrored.
+        mirrored = bench_pairs.summarize(
+            [-v for v in parent], [-v for v in change], "higher", 0.25)
+        assert mirrored["verdict"] == verdict
+        assert bench_pairs.summarize(parent, change, "lower", None)["verdict"] is None
+
+    def test_failed_run_exits_nonzero_and_is_kept(self, tmp_path):
+        ok = [[0, _result(job_s=1.0, bytes_moved=5.0)]]
+        change = [[0, _result(job_s=1.0, bytes_moved=5.0)],
+                  [1, _result(failed=2, job_s=1.0, bytes_moved=5.0)],
+                  [3, None]]
+        argv = self.trees(tmp_path, ok, change)
+        assert bench_pairs.main(
+            argv + ["--workload", "w1", "--seed", "1", "--pairs", "3"]) == 1
+        entry = json.loads((tmp_path / "BENCH_0.json").read_text()
+                           )["sections"][0]["workloads"]["w1"]
+        assert [run["exit_code"] for run in entry["runs"] if run["side"] == "change"] \
+            == [0, 1, 3]
+        assert entry["summary"]["operations"]["change"] == {"failed": 2, "attempted": 20}
+        assert len(entry["summary"]["metrics"]["job_s"]["change"]["runs"]) == 2
+
+    def test_sections_accumulate_and_ladder_rungs_have_no_verdict(self, tmp_path):
+        ok = [[0, _result(**{"job_s": 1.0, "bytes_moved": 5.0, "kv.encode_s": 0.1})]]
+        argv = self.trees(tmp_path, ok, ok)
+        assert bench_pairs.main(
+            argv + ["--workload", "w1", "--seed", "1", "--pairs", "1"]) == 0
+        assert bench_pairs.main(
+            argv + ["--workload", "w2", "--seed", "2", "--pairs", "1", "--trace", "1"]) == 0
+        first, second = json.loads(
+            (tmp_path / "BENCH_0.json").read_text())["sections"]
+        assert list(first["workloads"]) == ["w1"] and list(second["workloads"]) == ["w2"]
+        assert list(second["workloads"]["w2"]["summary"]["metrics"]) == ["kv.encode_s"]
+        assert second["workloads"]["w2"]["summary"]["metrics"]["kv.encode_s"][
+            "verdict"] is None
+        assert (tmp_path / "order.log").read_text().splitlines()[-1].endswith("--trace 1")
+
+    def test_unknown_workload_is_a_usage_error(self, tmp_path):
+        argv = self.trees(tmp_path, [], [])
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv + ["--workload", "nope", "--seed", "1", "--pairs", "1"])
+        assert exit_info.value.code == 2

@@ -124,6 +124,36 @@ class TestRecvAPI:
         assert [(kv.key, kv.value) for kv in result.outputs[0]] == [("only", 1)]
 
 
+class TestGroupedWithoutSort:
+    """``grouped()`` under ``sort=False``: first-seen key order, and a list
+    key — a wire type no dict can hold — is grouped like any other."""
+
+    @staticmethod
+    def run(records, **conf_kwargs):
+        def o_task(ctx, split):
+            for key, value in split:
+                ctx.send(key, value)
+
+        conf = DataMPIConf(num_o=1, num_a=1, sort=False, transport="inline",
+                           **conf_kwargs)
+        job = DataMPIJob(o_task, lambda ctx: list(ctx.grouped()), conf)
+        return job.run([records]).outputs[0]
+
+    def test_list_keys(self):
+        records = [([1], 1), ([2], 2), ([1], 3), ([], 4), ([2], 5)]
+        assert self.run(records) == [([1], [1, 3]), ([2], [2, 5]), ([], [4])]
+
+    def test_list_keys_among_str_keys(self):
+        records = [("b", 1), ([1], 2), ("a", 3), ("b", 4), ([1], 5), ([0], 6)]
+        assert self.run(records) == [
+            ("b", [1, 4]), ([1], [2, 5]), ("a", [3]), ([0], [6])]
+
+    def test_list_keys_under_a_combiner(self):
+        records = [("b", 1), ("b", 2), ([1], 3), ([1], 4), ("b", 5)]
+        grouped = self.run(records, combiner=lambda key, values: sum(values))
+        assert grouped == [("b", [3, 5]), ([1], [7])]
+
+
 class TestSpillingJob:
     def test_large_job_spills_and_stays_correct(self):
         n = 3000

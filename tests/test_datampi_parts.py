@@ -1,13 +1,16 @@
 """Unit tests for DataMPI building blocks: partitioners, buffers, store."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common import DataMPIError
+from repro.bigdatabench import TextGenerator
+from repro.common import CommunicatorError, DataMPIError
 from repro.common.kv import KeyValue, decode_stream
 from repro.datampi import (
+    BipartiteComm,
     ChunkStore,
+    OContext,
     PartitionedSendBuffer,
     RangePartitioner,
     hash_partitioner,
@@ -200,3 +203,168 @@ class TestChunkStore:
     def test_invalid_threshold(self):
         with pytest.raises(DataMPIError):
             ChunkStore(spill_threshold=0)
+
+
+class RecordingComm:
+    """What ``BipartiteComm`` asks of a ``Comm`` on an O rank: its rank,
+    the world size, ``send``."""
+
+    rank = 0
+
+    def __init__(self, size):
+        self.size = size
+        self.sent: list[tuple[int, object, int]] = []
+        self.on_send = lambda: None
+
+    def send(self, dest, payload, tag):
+        self.on_send()
+        self.sent.append((dest, payload, tag))
+
+
+class CountingPartitioner:
+    calls = 0
+
+    def __call__(self, key, num_partitions):
+        self.calls += 1
+        return hash_partitioner(key, num_partitions)
+
+
+class ReferenceOContext:
+    """``OContext`` as it was before the route memo: every record goes
+    through the partitioner.  Same buffer, same communicator."""
+
+    def __init__(self, bcomm, *, partitioner, sort, combiner, send_buffer_bytes):
+        self._bcomm = bcomm
+        self._partitioner = partitioner
+        self._buffer = PartitionedSendBuffer(
+            bcomm.num_a, bcomm.send_chunk, sort=sort, combiner=combiner,
+            threshold_bytes=send_buffer_bytes)
+
+    def send(self, key, value):
+        num_a = self._bcomm.num_a
+        self._buffer.add(validate_partition(self._partitioner(key, num_a), num_a),
+                         key, value)
+
+    def close(self):
+        self._buffer.flush_all()
+        self._bcomm.send_eof()
+
+    counters = OContext.counters  # reads the buffer's counters, nothing else
+
+
+def sum_combiner(key, values):
+    return sum(values)
+
+
+def o_context(num_a, *, num_o=1, **kwargs):
+    comm = RecordingComm(size=num_o + num_a)
+    return OContext(BipartiteComm(comm, num_o, num_a), **kwargs), comm
+
+
+# Keys of one pool can be sorted together.  Each pool but the last two
+# holds keys that are ``==`` yet encode — and so hash-partition —
+# differently: the reason the memo looks at the exact type first.
+ROUTE_POOLS = [
+    [1, True, 1.0, 2, 0, False, 0.0, -0.0],
+    [("a", 1), ("a", 1.0), ("a", True), ("b", 0.0), ("b", -0.0)],
+    [b"a", b"b", b"", b"ab"],
+    [[1], [1, 2], [], [2]],
+    ["a", "b", "", "ab", "\u00e9"],
+]
+
+
+class TestRouteMemo:
+    def test_without_combiner_every_record_is_routed(self):
+        partitioner = CountingPartitioner()
+        ctx, _ = o_context(2, partitioner=partitioner)
+        for i in range(1000):
+            ctx.send(f"key{i % 10}", i)
+        ctx.close()
+        assert partitioner.calls == 1000
+        assert "send" not in vars(ctx)  # the class's own send, nothing bound over it
+
+    def test_one_route_per_distinct_key_per_window(self):
+        partitioner = CountingPartitioner()
+        ctx, _ = o_context(2, partitioner=partitioner, combiner=sum_combiner,
+                           send_buffer_bytes=4096)
+        for i in range(10_000):
+            ctx.send(f"key{i % 100:03d}", 1)
+        ctx.close()
+        chunks = ctx.counters["o.chunks_sent"]
+        assert chunks > 5
+        assert partitioner.calls <= 100 * (chunks + 1)
+
+    def test_bench_shaped_wordcount_budget(self):
+        """O rank 0 of 2 on the benchmark's seed-1 WordCount input: N
+        partitioner calls before the memo, about 0.22 N with it."""
+        lines = TextGenerator(seed=1).lines(24_000)
+        partitioner = CountingPartitioner()
+        ctx, _ = o_context(2, num_o=2, partitioner=partitioner,
+                           combiner=sum_combiner)
+        for line in lines[0::2]:
+            for word in line.split():
+                ctx.send(word, 1)
+        ctx.close()
+        emitted = ctx.counters["o.records_emitted"]
+        assert emitted > 100_000
+        assert ctx.counters["o.records_sent"] <= partitioner.calls <= 0.3 * emitted
+
+    def test_memo_lives_one_buffer_window(self):
+        ctx, comm = o_context(2, combiner=sum_combiner, send_buffer_bytes=256)
+        sizes_at_send = []
+        comm.on_send = lambda: sizes_at_send.append(len(ctx._routes))
+        ctx.send("word", 1)
+        assert ctx._routes == {"word": hash_partitioner("word", 2)}
+        for i in range(500):
+            ctx.send(f"key{i % 20}", 1)
+        assert ctx.counters["o.chunks_sent"] > 5
+        assert set(sizes_at_send) == {0}  # emptied before each chunk leaves
+        ctx.close()
+        assert ctx._routes == {}
+        with pytest.raises(CommunicatorError):
+            ctx.send("word", 1)
+
+    def test_memo_emptied_when_the_final_flush_never_reaches_the_wire(self):
+        def failing_combiner(key, values):
+            raise ValueError("combiner failed")
+
+        ctx, comm = o_context(1, combiner=failing_combiner)
+        ctx.send("word", 1)
+        ctx.send("word", 2)
+        with pytest.raises(ValueError, match="combiner failed"):
+            ctx.close()
+        assert ctx._routes == {}
+        assert len(comm.sent) == 1  # the EOF still flowed
+
+    def test_out_of_range_route_is_never_remembered(self):
+        ctx, _ = o_context(2, partitioner=lambda key, n: n, combiner=sum_combiner)
+        for _ in range(2):
+            with pytest.raises(DataMPIError, match="partitioner returned 2"):
+                ctx.send("word", 1)
+        assert ctx._routes == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pool=st.sampled_from(ROUTE_POOLS),
+        picks=st.lists(st.integers(min_value=0, max_value=7), max_size=80),
+        num_a=st.integers(min_value=1, max_value=4),
+        threshold=st.integers(min_value=1, max_value=400),
+        sort=st.booleans(),
+    )
+    @example(pool=ROUTE_POOLS[0], picks=[0, 2, 1, 0, 2], num_a=3, threshold=400,
+             sort=True)
+    def test_same_wire_as_routing_every_record(self, pool, picks, num_a, threshold, sort):
+        """Chunks, EOFs and counters equal a memo-free context's.  ``1``
+        and ``1.0`` (picks 0 and 2) are equal keys that hash to different
+        A tasks of three: a memo keyed by ``==`` alone fails here."""
+        outcomes = []
+        for cls in (OContext, ReferenceOContext):
+            comm = RecordingComm(size=1 + num_a)
+            ctx = cls(BipartiteComm(comm, 1, num_a), partitioner=hash_partitioner,
+                      sort=sort, combiner=lambda key, values: list(values),
+                      send_buffer_bytes=threshold)
+            for i, pick in enumerate(picks):
+                ctx.send(pool[pick % len(pool)], i)
+            ctx.close()
+            outcomes.append((comm.sent, ctx.counters))
+        assert outcomes[0] == outcomes[1]

@@ -8,12 +8,15 @@ Invariants under test:
   partition intervals cover the whole key space;
 * ``PartitionedSendBuffer`` delivers every record exactly once to the
   destination it was added for, preserving per-destination FIFO order of
-  flushes (chunk N's records were all added before chunk N+1's).
+  flushes (chunk N's records were all added before chunk N+1's);
+* a buffer that groups values per key on arrival (``sort`` + combiner)
+  sends exactly the chunks, and counts exactly the records, of the
+  sort-then-scan buffer it replaced (kept below as the reference).
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.kv import decode_stream
+from repro.common.kv import decode_stream, encode_stream, record_size
 from repro.datampi.buffers import PartitionedSendBuffer
 from repro.datampi.partition import (
     RangePartitioner,
@@ -174,3 +177,198 @@ class TestPartitionedSendBuffer:
         assert buffer.chunks_sent == len(chunks)
         assert buffer.bytes_sent == sum(len(chunk) for chunk in chunks)
         assert buffer.buffered_bytes == 0
+
+
+class ReferenceSendBuffer:
+    """The buffer as it was before grouping on arrival — tuple records, a
+    stable sort, a scan for runs of equal keys — kept as the reference the
+    real one must match chunk for chunk."""
+
+    def __init__(self, num_destinations, send, *, sort, combiner, threshold_bytes):
+        self._send = send
+        self._sort = sort
+        self._combiner = combiner
+        self._threshold = threshold_bytes
+        self._records = [[] for _ in range(num_destinations)]
+        self._bytes = [0] * num_destinations
+        self.records_buffered = 0
+        self.records_sent = 0
+        self.bytes_sent = 0
+        self.chunks_sent = 0
+        self.records_combined_away = 0
+
+    def add(self, destination, key, value):
+        self._records[destination].append((key, value))
+        self._bytes[destination] += record_size(key, value)
+        self.records_buffered += 1
+        if self._bytes[destination] >= self._threshold:
+            self.flush(destination)
+
+    def flush(self, destination):
+        records = self._records[destination]
+        if not records:
+            return
+        if self._sort:
+            records.sort(key=lambda record: record[0])
+        if self._combiner is not None:
+            records = self._combine(records)
+        payload = encode_stream(records)
+        self._send(destination, payload)
+        self.records_sent += len(records)
+        self.bytes_sent += len(payload)
+        self.chunks_sent += 1
+        self._records[destination] = []
+        self._bytes[destination] = 0
+
+    def _combine(self, records):
+        combined = []
+        run_key = None
+        run_values = []
+        for key, value in records:
+            if run_values and key == run_key:
+                run_values.append(value)
+            else:
+                if run_values:
+                    combined.append((run_key, self._apply(run_key, run_values)))
+                run_key, run_values = key, [value]
+        if run_values:
+            combined.append((run_key, self._apply(run_key, run_values)))
+        self.records_combined_away += len(records) - len(combined)
+        return combined
+
+    def _apply(self, key, values):
+        return values[0] if len(values) == 1 else self._combiner(key, values)
+
+    def flush_all(self):
+        for destination in range(len(self._records)):
+            self.flush(destination)
+
+    @property
+    def buffered_bytes(self):
+        return sum(self._bytes)
+
+
+def key_pool(elements, max_size=6):
+    return st.lists(elements, min_size=1, max_size=max_size)
+
+
+# One pool per stream, each of mutually comparable keys (a flush sorts
+# them), small so that most records repeat a key already buffered.
+# ``mixed_number_keys`` and ``tuple_keys`` hold keys that are equal yet
+# encode differently; a list key cannot be hashed at all, and in
+# ``partly_unhashable_keys`` the first such key may come mid-stream.
+mixed_number_keys = st.sampled_from([1, True, 1.0, 0, False, 0.0, -0.0, 2])
+tuple_keys = st.tuples(
+    st.sampled_from(["a", "b"]), st.sampled_from([1, 1.0, True, 2])
+)
+partly_unhashable_keys = st.sampled_from(
+    [("a", 1), ("a", 2), ("b", [0]), ("b", [1]), ("c", 3)]
+)
+key_pools = st.one_of(
+    key_pool(st.text(max_size=6)),
+    key_pool(st.integers(min_value=-5, max_value=5)),
+    key_pool(st.binary(max_size=4)),
+    key_pool(st.tuples(st.text(max_size=3), st.integers(min_value=0, max_value=3))),
+    key_pool(mixed_number_keys, max_size=8),
+    key_pool(tuple_keys),
+    key_pool(st.lists(st.integers(min_value=0, max_value=2), max_size=2)),
+    key_pool(st.floats(allow_nan=False)),
+)
+
+COMBINERS = {
+    "sum": lambda key, values: sum(values),
+    "list": lambda key, values: list(values),  # makes value order visible
+}
+
+
+@st.composite
+def duplicate_heavy_streams(draw, pools=key_pools):
+    """``(num_destinations, [(destination, key, value), ...])``."""
+    pool = draw(pools)
+    num_destinations = draw(st.integers(min_value=1, max_value=4))
+    # A drawn length: left to itself ``st.lists`` rarely gets past ten.
+    length = draw(st.integers(min_value=0, max_value=150))
+    records = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=num_destinations - 1),
+            st.sampled_from(pool),
+            st.integers(min_value=-100, max_value=100),
+        ),
+        min_size=length, max_size=length,
+    ))
+    return num_destinations, records
+
+
+COUNTERS = ("records_buffered", "records_sent", "bytes_sent", "chunks_sent",
+            "records_combined_away", "buffered_bytes")
+
+
+def run_both(num_destinations, records, *, combiner, threshold, sort=True):
+    """Feed one stream to the real buffer and to the reference; returns
+    ``(sink, counters)`` of each, counters read before and after
+    ``flush_all``."""
+    outcomes = []
+    for cls in (PartitionedSendBuffer, ReferenceSendBuffer):
+        sink: list[tuple[int, bytes]] = []
+        buffer = cls(
+            num_destinations, lambda dest, payload, sink=sink: sink.append((dest, payload)),
+            sort=sort, combiner=combiner, threshold_bytes=threshold,
+        )
+        for destination, key, value in records:
+            buffer.add(destination, key, value)
+        before = [getattr(buffer, name) for name in COUNTERS]
+        buffer.flush_all()
+        outcomes.append((sink, before, [getattr(buffer, name) for name in COUNTERS]))
+    return outcomes
+
+
+class TestGroupingMatchesSortThenCombine:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=duplicate_heavy_streams(),
+        threshold=st.integers(min_value=1, max_value=1000),
+        combiner=st.sampled_from(sorted(COMBINERS)),
+        sort=st.booleans(),
+    )
+    def test_same_chunks_and_counters(self, stream, threshold, combiner, sort):
+        """Byte for byte the same ``(destination, payload)`` sequence —
+        hence the same flush boundaries, first-seen key objects and value
+        order — and the same counters, mid-stream and at the end."""
+        num_destinations, records = stream
+        new, reference = run_both(
+            num_destinations, records,
+            combiner=COMBINERS[combiner], threshold=threshold, sort=sort,
+        )
+        assert new == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stream=duplicate_heavy_streams(key_pool(partly_unhashable_keys)),
+        threshold=st.integers(min_value=1, max_value=1000),
+    )
+    def test_same_when_grouping_ends_mid_stream(self, stream, threshold):
+        num_destinations, records = stream
+        new, reference = run_both(
+            num_destinations, records,
+            combiner=COMBINERS["list"], threshold=threshold,
+        )
+        assert new == reference
+
+    def test_list_key_after_other_destination_grouped(self):
+        """An unhashable key ends grouping for the whole buffer mid-stream;
+        what the other destination's table already held is not lost."""
+        records = [
+            (0, "b", 1), (0, "a", 2), (0, "b", 3),  # grouped in table 0
+            (1, [2], 4),  # unhashable: back to tuples, both destinations
+            (1, [1], 5), (1, [2], 6), (0, "a", 7), (0, "b", 8),
+        ]
+        new, reference = run_both(
+            2, records, combiner=COMBINERS["list"], threshold=10 ** 6)
+        assert new == reference
+        sink = new[0]
+        assert [(dest, [tuple(kv) for kv in decode_stream(payload)])
+                for dest, payload in sink] == [
+            (0, [("a", [2, 7]), ("b", [1, 3, 8])]),
+            (1, [([1], 5), ([2], [4, 6])]),
+        ]
+        assert new[2][COUNTERS.index("records_combined_away")] == 4
