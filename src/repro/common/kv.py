@@ -10,11 +10,20 @@ One record on the wire is a ``>II`` header (encoded key and value
 lengths) followed by the two fields, each one tag byte plus payload.
 The size/encode/decode kernels handle exact ``str``, ``None`` and ``int``
 inline; the general ``isinstance`` chains are the only fallback.
+
+A *chunk* (:func:`encode_stream`) is those records back to back — unless
+every key is exactly ``str`` and the values are all ``None`` or all exact
+64-bit ``int``.  Such a chunk ships as columns: a 7-byte header, the key
+lengths, the joined UTF-8 keys and the values, each column at the
+narrowest fixed width that holds it.  Only the data selects the layout,
+only this module knows it; :func:`decode_stream` reads it off the first byte.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate, chain, pairwise, repeat, starmap
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, NamedTuple
 
 
@@ -200,12 +209,72 @@ def decode_record(data: bytes | memoryview,
                     _decode_field(data[middle:stop])), stop
 
 
-def encode_stream(records: Iterable[tuple[Any, Any]]) -> bytes:
-    """Encode an iterable of ``(key, value)`` pairs into one byte string.
+#: First byte of a columnar chunk.  A record stream starts with the top
+#: byte of its first key's ``>I`` length, which :func:`encode_stream` keeps
+#: below this (it refuses a first key of 3 GiB or more).
+_MARKER = 0xC0
+#: Marker, key-length column code, value column code, record count.
+_HEAD = struct.Struct(">BBBI")
+#: Column code == bytes per number, narrowest first; value code 0 is no
+#: column at all: every value is ``None``.
+_LENGTH_COLUMNS = {1: "B", 2: "H", 4: "I"}
+_VALUE_COLUMNS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
-    The O side's per-record kernel: exact ``str`` / ``None`` / ``int``
-    fields are encoded inline, all others through :func:`_encode_field`.
+
+def _pack_column(numbers: list[int],
+                 columns: dict[int, str]) -> tuple[int, bytes] | None:
+    """``(width, column)`` at the narrowest width holding every number —
+    found by ``struct.pack`` refusing, not by a Python scan — else ``None``."""
+    for width, letter in columns.items():
+        try:
+            return width, struct.pack(f">{len(numbers)}{letter}", *numbers)
+        except struct.error:
+            continue
+    return None
+
+
+def _encode_columns(records: list[tuple[Any, Any]]) -> bytes | None:
+    """``records`` as a columnar chunk, or ``None`` unless they are all
+    ``(str, None)`` or all ``(str, 64-bit int)`` pairs.
+
+    Exact types only: a ``str`` subclass, ``bool`` or ``float`` that ``==``
+    a plain key or value may encode differently, so it keeps the record
+    stream.  C-level passes over the whole chunk, no per-record bytecode.
     """
+    if set(map(len, records)) != {2}:
+        return None  # the record stream's unpacking names the bad record
+    keys = list(map(itemgetter(0), records))
+    values = list(map(itemgetter(1), records))
+    kinds = set(map(type, values))
+    if set(map(type, keys)) != {str} or kinds not in ({int}, {type(None)}):
+        return None
+    text = "".join(keys)
+    # An ASCII body has one byte per character; otherwise encode per key.
+    lengths = _pack_column(
+        list(map(len, keys if text.isascii() else map(str.encode, keys))),
+        _LENGTH_COLUMNS)
+    column = _pack_column(values, _VALUE_COLUMNS) if kinds == {int} else (0, b"")
+    if lengths is None or column is None:  # a 4 GiB key, an int past 64 bits
+        return None
+    return b"".join((_HEAD.pack(_MARKER, lengths[0], column[0], len(keys)),
+                     lengths[1], text.encode("utf-8"), column[1]))
+
+
+def encode_stream(records: Iterable[tuple[Any, Any]]) -> bytes:
+    """Encode an iterable of ``(key, value)`` pairs into one chunk.
+
+    A homogeneous chunk (see :func:`_encode_columns`) ships as columns.
+    Any other is the record stream, the O side's per-record kernel: exact
+    ``str`` / ``None`` / ``int`` fields are encoded inline, all others
+    through :func:`_encode_field`.
+    """
+    if not isinstance(records, list):
+        records = list(records)
+    if not records:
+        return b""
+    columnar = _encode_columns(records)
+    if columnar is not None:
+        return columnar
     parts: list[bytes] = []
     pack, general = _LEN.pack, _encode_field
     for key, value in records:
@@ -223,14 +292,66 @@ def encode_stream(records: Iterable[tuple[Any, Any]]) -> bytes:
         else:
             value_bytes = general(value)
         parts += (pack(len(key_bytes), len(value_bytes)), key_bytes, value_bytes)
+    if parts[0][0] >= _MARKER:  # no transport frame cap on thread/inline
+        raise ValueError("the first key of a chunk must encode below 3 GiB")
     return b"".join(parts)
 
 
 def decode_stream(data: bytes | memoryview) -> Iterator[KeyValue]:
     """Decode all records from :func:`encode_stream` output (``bytes`` or
-    ``memoryview`` — views decode in place).
+    ``memoryview`` — views decode in place), whichever layout it chose.
 
-    The A side's per-record kernel: ``str`` / ``None`` / ``int`` fields
+    Either way the result is lazy: a chunk mapped from a spill segment is
+    read as the caller advances and never becomes resident as records.
+    """
+    if len(data) and data[0] == _MARKER:
+        return _decode_columns(memoryview(data))
+    return _decode_records(data)
+
+
+def _torn(promised: int, present: int) -> ValueError:
+    return ValueError(f"torn columnar chunk: {promised} bytes promised, {present} present")
+
+
+def _decode_columns(view: memoryview) -> Iterator[KeyValue]:
+    """The records of a columnar chunk, as one chain of C iterators.
+
+    The chunk's arithmetic is checked here, before the first record: known
+    codes, and header + columns + the sum of the key lengths == ``len(view)``
+    — a torn, padded or inconsistent chunk raises ``ValueError`` and yields
+    nothing.  The chain is O(1) Python objects however many records there
+    are; each key is sliced out of ``view`` as the caller advances.
+    """
+    total = len(view)
+    if total < _HEAD.size:
+        raise _torn(_HEAD.size, total)
+    _marker, length_width, value_width, count = _HEAD.unpack_from(view)
+    if length_width not in _LENGTH_COLUMNS or (
+            value_width and value_width not in _VALUE_COLUMNS):
+        raise ValueError(f"unknown column code in chunk header "
+                         f"{bytes(view[:_HEAD.size])!r}")
+    body = _HEAD.size + count * length_width
+    stop = total - count * value_width
+    if body > stop:
+        raise _torn(body + total - stop, total)
+    length_format = ">" + _LENGTH_COLUMNS[length_width]
+    lengths = view[_HEAD.size:body]
+    keys_size = sum(chain.from_iterable(struct.iter_unpack(length_format, lengths)))
+    if body + keys_size != stop:
+        raise _torn(body + keys_size + total - stop, total)
+    ends = accumulate(chain.from_iterable(
+        struct.iter_unpack(length_format, lengths)), initial=body)
+    keys = map(str, map(view.__getitem__, starmap(slice, pairwise(ends))),
+               repeat("utf-8"))
+    values: Iterator[int | None] = repeat(None)
+    if value_width:
+        values = chain.from_iterable(struct.iter_unpack(
+            ">" + _VALUE_COLUMNS[value_width], view[stop:]))
+    return map(tuple.__new__, repeat(KeyValue), zip(keys, values))
+
+
+def _decode_records(data: bytes | memoryview) -> Iterator[KeyValue]:
+    """The A side's per-record kernel: ``str`` / ``None`` / ``int`` fields
     are built straight off the slice, every other tag goes through
     :func:`_decode_field` — one generator resume per record, no helper
     frames.  A stream cut off a record boundary raises ``ValueError``.

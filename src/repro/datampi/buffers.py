@@ -1,8 +1,9 @@
 """O-side partitioned send buffers — the pipelining half of DataMPI.
 
 Each O task keeps one buffer per destination A task, charged per record
-by ``record_size`` (nothing is encoded until the flush).  When a buffer
-exceeds the send threshold it is *flushed*: sorted by key (DataMPI
+by ``record_size`` — not by the bytes it will ship: nothing is encoded
+until the flush, and ``encode_stream`` may pack the chunk as columns.  When
+a buffer exceeds the send threshold it is *flushed*: sorted by key (DataMPI
 delivers key-ordered data to A tasks), optionally run through a combiner,
 encoded, and sent immediately — while the O task keeps computing.  This
 is the "data movement is pipelining with the computation overlapped in O
@@ -32,9 +33,10 @@ from typing import Any, Callable
 from repro.common.errors import DataMPIError
 from repro.common.kv import encode_stream, record_size
 
-#: Default flush threshold per destination buffer, in *pre-combine*
-#: ``record_size`` bytes: every record added counts, repeats included, so a
-#: "256 KiB" WordCount buffer ships ≈ 33 KB chunks.
+#: Default flush threshold per destination buffer.  It counts *pre-combine*
+#: ``record_size`` bytes, not shipped bytes: every record added counts,
+#: repeats included, at its record-stream size, so a "256 KiB" WordCount
+#: buffer ships ≈ 18 KB (columnar) chunks.
 DEFAULT_SEND_BUFFER_BYTES = 256 * 1024
 
 Combiner = Callable[[Any, list[Any]], Any]

@@ -67,24 +67,24 @@ class ChunkStore:
 
         Key ties break by chunk origin, so the stream is identical no
         matter in which order chunks arrived (or which of them spilled).
-        A store that never spilled decodes every chunk into one list and
-        sorts it once: Timsort finds the presorted runs, and a stable
-        sort of the origin-ordered concatenation breaks ties exactly as
-        ``heapq.merge`` does by iterator position.  With any chunk
-        spilled the merge stays lazy — spilled chunks decode out of their
-        mapped segment as it advances, so a dataset that spilled because
-        it outgrew memory is never materialized as records.  Every chunk
-        decodes through a ``memoryview`` (no view outlives the decode).
+        A store that never spilled sorts the origin-ordered concatenation
+        of its chunks once: Timsort finds the presorted runs, and a stable
+        sort breaks ties exactly as ``heapq.merge`` does by iterator
+        position; without ``sort`` it hands out that concatenation as it
+        is, each chunk opened when the previous one is exhausted.  With
+        any chunk spilled the merge stays lazy — ``decode_stream`` reads a
+        spilled chunk out of its mapped segment as the merge advances, in
+        either chunk layout, so a dataset that spilled because it outgrew
+        memory is never materialized as records.  Every chunk decodes
+        through a ``memoryview``.
         """
         spill = self._spill
         origins = sorted(spill.keys())
-        chunks = [decode_stream(spill.get(origin)) for origin in origins]
         spilled = [spill.is_spilled(origin) for origin in origins]
+        chunks = map(decode_stream, map(spill.get, origins))
         if not any(spilled):
-            records = list(itertools.chain.from_iterable(chunks))
-            if sort:
-                records.sort(key=itemgetter(0))
-            return iter(records)
+            records = itertools.chain.from_iterable(chunks)
+            return iter(sorted(records, key=itemgetter(0))) if sort else records
         iterators = [chunk if lazy else iter(list(chunk))
                      for lazy, chunk in zip(spilled, chunks)]
         if sort:

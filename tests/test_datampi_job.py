@@ -1,10 +1,14 @@
 """Integration tests for the DataMPI job driver: end-to-end O/A jobs."""
 
 import pytest
+from test_common_kv import MARKER, _ref_encode_stream
 
 from repro.common import ConfigError
 from repro.common.errors import CheckpointError, MPIError
+from repro.common.kv import decode_stream
 from repro.datampi import DataMPIConf, DataMPIJob, RangePartitioner, StorageConfig
+from repro.datampi.checkpoint import load_checkpoint, write_checkpoint
+from repro.storage import ChunkStore
 
 
 def wordcount_o(ctx, split):
@@ -188,6 +192,22 @@ class TestCheckpointRestart:
         original = job.run([LINES[:2], LINES[2:]])
         restarted = job.restart()
         assert sorted(original.merged_outputs()) == sorted(restarted.merged_outputs())
+
+    def test_restart_reads_a_record_stream_checkpoint(self, tmp_path):
+        """Checkpoints written before chunks could be columnar hold record
+        streams; the first byte tells them apart, so they still restart."""
+        job = self.make_job(tmp_path)
+        original = job.run([LINES[:2], LINES[2:]])
+        directory = str(tmp_path / "ckpt")
+        for a_rank in range(2):
+            written = load_checkpoint(directory, a_rank, 1 << 20).raw_chunks()
+            assert written and all(chunk[0] == MARKER for chunk in written)
+            old_format = ChunkStore()
+            for chunk in written:
+                old_format.add(_ref_encode_stream(decode_stream(chunk)))
+            assert all(chunk[0] == 0 for chunk in old_format.raw_chunks())
+            write_checkpoint(directory, a_rank, old_format)
+        assert job.restart().outputs == original.outputs
 
     def test_restart_without_checkpoint_dir_fails(self):
         job = DataMPIJob(wordcount_o, wordcount_a, DataMPIConf(num_o=1, num_a=1))

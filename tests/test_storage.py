@@ -27,6 +27,7 @@ from repro.bigdatabench import TextGenerator
 from repro.common.errors import ConfigError, DataMPIError
 from repro.common.kv import KeyValue, decode_stream, encode_stream, record_size
 from repro.datampi import DataMPIConf
+from repro.datampi.context import AContext
 from repro.experiments.matrix import execute_cell
 from repro.experiments.spec import CellSpec, ExperimentSpec
 from repro.mpi.transport import available_transports
@@ -242,17 +243,55 @@ class TestChunkStoreSpill:
         store.cleanup()
 
 
+class TestResidentUnsortedMerge:
+    """``merged(sort=False)`` on a never-spilled store is the lazy chain of
+    its chunks in origin order — no record list is built for no sort."""
+
+    GOOD = [("b", 2), ("a", 1), ("b", 3)]
+
+    @pytest.mark.parametrize("torn, whole_records, message", [
+        ([("c", 4), ("d", 5)], [], "torn columnar chunk"),  # all or nothing
+        ([("c", 4.0), ("d", 5)], [("c", 4.0)], "truncated record"),
+    ])
+    def test_good_chunk_is_yielded_before_a_torn_one_raises(
+            self, torn, whole_records, message):
+        store = ChunkStore()
+        store.add(encode_stream(torn)[:-1], origin=(0, 1))
+        store.add(encode_stream(self.GOOD), origin=(0, 0))
+        seen = []
+        with pytest.raises(ValueError, match=message):
+            for record in store.merged(sort=False):
+                seen.append(tuple(record))
+        assert seen == self.GOOD + whole_records
+        # A sort needs every record first: nothing comes out.
+        with pytest.raises(ValueError, match=message):
+            next(store.merged(sort=True))
+
+    def test_grouped_without_sort_is_unchanged(self):
+        store = ChunkStore()
+        store.add(encode_stream([("c", 4.0), ("b", 5)]), origin=(1, 0))
+        store.add(encode_stream(self.GOOD), origin=(0, 0))
+        context = AContext(None, store, sort=False)
+        assert list(context.grouped()) == [
+            ("b", [2, 3, 5]), ("a", [1]), ("c", [4.0])]
+        assert context.records_received == 5
+
+
 @st.composite
 def _origin_stamped_chunks(draw):
     """Key-sorted chunks with heavy key duplication and a distinct value
     per record (so a tie broken the wrong way shows), each stamped with
-    an explicit origin, listed in a shuffled *arrival* order."""
+    an explicit origin, listed in a shuffled *arrival* order.  A chunk's
+    values are all ``int`` (it ships as columns) or all ``float`` (the
+    record stream): one store holds both layouts."""
     runs = draw(st.lists(
-        st.lists(st.sampled_from("abcde"), max_size=6), min_size=1, max_size=6))
+        st.tuples(st.lists(st.sampled_from("abcde"), max_size=6),
+                  st.sampled_from([int, float])),
+        min_size=1, max_size=6))
     serial = iter(range(10_000))
     chunks = [((index % 3, index // 3),
-               [(key, next(serial)) for key in sorted(run)])
-              for index, run in enumerate(runs)]
+               [(key, kind(next(serial))) for key in sorted(run)])
+              for index, (run, kind) in enumerate(runs)]
     return draw(st.permutations(chunks))
 
 
@@ -263,7 +302,11 @@ class TestMergeEquivalenceUnderSpill:
     #: budget, then (spills, bytes_spilled) after the adds and
     #: spill_reads after one merged() + one merged(sort=False) — read off
     #: the parent of the PR that added the resident sort, same inputs.
-    PINNED = [(None, (0, 0), 0, 0), (1, (4, 117), 4, 8), (60, (2, 65), 2, 4)]
+    #: Re-recorded when these ``(str, int)`` chunks went columnar: payloads
+    #: shrank 39/26/39/13 -> 16/13/16/10 bytes, so the byte totals moved
+    #: (117 -> 55, 65 -> 29) and the partial-spill budget moved with them
+    #: (60 -> 28: still the first two arrivals, evicted one at a time).
+    PINNED = [(None, (0, 0), 0, 0), (1, (4, 55), 4, 8), (28, (2, 29), 2, 4)]
     PINNED_CHUNKS = [
         ((1, 0), [("a", 10), ("c", 11), ("c", 12)]),
         ((0, 1), [("b", 20), ("c", 21)]),

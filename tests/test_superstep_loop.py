@@ -7,8 +7,11 @@ hand-written copies of that round became one loop: for one fixed 2x1 job
 per driver on the ``inline`` transport it holds every payload the root
 handed ``Comm.bcast``, every ``TAG_SPLITS`` answer, the fault points each
 rank fired in order, and every per-round counter record (re-recorded
-once since, when the pool's two ``("job", ...)`` controls stopped
-carrying the submitted splits; nothing else in the file moved).  The suite
+twice since: when the pool's two ``("job", ...)`` controls stopped
+carrying the submitted splits, and when ``(str, int)`` chunks went
+columnar — ``o.bytes_sent`` / ``a.bytes_received`` / ``mode.bytes_moved``
+of the WordCount-shaped ``streaming`` and ``pool`` jobs shrank; nothing
+else in the file moved either time).  The suite
 asserts the runtime still reproduces them byte-for-byte, and that a
 failing O task, A task or ``update`` ends every driver with the original
 cause.

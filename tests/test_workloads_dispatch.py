@@ -3,10 +3,14 @@ undeclared one is refused, and the matrix presets enumerate from it."""
 
 import json
 import pathlib
+from unittest import mock
 
 import pytest
+from test_common_kv import MARKER, _is_columnar
 
 from repro.common import ConfigError, WorkloadError
+from repro.common.kv import decode_stream
+from repro.datampi.communicator import BipartiteComm
 from repro.experiments.spec import SCALES, CellSpec, full_spec, quick_spec
 from repro.workloads import (
     ENGINES,
@@ -36,6 +40,43 @@ SEED = 7
 def inputs():
     return {name: workload.make_input(SCALES["tiny"], SEED)
             for name, workload in WORKLOADS.items()}
+
+
+class TestChunkLayoutSelection:
+    """Which shipped jobs have the property the columnar layout needs —
+    measured on the wire, chunk by chunk, not assumed."""
+
+    #: (workload, mode) -> columnar share of the chunks the job ships.
+    SHARE = {
+        ("text_sort", "common"): "all",      # (line, None)
+        ("wordcount", "common"): "all",      # (word, count)
+        ("grep", "common"): "all",           # (match, count)
+        ("wordcount", "streaming"): "all",
+        ("kmeans", "iteration"): "none",     # (cluster id, (vector, count))
+        ("naive_bayes", "common"): "some",   # str keys and (label, term) keys
+    }
+
+    @pytest.mark.parametrize("name, mode", sorted(SHARE))
+    def test_share_of_columnar_chunks(self, name, mode, inputs):
+        chunks = []
+        send_chunk = BipartiteComm.send_chunk
+
+        def spy(self, a_index, payload):
+            chunks.append(payload)
+            return send_chunk(self, a_index, payload)
+
+        params = RunParams(mode=mode, parallelism=3, transport="inline",
+                           seed=SEED, max_iterations=4)
+        with mock.patch.object(BipartiteComm, "send_chunk", spy):
+            run_workload(name, "datampi", inputs[name], params)
+        assert chunks
+        columnar = [chunk[0] == MARKER for chunk in chunks]
+        # Nothing but the data selects: exactly the chunks of str keys
+        # with all-None or all-int values went columnar.
+        assert columnar == [_is_columnar(list(decode_stream(chunk)))
+                            for chunk in chunks]
+        assert {"all": all(columnar), "none": not any(columnar),
+                "some": any(columnar) and not all(columnar)}[self.SHARE[name, mode]]
 
 
 class TestConformance:
