@@ -1,6 +1,6 @@
 """MPI substrate: ranks, point-to-point messaging, collectives, transports."""
 
-from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm, Message, World
+from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm, Message
 from repro.mpi.launcher import mpi_run
 from repro.mpi.transport import (
     InlineTransport,
@@ -8,6 +8,7 @@ from repro.mpi.transport import (
     TcpTransport,
     ThreadTransport,
     Transport,
+    World,
     available_transports,
     get_transport,
 )

@@ -22,8 +22,6 @@ from repro.mpi.transport.base import (
     Endpoint,
     Message,
 )
-from repro.mpi.transport.thread import Mailbox as _Mailbox  # noqa: F401 - compat
-from repro.mpi.transport.thread import ThreadEndpoint, World
 
 __all__ = [
     "ANY_SOURCE",
@@ -31,35 +29,21 @@ __all__ = [
     "RECV_TIMEOUT",
     "Comm",
     "Message",
-    "World",
 ]
 
 
 class Comm:
     """One rank's handle on the world — the object user code programs against.
 
-    ``Comm(world, rank)`` builds the classic threaded-world handle;
-    :meth:`from_endpoint` wraps any transport endpoint.  Every collective
-    is built from the endpoint's send/recv/barrier primitives, so all
+    ``Comm(endpoint)`` wraps any transport endpoint.  Every collective is
+    built from the endpoint's send/recv/barrier primitives, so all
     backends share one semantics.
     """
 
-    def __init__(self, world: World, rank: int):
-        if not 0 <= rank < world.size:
-            raise MPIError(f"rank {rank} out of range for world of {world.size}")
-        self.world: World | None = world
-        self.endpoint: Endpoint = ThreadEndpoint(world, rank)
-        self.rank = rank
+    def __init__(self, endpoint: Endpoint):
+        self.endpoint = endpoint
+        self.rank = endpoint.rank
         self._collective_seq = 0
-
-    @classmethod
-    def from_endpoint(cls, endpoint: Endpoint) -> "Comm":
-        comm = object.__new__(cls)
-        comm.world = getattr(endpoint, "world", None)
-        comm.endpoint = endpoint
-        comm.rank = endpoint.rank
-        comm._collective_seq = 0
-        return comm
 
     @property
     def size(self) -> int:

@@ -26,11 +26,13 @@ from __future__ import annotations
 import inspect
 import os
 import threading
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.errors import MPIError
+from repro.mpi import faultinject
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -312,11 +314,81 @@ def world_generation(comm: Any) -> int:
     return int(getattr(getattr(comm, "endpoint", None), "generation", 0))
 
 
-def raise_rank_errors(errors: list[tuple[int, BaseException]]) -> None:
-    """Re-raise the lowest-rank failure, MPIError-wrapped (shared by backends)."""
+class PoisonedError(MPIError):
+    """A blocked rank was woken because a peer rank died: a symptom, which
+    :func:`raise_rank_errors` never reports in place of a cause."""
+
+
+def raise_rank_errors(
+    errors: list[tuple[int, BaseException]],
+    unfinished: MPIError | None = None,
+) -> None:
+    """Re-raise the run's failure, MPIError-wrapped (shared by backends).
+
+    The lowest-rank *cause* — an error that is not poison — wins.  Failing
+    that, ``unfinished`` (the run's deadline passed with ranks still
+    running): a deadline never hides the error that caused it, and poison
+    alone does not explain one.  Failing that, the lowest-rank symptom.
+    """
+    causes = [item for item in errors if not isinstance(item[1], PoisonedError)]
+    if unfinished is not None and not causes:
+        raise unfinished
     if not errors:
         return
-    rank, cause = min(errors, key=lambda item: item[0])
+    rank, cause = min(causes or errors, key=lambda item: item[0])
     if isinstance(cause, MPIError) or not isinstance(cause, Exception):
         raise cause
     raise MPIError(f"rank {rank} failed: {cause!r}") from cause
+
+
+def run_rank_threads(
+    world_size: int,
+    rank_main: Callable[[int], Any],
+    prefix: str,
+    timeout: float,
+    fault_plan: "faultinject.FaultPlan | None",
+    drive: Callable[[float], None] | None = None,
+) -> list[Any]:
+    """The in-process launcher: ``rank_main(rank)`` on one daemon thread
+    per rank, results by rank.
+
+    ``fault_plan`` lives in the host interpreter for the run (where kills
+    degrade to raises).  ``drive(deadline)`` runs on the calling thread
+    once the ranks have started (the inline scheduler) and returns when
+    they are done or the deadline has passed.  The run has one deadline;
+    what is raised past it is :func:`raise_rank_errors`' decision.
+    """
+    results: list[Any] = [None] * world_size
+    errors: list[tuple[int, BaseException]] = []
+    errors_lock = threading.Lock()
+
+    def runner(rank: int) -> None:
+        try:
+            results[rank] = rank_main(rank)
+        except BaseException as exc:  # noqa: BLE001 - re-raised in caller
+            with errors_lock:
+                errors.append((rank, exc))
+
+    threads = [
+        threading.Thread(target=runner, args=(rank,), name=f"{prefix}-{rank}", daemon=True)
+        for rank in range(world_size)
+    ]
+    deadline = time.monotonic() + timeout
+    if fault_plan is not None:
+        faultinject.install(fault_plan)
+    try:
+        for thread in threads:
+            thread.start()
+        if drive is not None:
+            drive(deadline)
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        if fault_plan is not None:
+            faultinject.clear()
+    stuck = [rank for rank, thread in enumerate(threads) if thread.is_alive()]
+    with errors_lock:
+        reported = list(errors)
+    unfinished = MPIError(f"ranks {stuck} did not finish in {timeout}s") if stuck else None
+    raise_rank_errors(reported, unfinished)
+    return results

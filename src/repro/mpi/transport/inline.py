@@ -19,17 +19,20 @@ buffers up front, so delivered payloads are immutable here too.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable
 
 from repro.common.errors import MPIError
+from repro.mpi import faultinject
 from repro.mpi.transport.base import (
     JOIN_TIMEOUT,
     Endpoint,
     Message,
+    PoisonedError,
     Transport,
     match,
-    raise_rank_errors,
     register_transport,
+    run_rank_threads,
 )
 
 _START = "start"
@@ -37,7 +40,6 @@ _RUNNING = "running"
 _RECV = "recv"
 _BARRIER = "barrier"
 _DONE = "done"
-_ERROR = "error"
 
 
 class _RankState:
@@ -46,9 +48,6 @@ class _RankState:
         self.want: tuple[int, int] | None = None  # (source, tag) when in recv
         self.arrived_gen = -1  # barrier generation this rank is waiting on
         self.gate = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
-        self.poison_error = False  # error was injected by deadlock poisoning
 
 
 class _InlineWorld:
@@ -73,8 +72,7 @@ class _InlineWorld:
         record.gate.wait()
         record.state = _RUNNING
         if self.poisoned:
-            record.poison_error = True
-            raise MPIError(
+            raise PoisonedError(
                 f"deadlock: rank {rank} blocked with no runnable peer "
                 "(peer died or every rank is waiting)"
             )
@@ -103,7 +101,7 @@ class _InlineWorld:
         return False
 
     def finished(self) -> bool:
-        return all(r.state in (_DONE, _ERROR) for r in self.ranks)
+        return all(r.state == _DONE for r in self.ranks)
 
     def maybe_release_barrier(self) -> None:
         arrived = sum(
@@ -153,8 +151,6 @@ class InlineTransport(Transport):
     name = "inline"
 
     def __init__(self, fault_plan=None):
-        from repro.mpi import faultinject
-
         # In-process ranks: like the thread backend, injected kills
         # degrade to a FaultInjected raise (deterministic fail-fast).
         self.fault_plan = faultinject.parse_fault_plan(fault_plan)
@@ -166,65 +162,32 @@ class InlineTransport(Transport):
         args: tuple = (),
         timeout: float = JOIN_TIMEOUT,
     ) -> list[Any]:
-        from repro.mpi import faultinject
-        from repro.mpi.comm import Comm
+        from repro.mpi.comm import Comm  # local import: comm builds on this package
 
         if world_size < 1:
             raise MPIError(f"world size must be >= 1, got {world_size}")
-        if self.fault_plan is not None:
-            faultinject.install(self.fault_plan)
         world = _InlineWorld(world_size)
 
-        def runner(rank: int) -> None:
+        def rank_main(rank: int) -> Any:
             record = world.ranks[rank]
             record.gate.wait()  # first grant from the scheduler
-            comm = Comm.from_endpoint(InlineEndpoint(world, rank))
             try:
                 faultinject.fire("rendezvous", rank=rank)
-                record.result = main(comm, *args)
-                record.state = _DONE
-            except BaseException as exc:  # noqa: BLE001 - re-raised in caller
-                record.error = exc
-                record.state = _ERROR
+                return main(Comm(InlineEndpoint(world, rank)), *args)
             finally:
+                record.state = _DONE  # returned or raised: the token is free
                 world.sched_wake.set()
 
-        threads = [
-            threading.Thread(
-                target=runner, args=(rank,), name=f"inline-rank-{rank}", daemon=True
-            )
-            for rank in range(world_size)
-        ]
-        for thread in threads:
-            thread.start()
-
-        try:
-            self._schedule(world, timeout)
-        finally:
-            if self.fault_plan is not None:
-                faultinject.clear()
-
-        for thread in threads:
-            thread.join(timeout)
-            if thread.is_alive():
-                raise MPIError(f"rank thread {thread.name} did not finish in {timeout}s")
-
-        errors = [
-            (rank, record.error)
-            for rank, record in enumerate(world.ranks)
-            if record.error is not None
-        ]
-        # Poison-injected MPIErrors are a symptom; prefer the original cause.
-        real = [
-            (rank, error)
-            for rank, error in errors
-            if not world.ranks[rank].poison_error
-        ]
-        raise_rank_errors(real or errors)
-        return [record.result for record in world.ranks]
+        return run_rank_threads(
+            world_size, rank_main, "inline-rank", timeout, self.fault_plan,
+            drive=lambda deadline: self._schedule(world, deadline),
+        )
 
     @staticmethod
-    def _schedule(world: _InlineWorld, timeout: float) -> None:
+    def _schedule(world: _InlineWorld, deadline: float) -> None:
+        """Grant the token to the lowest runnable rank until every rank is
+        done — or one holds it past the run's deadline, which the caller
+        reports (that rank's thread is still alive)."""
         while not world.finished():
             world.maybe_release_barrier()
             chosen = next(
@@ -239,7 +202,5 @@ class InlineTransport(Transport):
                 continue
             world.sched_wake.clear()
             world.ranks[chosen].gate.set()
-            if not world.sched_wake.wait(timeout):
-                raise MPIError(
-                    f"inline rank {chosen} did not yield within {timeout}s"
-                )
+            if not world.sched_wake.wait(max(0.0, deadline - time.monotonic())):
+                return

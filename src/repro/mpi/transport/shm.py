@@ -1,8 +1,8 @@
 """Shared-memory transport: ranks are OS processes, payloads ride rings.
 
 This backend removes the GIL from the hot path the paper is about.  Each
-rank is a forked process (fork, not spawn, so task closures need no
-pickling); every ordered (sender, receiver) pair gets
+rank is a forked process under :mod:`repro.mpi.transport.ranks`' rank
+supervisor; every ordered (sender, receiver) pair gets
 
 * a **ring buffer** in one ``multiprocessing.shared_memory`` segment for
   ``bytes`` payloads — the encoded key-value chunks DataMPI moves — so
@@ -27,19 +27,21 @@ rank finishes, so batching can never deadlock a waiting peer.
 
 from __future__ import annotations
 
-import multiprocessing
 import struct
 import threading
 import time
+from functools import partial
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, Callable
 
 from repro.common.errors import MPIError
+from repro.mpi import faultinject
 from repro.mpi.transport.base import (
     JOIN_TIMEOUT,
     Endpoint,
     Message,
+    PoisonedError,
     Transport,
     match,
     raise_rank_errors,
@@ -55,7 +57,12 @@ from repro.mpi.transport.codec import (
     encode_batch,
     encode_payload,
 )
-from repro.mpi.transport.thread import _PoisonedError
+from repro.mpi.transport.ranks import (
+    ForkedRanks,
+    collect_outcomes,
+    fork_context,
+    report_outcome,
+)
 
 #: Per-(sender, receiver) ring capacity for chunk payloads.
 DEFAULT_RING_BYTES = 1 << 20
@@ -299,10 +306,9 @@ class ShmEndpoint(Endpoint):
                 if match(message, source, tag):
                     return self._stash.pop(index)
             if self._aborted:
-                # A poison *symptom*, not a cause: raise the dedicated
-                # class so the collector prefers the original rank error
-                # (same rule as the thread and tcp backends).
-                raise _PoisonedError(
+                # A poison *symptom*, not a cause: the dedicated class
+                # lets the run report the original rank error instead.
+                raise PoisonedError(
                     f"rank {self.rank} aborted: a peer rank failed"
                 )
             remaining = deadline - time.monotonic()
@@ -398,19 +404,12 @@ class ShmTransport(Transport):
     name = "shm"
 
     def __init__(self, ring_bytes: int = DEFAULT_RING_BYTES, fault_plan=None):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise MPIError(
-                "shm transport needs the fork start method (unavailable on "
-                "this platform); use the thread transport instead"
-            )
-        from repro.mpi import faultinject
-
+        self._ctx = fork_context("shm transport", "use the thread transport instead")
         self.ring_bytes = ring_bytes
         # Ranks are real processes: kill rules hard-exit the child and
         # the parent reports "died without reporting a result" (fail
         # fast — only the tcp transport rebuilds worlds).
         self.fault_plan = faultinject.parse_fault_plan(fault_plan)
-        self._ctx = multiprocessing.get_context("fork")
 
     def run(
         self,
@@ -419,7 +418,7 @@ class ShmTransport(Transport):
         args: tuple = (),
         timeout: float = JOIN_TIMEOUT,
     ) -> list[Any]:
-        from repro.mpi.comm import Comm
+        from repro.mpi.comm import Comm  # local import: comm builds on this package
 
         if world_size < 1:
             raise MPIError(f"world size must be >= 1, got {world_size}")
@@ -439,13 +438,9 @@ class ShmTransport(Transport):
         ]
         control_pipes: list[tuple[Connection, Connection]] = []
         result_pipes: list[tuple[Connection, Connection]] = []
-        processes: list[Any] = []
+        ranks = ForkedRanks(ctx)
 
         def child(rank: int) -> None:
-            from repro.mpi import faultinject
-
-            faultinject.install(self.fault_plan)
-            faultinject.mark_killable()
             endpoint = ShmEndpoint(
                 rank=rank,
                 size=world_size,
@@ -456,11 +451,9 @@ class ShmTransport(Transport):
                 control=control_pipes[rank][0],
                 barrier=barrier,
             )
-            comm = Comm.from_endpoint(endpoint)
-            result_conn = result_pipes[rank][1]
             try:
                 faultinject.fire("rendezvous", rank=rank)
-                result = main(comm, *args)
+                result = main(Comm(endpoint), *args)
                 # Anything still parked in a send batch must reach its
                 # peer before this rank reports success and exits.
                 endpoint.flush_sends()
@@ -468,11 +461,21 @@ class ShmTransport(Transport):
             except BaseException as exc:  # noqa: BLE001 - reported to parent
                 barrier.abort()
                 outcome = ("err", exc)
+            report_outcome(result_pipes[rank][1].send, rank, outcome)
+
+        def read(rank: int) -> tuple[str, Any] | None:
             try:
-                result_conn.send(outcome)
-            except Exception:
-                # Unpicklable result or exception: degrade to its repr.
-                result_conn.send(("err", MPIError(f"rank {rank}: {outcome[1]!r}")))
+                return result_pipes[rank][0].recv()
+            except EOFError:
+                return None
+
+        def poison(still_running: list[int]) -> None:
+            barrier.abort()
+            for rank in still_running:
+                try:
+                    control_pipes[rank][1].send_bytes(_CTRL_ABORT)
+                except OSError:
+                    pass
 
         try:
             for s in range(world_size):
@@ -490,25 +493,15 @@ class ShmTransport(Transport):
             control_pipes.extend(ctx.Pipe(duplex=False) for _ in range(world_size))
             result_pipes.extend(ctx.Pipe(duplex=False) for _ in range(world_size))
             barrier = ctx.Barrier(world_size)
-            processes.extend(
-                ctx.Process(target=child, args=(rank,),
-                            name=f"mpi-rank-{rank}", daemon=True)
-                for rank in range(world_size)
-            )
-            for process in processes:
-                process.start()
-            results, errors = self._collect(
-                [conn for conn, _ in result_pipes],
-                [writer for _, writer in control_pipes],
-                processes,
-                barrier,
-                timeout,
+            for rank in range(world_size):
+                ranks.spawn(f"mpi-rank-{rank}", partial(child, rank),
+                            self.fault_plan)
+            results, errors, _dead = collect_outcomes(
+                [reader for reader, _ in result_pipes], read, poison, timeout,
+                ranks.processes,
             )
         finally:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                process.join(5.0)
+            ranks.reap()
             _destroy_rings(rings)
             for grid in (data_readers, data_writers):
                 for row in grid:
@@ -518,86 +511,5 @@ class ShmTransport(Transport):
             for reader, writer in control_pipes + result_pipes:
                 reader.close()
                 writer.close()
-        # Poison-induced errors are symptoms of another rank's death;
-        # report the original failure when one exists.
-        real = [
-            (rank, exc)
-            for rank, exc in errors
-            if not isinstance(exc, _PoisonedError)
-        ]
-        raise_rank_errors(real or errors)
+        raise_rank_errors(errors)
         return results
-
-    @staticmethod
-    def _collect(result_conns, control_writers, processes, barrier, timeout):
-        """Gather per-rank outcomes; on first failure poison every rank.
-
-        Watches each child's process sentinel alongside its result pipe:
-        every child inherits every pipe's write end, so a hard-killed rank
-        never EOFs its pipe — only the sentinel reveals the death.
-        """
-        world_size = len(result_conns)
-        results: list[Any] = [None] * world_size
-        errors: list[tuple[int, BaseException]] = []
-        rank_of = {id(conn): rank for rank, conn in enumerate(result_conns)}
-        rank_of_sentinel = {
-            process.sentinel: rank for rank, process in enumerate(processes)
-        }
-        pending = set(result_conns)
-        poisoned = False
-
-        def record(rank: int, status: str, value: Any) -> None:
-            nonlocal poisoned
-            pending.discard(result_conns[rank])
-            if status == "ok":
-                results[rank] = value
-                return
-            errors.append((rank, value))
-            if not poisoned:
-                poisoned = True
-                barrier.abort()
-                for writer in control_writers:
-                    try:
-                        writer.send_bytes(_CTRL_ABORT)
-                    except (BrokenPipeError, OSError):
-                        pass
-
-        deadline = time.monotonic() + timeout
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                stuck = sorted(rank_of[id(conn)] for conn in pending)
-                raise MPIError(f"ranks {stuck} did not finish in {timeout}s")
-            sentinels = [
-                processes[rank_of[id(conn)]].sentinel for conn in pending
-            ]
-            ready = connection_wait(list(pending) + sentinels, remaining)
-            for item in ready:
-                if item in rank_of_sentinel:
-                    rank = rank_of_sentinel[item]
-                    conn = result_conns[rank]
-                    if conn not in pending:
-                        continue
-                    # The child exited: take a result it managed to send,
-                    # otherwise report the death instead of waiting for an
-                    # EOF that can never come.
-                    if conn.poll(0):
-                        status, value = conn.recv()
-                    else:
-                        status, value = "err", MPIError(
-                            f"rank {rank} died without reporting a result "
-                            f"(exit code {processes[rank].exitcode})"
-                        )
-                    record(rank, status, value)
-                    continue
-                if item not in pending:
-                    continue  # already handled via its sentinel this round
-                rank = rank_of[id(item)]
-                try:
-                    status, value = item.recv()
-                except EOFError:
-                    status, value = "err", MPIError(
-                        f"rank {rank} died without reporting a result"
-                    )
-                record(rank, status, value)
-        return results, errors

@@ -32,20 +32,16 @@ Wire design
   thread backend uses — selective receive semantics are shared by
   construction.
 * **Fail-fast abort** — a failing rank sends poison (``ABORT``) frames to
-  every peer before reporting its error; the launcher re-broadcasts abort
-  over the control channels when a rank dies without a word (hard kill —
-  the kernel closes its sockets, so peers *also* see EOF and poison
-  locally).  Blocked receives raise immediately instead of waiting out
-  their timeout, exactly like the shm control pipe and the thread
-  backend's mailbox poisoning.
+  every peer before reporting its error, and a hard-killed rank's
+  sockets EOF, which poisons its peers locally: blocked receives raise
+  at once instead of waiting out their timeout.
 
-:class:`TcpTransport` (``get_transport("tcp", hosts=..., port=...)``)
-forks one local process per rank — closures need no pickling, which is
-what the equivalence suite runs.  For ranks on *other* machines, the
-serving side runs :class:`TcpWorldServer` and each remote process calls
-:func:`join_world` with the rendezvous address; the wire protocol is
-identical (the localhost spawn is just ``join_world`` with fork instead
-of ssh).
+:class:`TcpTransport` forks its ranks on this host; for ranks on *other*
+machines the serving side runs :class:`TcpWorldServer` and each remote
+process calls :func:`join_world` — the same wire protocol (the local
+spawn is ``join_world`` with fork instead of ssh).  Outcome collection,
+survivor poisoning, the deadline rule and reaping are the shared rank
+supervisor's (:mod:`repro.mpi.transport.ranks`).
 
 Security
 --------
@@ -60,7 +56,6 @@ inherit it.
 
 from __future__ import annotations
 
-import multiprocessing
 import secrets
 import selectors
 import socket
@@ -75,13 +70,21 @@ from repro.mpi.transport.base import (
     JOIN_TIMEOUT,
     Endpoint,
     Message,
+    PoisonedError,
     Transport,
     raise_rank_errors,
     register_transport,
 )
 from repro.mpi.transport import channel
 from repro.mpi.transport.codec import recv_exact, recv_frame, send_frame
-from repro.mpi.transport.thread import Mailbox, _PoisonedError
+from repro.mpi.transport.ranks import (
+    KEEP_WAITING,
+    ForkedRanks,
+    collect_outcomes,
+    fork_context,
+    report_outcome,
+)
+from repro.mpi.transport.thread import Mailbox
 
 #: Peer-connection preamble: the connecting rank announces itself.
 _HELLO = struct.Struct(">I")
@@ -113,7 +116,7 @@ _REGISTER_TIMEOUT = 2.0
 _CONTROL = -1  # demux selector key for the control channel
 
 
-class _WorldFormationError(_PoisonedError):
+class _WorldFormationError(PoisonedError):
     """World formation failed because a peer (or the launcher) vanished.
 
     A symptom of another rank's death, like mailbox poison: the
@@ -122,7 +125,7 @@ class _WorldFormationError(_PoisonedError):
     """
 
 
-class _PeerLostError(_PoisonedError):
+class _PeerLostError(PoisonedError):
     """A send hit a torn peer socket: that rank is gone.
 
     Classified as poison so the dead rank's death — not this echo of it —
@@ -561,21 +564,6 @@ def _build_endpoint(
     return TcpEndpoint(rank, world_size, peers, control, generation)
 
 
-def _send_outcome(
-    control: socket.socket, rank: int, status: str, value: Any
-) -> None:
-    """Report ``(rank, status, value)``, degrading unencodable results to
-    their repr.  ``send_frame`` encodes *before* writing any byte, so a
-    failed first attempt leaves the stream aligned for the retry."""
-    try:
-        channel.try_send_frame(control, KIND_OUTCOME,
-                               obj=(rank, status, value))
-    except Exception:  # noqa: BLE001 - unpicklable closures, sockets, ...
-        channel.try_send_frame(
-            control, KIND_OUTCOME,
-            obj=(rank, "err", MPIError(f"rank {rank}: {value!r}")))
-
-
 def _run_rank(
     address: tuple[str, int],
     bind_host: str,
@@ -612,7 +600,7 @@ def _run_rank(
                 rank = endpoint.rank
                 # A drop rule severs precisely this generation's sockets.
                 undrop = faultinject.register_dropper(endpoint.sever)
-                outcome = ("ok", main(Comm.from_endpoint(endpoint), *args))
+                outcome = ("ok", main(Comm(endpoint), *args))
             except BaseException as exc:  # noqa: BLE001 - reported to the launcher
                 if endpoint is not None:
                     endpoint.poison_peers()
@@ -620,7 +608,9 @@ def _run_rank(
             finally:
                 if undrop is not None:
                     undrop()
-            _send_outcome(control, rank if rank is not None else -1, *outcome)
+            reporter = rank if rank is not None else -1
+            report_outcome(lambda sent: channel.try_send_frame(
+                control, KIND_OUTCOME, obj=(reporter, *sent)), reporter, outcome)
             if endpoint is None:
                 # Formation failed, but the launcher may still restart the
                 # world: a peerless endpoint demuxes its verdict off the
@@ -643,58 +633,29 @@ def _run_rank(
 
 
 def _collect_outcomes(
-    controls: list[socket.socket], timeout: float
+    controls: list[socket.socket], timeout: float, deadline: float
 ) -> tuple[list[Any], list[tuple[int, BaseException]], set[int]]:
-    """Gather per-rank outcomes; poison every survivor on first failure.
+    """One generation's outcomes off the control sockets.  A control EOF
+    before an outcome is a hard death (the kernel closes a killed
+    process's sockets); those ranks come back as ``dead`` so the server
+    can tell a recoverable rank loss (respawn its slot) from a rank that
+    failed and said so (a real error — abort)."""
 
-    A control EOF before an outcome is a hard death (the kernel closes a
-    killed process's sockets), reported as such instead of hanging.  The
-    hard-dead ranks come back as a separate set so a supervisor can tell
-    a recoverable rank loss (respawn its slot) from a rank that failed
-    and said so (a real error — abort).
-    """
-    world_size = len(controls)
-    results: list[Any] = [None] * world_size
-    errors: list[tuple[int, BaseException]] = []
-    dead: set[int] = set()
-    pending = set(range(world_size))
-    selector = selectors.DefaultSelector()
-    for rank, sock in enumerate(controls):
-        selector.register(sock, selectors.EVENT_READ, rank)
-    deadline = time.monotonic() + timeout
-    with selector:
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise MPIError(
-                    f"ranks {sorted(pending)} did not finish in {timeout}s"
-                )
-            for key, _events in selector.select(timeout=min(remaining, 0.5)):
-                rank = key.data
-                try:
-                    frame = recv_frame(key.fileobj)
-                except (MPIError, OSError):
-                    frame = None
-                if frame is None:
-                    dead.add(rank)
-                    status, value = "err", MPIError(
-                        f"rank {rank} died without reporting a result"
-                    )
-                else:
-                    kind, _tag, obj = frame
-                    if kind != KIND_OUTCOME:
-                        continue  # stray frame; keep waiting for the outcome
-                    _rank, status, value = obj
-                selector.unregister(key.fileobj)
-                pending.discard(rank)
-                if status == "ok":
-                    results[rank] = value
-                    continue
-                if not errors:  # first failure: poison every rank still running
-                    for survivor in pending:
-                        channel.try_send_frame(controls[survivor], KIND_ABORT)
-                errors.append((rank, value))
-    return results, errors, dead
+    def read(rank: int) -> Any:
+        try:
+            frame = recv_frame(controls[rank])
+        except (MPIError, OSError):
+            return None  # a torn connection is a death
+        if frame is None:
+            return None
+        kind, _tag, obj = frame
+        return obj[1:] if kind == KIND_OUTCOME else KEEP_WAITING
+
+    def poison(still_running: list[int]) -> None:
+        for rank in still_running:
+            channel.try_send_frame(controls[rank], KIND_ABORT)
+
+    return collect_outcomes(controls, read, poison, timeout, deadline=deadline)
 
 
 @register_transport
@@ -720,12 +681,8 @@ class TcpTransport(Transport):
         respawns: int = 0,
         fault_plan: "faultinject.FaultPlan | str | None" = None,
     ):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise MPIError(
-                "tcp transport spawn needs the fork start method "
-                "(unavailable on this platform); launch ranks externally "
-                "with join_world instead"
-            )
+        self._ctx = fork_context("tcp transport spawn",
+                                 "launch ranks externally with join_world instead")
         self.hosts = parse_hosts(hosts)
         if not 0 <= int(port) <= 65535:
             raise MPIError(f"rendezvous port out of range: {port}")
@@ -744,7 +701,6 @@ class TcpTransport(Transport):
         #: Observers called with ``(generation, dead_ranks)`` on every
         #: elastic restart (e.g. a WorldPool failing in-flight futures).
         self.restart_listeners: list[Callable[[int, list[int]], None]] = []
-        self._ctx = multiprocessing.get_context("fork")
 
     def host_for_rank(self, rank: int) -> str:
         return self.hosts[rank % len(self.hosts)]
@@ -758,26 +714,18 @@ class TcpTransport(Transport):
     ) -> list[Any]:
         """A :class:`TcpWorldServer` whose joiners are forked from here
         (``join_world`` with fork instead of ssh)."""
-        processes: list[Any] = []
-
-        def child(rank: int, plan: "faultinject.FaultPlan | None") -> None:
-            # Forked children inherit any injector state of the parent:
-            # install this rank's plan (None clears stale state) before
-            # marking the process safe to hard-kill.
-            faultinject.install(plan)
-            faultinject.mark_killable()
-            _run_rank(address, self.host_for_rank(rank), rank, main, args,
-                      timeout, self.authkey)
+        ranks = ForkedRanks(self._ctx)
 
         def fork(rank: int, plan: "faultinject.FaultPlan | None" = None) -> None:
             # Replacement ranks (the server's respawn hook passes no plan)
             # model fresh hardware, so a one-shot injected fault stays
             # one-shot.
-            processes.append(self._ctx.Process(
-                target=child, args=(rank, plan), name=f"tcp-rank-{rank}",
-                daemon=True,
-            ))
-            processes[-1].start()
+            ranks.spawn(
+                f"tcp-rank-{rank}",
+                lambda: _run_rank(address, self.host_for_rank(rank), rank,
+                                  main, args, timeout, self.authkey),
+                plan,
+            )
 
         server = TcpWorldServer(world_size, self.hosts[0], self.port,
                                 self.authkey, self.respawns, respawn=fork)
@@ -789,10 +737,7 @@ class TcpTransport(Transport):
             return server.run(timeout)
         finally:
             server._rendezvous.close()
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                process.join(5.0)
+            ranks.reap()
 
 
 class TcpWorldServer:
@@ -873,21 +818,17 @@ class TcpWorldServer:
             while True:
                 controls = self._rendezvous.form(survivors, deadline)
                 results, errors, dead = _collect_outcomes(
-                    controls, max(0.1, deadline - time.monotonic())
-                )
+                    controls, timeout, deadline)
                 reported = [exc for rank, exc in errors if rank not in dead]
                 recoverable = (
                     bool(dead)
                     and budget > 0
-                    and all(isinstance(exc, _PoisonedError) for exc in reported)
+                    and all(isinstance(exc, PoisonedError) for exc in reported)
                 )
                 if not recoverable:
                     for sock in controls:
                         channel.try_send_frame(sock, KIND_SHUTDOWN)
-                    # Prefer real failures over poison symptoms.
-                    raise_rank_errors(
-                        [(rank, exc) for rank, exc in errors
-                         if not isinstance(exc, _PoisonedError)] or errors)
+                    raise_rank_errors(errors)
                     return results
                 budget -= 1
                 generation += 1

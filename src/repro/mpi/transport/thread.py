@@ -17,23 +17,17 @@ import threading
 from typing import Any, Callable
 
 from repro.common.errors import MPIError
+from repro.mpi import faultinject
 from repro.mpi.transport.base import (
     JOIN_TIMEOUT,
     Endpoint,
     Message,
+    PoisonedError,
     Transport,
     match,
-    raise_rank_errors,
     register_transport,
+    run_rank_threads,
 )
-
-
-class _PoisonedError(MPIError):
-    """A blocked receive was woken because a peer rank died.
-
-    A symptom, not a cause: the transport prefers any *real* rank error
-    over these when reporting the run's failure.
-    """
 
 
 class Mailbox:
@@ -73,7 +67,7 @@ class Mailbox:
             index = find()
             while index is None:
                 if self._poisoned:
-                    raise _PoisonedError(
+                    raise PoisonedError(
                         "recv aborted: a peer rank failed while waiting for "
                         f"source={source} tag={tag}"
                     )
@@ -111,6 +105,8 @@ class ThreadEndpoint(Endpoint):
     """One rank's view of a threaded :class:`World`."""
 
     def __init__(self, world: World, rank: int):
+        if not 0 <= rank < world.size:
+            raise MPIError(f"rank {rank} out of range for world of {world.size}")
         self.world = world
         self.rank = rank
         self.size = world.size
@@ -147,8 +143,6 @@ class ThreadTransport(Transport):
     name = "thread"
 
     def __init__(self, fault_plan=None):
-        from repro.mpi import faultinject
-
         self.fault_plan = faultinject.parse_fault_plan(fault_plan)
 
     def run(
@@ -158,52 +152,17 @@ class ThreadTransport(Transport):
         args: tuple = (),
         timeout: float = JOIN_TIMEOUT,
     ) -> list[Any]:
-        from repro.mpi import faultinject
-        from repro.mpi.comm import Comm  # local import: comm builds on this module
+        from repro.mpi.comm import Comm  # local import: comm builds on this package
 
-        if self.fault_plan is not None:
-            # In-process ranks: the plan lives (and degrades kills to
-            # raises) in the host interpreter for the duration of the run.
-            faultinject.install(self.fault_plan)
         world = World(world_size)
-        results: list[Any] = [None] * world_size
-        errors: list[tuple[int, BaseException]] = []
-        errors_lock = threading.Lock()
 
-        def runner(rank: int) -> None:
-            comm = Comm(world, rank)
+        def rank_main(rank: int) -> Any:
+            endpoint = ThreadEndpoint(world, rank)
             try:
                 faultinject.fire("rendezvous", rank=rank)
-                results[rank] = main(comm, *args)
-            except BaseException as exc:  # noqa: BLE001 - re-raised in caller
-                with errors_lock:
-                    errors.append((rank, exc))
-                comm.endpoint.abort()
+                return main(Comm(endpoint), *args)
+            except BaseException:
+                endpoint.abort()
+                raise
 
-        threads = [
-            threading.Thread(
-                target=runner, args=(rank,), name=f"mpi-rank-{rank}", daemon=True
-            )
-            for rank in range(world_size)
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout)
-                if thread.is_alive():
-                    raise MPIError(
-                        f"rank thread {thread.name} did not finish in {timeout}s"
-                    )
-        finally:
-            if self.fault_plan is not None:
-                faultinject.clear()
-        # Poison-induced errors are symptoms of another rank's death;
-        # report the original failure when one exists.
-        real = [
-            (rank, exc)
-            for rank, exc in errors
-            if not isinstance(exc, _PoisonedError)
-        ]
-        raise_rank_errors(real or errors)
-        return results
+        return run_rank_threads(world_size, rank_main, "mpi-rank", timeout, self.fault_plan)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import MPIError
 from repro.mpi import ANY_SOURCE, ANY_TAG, Comm, World, mpi_run
+from repro.mpi.transport import ThreadEndpoint
 
 # Named test tags (RPL003: no literal ints at send/recv call sites).
 TAG_WRONG = 5
@@ -177,4 +178,4 @@ class TestLauncher:
 
     def test_rank_bounds(self):
         with pytest.raises(MPIError):
-            Comm(World(2), 2)
+            Comm(ThreadEndpoint(World(2), 2))

@@ -9,6 +9,7 @@ they lived at a path that puts them in the checker's scope — the same
 
 from __future__ import annotations
 
+import ast
 import json
 import pathlib
 import shutil
@@ -545,6 +546,46 @@ class TestRepositoryIsClean:
         assert findings == [], "\n".join(
             f"{f.path}:{f.line}: {f.code} {f.message}" for f in findings
         )
+
+
+class TestOneRankSupervisor:
+    """Structural pins (plain scans, no RPL rule): the forked-rank
+    lifecycle and the cause-over-symptom rule each live in one place."""
+
+    MPI = REPO_ROOT / "src" / "repro" / "mpi"
+
+    def test_processes_are_born_and_watched_only_in_ranks(self):
+        offenders = [
+            f"{path.relative_to(REPO_ROOT)}: {needle}"
+            for path in sorted(self.MPI.rglob("*.py"))
+            if path.name != "ranks.py"
+            for needle in ("get_context(", ".Process(", ".sentinel")
+            if needle in path.read_text()
+        ]
+        assert offenders == []
+        ranks = (self.MPI / "transport" / "ranks.py").read_text()
+        assert "get_context(" in ranks and ".Process(" in ranks
+
+    def test_only_two_functions_ask_whether_an_error_is_poison(self):
+        askers = set()
+
+        def scan(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and "PoisonedError" in ast.unparse(node.args[1])):
+                askers.add(where)
+            for child in ast.iter_child_nodes(node):
+                scan(child, where)
+
+        for path in sorted(self.MPI.rglob("*.py")):
+            scan(ast.parse(path.read_text()), path.name)
+        assert askers == {
+            "base.py.raise_rank_errors",   # cause over symptom
+            "tcp.py.TcpWorldServer.run",   # `recoverable`
+        }
 
 
 class TestMypyStrictSubset:

@@ -16,8 +16,11 @@ This suite is parametrized over the full backend list so a new transport
 (tcp was added this way) cannot ship with divergent failure behaviour.
 """
 
+import multiprocessing
 import os
 import pickle
+import signal
+import threading
 import time
 from contextlib import contextmanager
 
@@ -25,6 +28,7 @@ import pytest
 
 from repro.common.errors import MPIError
 from repro.mpi import mpi_run
+from repro.mpi.transport import ranks as rank_supervisor
 from repro.workloads import RunParams, run_workload, wordcount_reference
 
 ALL_BACKENDS = ("thread", "shm", "inline", "tcp")
@@ -182,6 +186,101 @@ class TestHardKill:
             return "survivor"
 
         with pytest.raises(MPIError):
+            mpi_run(2, main, transport=process_backend)
+
+
+#: The run deadline of the cases below, and how long their deaf rank
+#: ignores the world (no receive, so poison cannot reach it).
+RUN_DEADLINE = 1.0
+DEAF_FOR = 8.0
+
+#: ``RUN_DEADLINE`` plus reaping a rank that honours SIGTERM.
+DEADLINE_BUDGET = 4.0
+
+
+def deaf(seconds: float = DEAF_FOR) -> None:
+    """Block without touching the communicator."""
+    threading.Event().wait(seconds)
+
+
+class TestRunDeadline:
+    """The run's deadline is a backstop, not a verdict: a cause already
+    reported must survive it, on every backend, in the same words."""
+
+    def test_deadline_does_not_mask_the_cause(self, backend):
+        def main(comm):
+            if comm.rank == 0:
+                raise ValueError("the real cause")
+            deaf()
+
+        started = time.monotonic()
+        with pytest.raises(MPIError, match="the real cause"):
+            mpi_run(2, main, timeout=RUN_DEADLINE, transport=backend)
+        assert time.monotonic() - started < DEADLINE_BUDGET
+
+    def test_deadline_without_a_cause_names_the_configured_timeout(
+            self, backend):
+        def main(comm):
+            if comm.rank == 1:
+                deaf()
+
+        started = time.monotonic()
+        with pytest.raises(MPIError, match=r"did not finish in 1\.0s"):
+            mpi_run(2, main, timeout=RUN_DEADLINE, transport=backend)
+        assert time.monotonic() - started < DEADLINE_BUDGET
+
+
+class TestNoRankOutlivesItsWorld:
+    @pytest.mark.slow
+    def test_sigterm_ignoring_rank_is_killed(self, process_backend,
+                                             monkeypatch):
+        """Reaping escalates: a rank that ignores ``terminate`` is gone
+        all the same when ``run`` returns.  (The grace period is cut so
+        two backends do not add ten seconds of waiting to the suite.)"""
+        monkeypatch.setattr(rank_supervisor, "REAP_GRACE", 1.0)
+
+        def main(comm):
+            if comm.rank == 0:
+                raise RuntimeError("the world ends here")
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            deaf()
+
+        with pytest.raises(MPIError, match="the world ends here"):
+            mpi_run(2, main, timeout=RUN_DEADLINE, transport=process_backend)
+        assert multiprocessing.active_children() == []
+
+
+class Unsendable(Exception):
+    """Module-level, so only its attribute stands between it and pickle."""
+
+
+class TestDegradedOutcome:
+    """An outcome that cannot cross the process boundary still arrives as
+    an ``MPIError`` naming the rank — and says what failed to encode."""
+
+    def test_unpicklable_result_says_why(self, process_backend):
+        def main(comm):
+            return (lambda: None) if comm.rank == 1 else None
+
+        with pytest.raises(
+            MPIError,
+            match=r"rank 1: <function .*<lambda>.*could not be sent "
+                  r"\(\w+: .*pickle",
+        ):
+            mpi_run(2, main, transport=process_backend)
+
+    def test_unpicklable_exception_attribute_says_why(self, process_backend):
+        def main(comm):
+            if comm.rank == 1:
+                error = Unsendable("kept in the repr")
+                error.handle = lambda: None
+                raise error
+
+        with pytest.raises(
+            MPIError,
+            match=r"rank 1: Unsendable\('kept in the repr'\) could not be "
+                  r"sent \(\w+: .*pickle",
+        ):
             mpi_run(2, main, transport=process_backend)
 
 
