@@ -1,22 +1,35 @@
 """O-side partitioned send buffers — the pipelining half of DataMPI.
 
-Each O task keeps one buffer per destination A task, charged per record
-by ``record_size`` — not by the bytes it will ship: nothing is encoded
-until the flush, and ``encode_stream`` may pack the chunk as columns.  When
-a buffer exceeds the send threshold it is *flushed*: sorted by key (DataMPI
-delivers key-ordered data to A tasks), optionally run through a combiner,
-encoded, and sent immediately — while the O task keeps computing.  This
-is the "data movement is pipelining with the computation overlapped in O
-tasks" design of Section 2.3, and it is why DataMPI's shuffle is largely
-complete by the time the O phase ends (Section 4.4's network analysis).
+Each O task keeps one buffer per destination A task, charged in bytes
+against a send threshold.  When a buffer reaches it, it is *flushed*:
+sorted by key (DataMPI delivers key-ordered data to A tasks), optionally
+run through a combiner, encoded, and sent immediately — while the O task
+keeps computing.  This is the "data movement is pipelining with the
+computation overlapped in O tasks" design of Section 2.3, and it is why
+DataMPI's shuffle is largely complete by the time the O phase ends
+(Section 4.4's network analysis).
+
+The *tuple path* (``sort=False``, or no combiner) holds ``(key, value)``
+tuples and charges each its ``record_size`` — the record-stream size;
+``encode_stream`` may still pack the chunk as columns.
 
 With ``sort`` and a combiner the buffer *groups on arrival*: a
-destination holds ``{key: [values]}``, not ``(key, value)`` tuples, so a
-repeat of a buffered key costs a dict lookup and an append — no tuple, no
-slot in the flush sort, no turn of the combine scan.  Bytes are still
-charged per record, so flush boundaries and chunks are byte-identical to
-sort-then-combine.  The first unhashable key (a list) moves the buffer to
-the tuple path, which serves ``sort=False`` and combiner-less jobs as ever.
+destination holds ``{key: [values]}``, and is charged what it holds and
+will ship — a new key the record it will ship, a repeat the 8-byte list
+slot it takes.  A destination that reaches the threshold is first
+*folded*: every multi-value list becomes ``[combiner(key, values)]`` and
+the charge drops to the record-stream bytes the table would ship.  It
+ships only if that is still at least half the threshold, so a window
+lasts until its *distinct* keys fill the buffer — Section 4.4's
+WordCount, whose small dictionary makes "few intermediate data", ships
+one chunk per destination at close.  Memory stays bounded by the
+threshold (a charge counts at least every key's bytes and a slot per
+held value), and folding costs O(1) per byte charged, amortised: a fold
+that does not ship passes once over a table that charges under half the
+threshold, and frees more than half a threshold of charge.  A combiner
+may therefore run more than once on a key, including on its own output.
+The first unhashable key (a list) moves the buffer to the tuple path for
+good.
 
 Encoded chunks leave here as ``bytes`` and stay binary all the way to
 the A task: the transports move them verbatim (``FMT_RAW`` — never
@@ -27,17 +40,20 @@ does not translate into per-chunk descriptor traffic.
 
 from __future__ import annotations
 
+from itertools import starmap
 from operator import itemgetter
 from typing import Any, Callable
 
 from repro.common.errors import DataMPIError
 from repro.common.kv import encode_stream, record_size
 
-#: Default flush threshold per destination buffer.  It counts *pre-combine*
-#: ``record_size`` bytes, not shipped bytes: every record added counts,
-#: repeats included, at its record-stream size, so a "256 KiB" WordCount
-#: buffer ships ≈ 18 KB (columnar) chunks.
+#: Default flush threshold per destination buffer: bytes held, and under a
+#: combiner bytes to ship — a WordCount window of a few thousand distinct
+#: words never reaches it and leaves at close.
 DEFAULT_SEND_BUFFER_BYTES = 256 * 1024
+
+#: What a grouped repeat is charged: the list slot holding its value.
+_SLOT = 8
 
 Combiner = Callable[[Any, list[Any]], Any]
 
@@ -76,6 +92,9 @@ class PartitionedSendBuffer:
         if sort and combiner is not None:
             #: Per destination, ``{first-seen key: [values in arrival order]}``.
             self._tables: list[dict[Any, list[Any]]] = [{} for _ in range(num_destinations)]
+            #: Per destination, ``Σ record_size(key, values[0])`` over its
+            #: table: the record-stream bytes it would ship once folded.
+            self._shipping: list[int] = [0] * num_destinations
             self.add = self._add_grouped
             self.flush = self._flush_grouped
 
@@ -95,24 +114,25 @@ class PartitionedSendBuffer:
             return
         if self._sort:
             records.sort(key=itemgetter(0))
-        if self._combiner is not None:
-            records = self._combine(records)
-        self._ship(destination, records)
+        shipped = records if self._combiner is None else self._combine(records)
+        self._ship(destination, shipped, len(records) - len(shipped))
         self._records[destination] = []
 
-    def _ship(self, destination: int, records: list[tuple[Any, Any]]) -> None:
+    def _ship(self, destination: int, records: list[tuple[Any, Any]],
+              combined_away: int) -> None:
         """The tail of every flush.  Nothing is counted or released unless
         the send returns: a failed flush can be retried."""
         payload = encode_stream(records)
         self._send(destination, payload)
         self.records_sent += len(records)
+        self.records_combined_away += combined_away
         self.bytes_sent += len(payload)
         self.chunks_sent += 1
         self._bytes[destination] = 0
 
     def _add_grouped(self, destination: int, key: Any, value: Any) -> None:
-        """``add``, filing the value under its key; charged ``record_size``
-        like any record, so flushes fall where the tuple path puts them."""
+        """``add``, filing the value under its key: a new key is charged the
+        record it will ship, a repeat its list slot."""
         table = self._tables[destination]
         try:
             values = table.get(key)
@@ -122,17 +142,46 @@ class PartitionedSendBuffer:
             return
         if values is None:
             table[key] = [value]
+            charge = record_size(key, value)
+            self._shipping[destination] += charge
         else:
             values.append(value)
-        buffered = self._bytes[destination] + record_size(key, value)
+            charge = _SLOT
+        buffered = self._bytes[destination] + charge
         self._bytes[destination] = buffered
         self.records_buffered += 1
         if buffered >= self._threshold:
+            self._fold(destination)
+
+    def _fold(self, destination: int) -> None:
+        """Combine each repeated key's values in place, charge the table
+        what it would ship, and ship it if that is still at least half the
+        threshold.  A fold is a combine that happened: it counts at once,
+        key by key, even if a later key's combiner raises."""
+        table = self._tables[destination]
+        combiner = self._combiner
+        assert combiner is not None
+        shipping = self._shipping[destination]
+        folded = 0
+        try:
+            for key, values in table.items():
+                if len(values) > 1:
+                    value = combiner(key, values)
+                    shipping += record_size(key, value) - record_size(key, values[0])
+                    folded += len(values) - 1
+                    table[key] = [value]
+        finally:
+            self.records_combined_away += folded
+            self._bytes[destination] += (shipping - self._shipping[destination]
+                                         - _SLOT * folded)
+            self._shipping[destination] = shipping
+        if 2 * shipping >= self._threshold:
             self._flush_grouped(destination)
 
     def _flush_grouped(self, destination: int) -> None:
-        """``flush`` of a table: what a stable sort and ``_combine`` make of
-        the same records (first-seen key object, values in arrival order)."""
+        """``flush`` of a table: its keys sorted, each with ``values[0]`` or
+        ``combiner(key, values)`` (first-seen key object, values in arrival
+        order)."""
         table = self._tables[destination]
         if not table:
             return
@@ -142,18 +191,24 @@ class PartitionedSendBuffer:
             (key, values[0] if len(values) == 1 else combiner(key, values))
             for key, values in sorted(table.items(), key=itemgetter(0))
         ]
-        self.records_combined_away += sum(map(len, table.values())) - len(records)
-        self._ship(destination, records)
+        self._ship(destination, records,
+                   sum(map(len, table.values())) - len(records))
         self._tables[destination] = {}
+        self._shipping[destination] = 0
 
     def _ungroup(self) -> None:
-        """Hand every table to the tuple path, for good.  Each key's arrival
-        order survives, which is all the flush's stable sort keeps."""
+        """Hand every table to the tuple path, for good, each held record
+        charged its ``record_size`` again.  Each key's arrival order
+        survives, which is all the flush's stable sort keeps."""
         self._records = [
             [(key, value) for key, values in table.items() for value in values]
             for table in self._tables
         ]
-        del self._tables, self.add, self.flush  # the class's own pair again
+        self._bytes = [sum(starmap(record_size, records)) for records in self._records]
+        del self._tables, self._shipping, self.add, self.flush  # the class's own pair
+        for destination, buffered in enumerate(self._bytes):
+            if buffered >= self._threshold:
+                self.flush(destination)
 
     def _combine(self, records: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
         """Apply the combiner to runs of equal keys: ``sort=False`` or an
@@ -171,7 +226,6 @@ class PartitionedSendBuffer:
                 run_key, run_values = key, [value]
         if run_values:
             combined.append((run_key, self._apply(run_key, run_values)))
-        self.records_combined_away += len(records) - len(combined)
         return combined
 
     def _apply(self, key: Any, values: list[Any]) -> Any:

@@ -73,7 +73,15 @@ class DataMPIConf:
     num_a: int = 4
     sort: bool = True
     partitioner: Partitioner | None = None
+    #: Map-side ``combiner(key, values)`` run on the O side before a chunk
+    #: ships.  Hadoop's contract: it may run more than once on a key,
+    #: including on its own output — the send buffer folds repeats in place
+    #: and combines again at the flush — so ``combiner(k, [combiner(k, vs),
+    #: v])`` must stand for ``combiner(k, vs + [v])``.  A sum qualifies;
+    #: ``list(values)`` nests its own output and does not.
     combiner: Callable[[Any, list[Any]], Any] | None = None
+    #: Per-destination send threshold: bytes held, and under a combiner
+    #: bytes to ship (see :mod:`repro.datampi.buffers`).
     send_buffer_bytes: int = DEFAULT_SEND_BUFFER_BYTES
     checkpoint_dir: str | None = None
     job_name: str = "datampi-job"

@@ -9,10 +9,16 @@ Invariants under test:
 * ``PartitionedSendBuffer`` delivers every record exactly once to the
   destination it was added for, preserving per-destination FIFO order of
   flushes (chunk N's records were all added before chunk N+1's);
-* a buffer that groups values per key on arrival (``sort`` + combiner)
-  sends exactly the chunks, and counts exactly the records, of the
-  sort-then-scan buffer it replaced (kept below as the reference).
+* the tuple path (``sort=False``, no combiner, or after an unhashable
+  key) sends exactly the chunks, and counts exactly the records, of the
+  plain sort-then-scan buffer kept below as the reference;
+* the grouped path (``sort`` + combiner) folds repeats in place: what it
+  ships reduces to what was added, its charge stays under the threshold,
+  and distinct keys that fit ship once per destination;
+* a send that fails once and is retried counts every record once.
 """
+
+from itertools import chain
 
 from hypothesis import given, settings, strategies as st
 
@@ -180,9 +186,9 @@ class TestPartitionedSendBuffer:
 
 
 class ReferenceSendBuffer:
-    """The buffer as it was before grouping on arrival — tuple records, a
-    stable sort, a scan for runs of equal keys — kept as the reference the
-    real one must match chunk for chunk."""
+    """The tuple path written out plainly — tuple records charged their
+    ``record_size``, a stable sort, a scan for runs of equal keys — kept
+    as the reference the real one's tuple path must match chunk for chunk."""
 
     def __init__(self, num_destinations, send, *, sort, combiner, threshold_bytes):
         self._send = send
@@ -264,20 +270,32 @@ tuple_keys = st.tuples(
 partly_unhashable_keys = st.sampled_from(
     [("a", 1), ("a", 2), ("b", [0]), ("b", [1]), ("c", 3)]
 )
-key_pools = st.one_of(
+hashable_key_pools = st.one_of(
     key_pool(st.text(max_size=6)),
     key_pool(st.integers(min_value=-5, max_value=5)),
     key_pool(st.binary(max_size=4)),
     key_pool(st.tuples(st.text(max_size=3), st.integers(min_value=0, max_value=3))),
     key_pool(mixed_number_keys, max_size=8),
     key_pool(tuple_keys),
-    key_pool(st.lists(st.integers(min_value=0, max_value=2), max_size=2)),
     key_pool(st.floats(allow_nan=False)),
 )
+key_pools = st.one_of(
+    hashable_key_pools,
+    key_pool(st.lists(st.integers(min_value=0, max_value=2), max_size=2)),
+)
 
+
+def concat(key, values):
+    """Order-visible and safe to re-apply: each value is a tuple, so a
+    fold's output is one more tuple to concatenate."""
+    return tuple(chain.from_iterable(values))
+
+
+#: Combiners a buffer may run more than once per key, each with what it
+#: makes of a stream's ``int`` value.
 COMBINERS = {
-    "sum": lambda key, values: sum(values),
-    "list": lambda key, values: list(values),  # makes value order visible
+    "sum": (lambda key, values: sum(values), lambda value: value),
+    "concat": (concat, lambda value: (value,)),
 }
 
 
@@ -303,18 +321,26 @@ COUNTERS = ("records_buffered", "records_sent", "bytes_sent", "chunks_sent",
             "records_combined_away", "buffered_bytes")
 
 
+def buffer_for(num_destinations, records, *, combiner, threshold, sort=True,
+               cls=PartitionedSendBuffer):
+    """A buffer of ``cls`` under the named combiner (or none), the stream's
+    values as that combiner takes them, and the list its chunks go to."""
+    combine, lift = COMBINERS[combiner] if combiner else (None, lambda value: value)
+    sink: list[tuple[int, bytes]] = []
+    buffer = cls(num_destinations, lambda dest, payload: sink.append((dest, payload)),
+                 sort=sort, combiner=combine, threshold_bytes=threshold)
+    return buffer, [(dest, key, lift(value)) for dest, key, value in records], sink
+
+
 def run_both(num_destinations, records, *, combiner, threshold, sort=True):
     """Feed one stream to the real buffer and to the reference; returns
     ``(sink, counters)`` of each, counters read before and after
     ``flush_all``."""
     outcomes = []
     for cls in (PartitionedSendBuffer, ReferenceSendBuffer):
-        sink: list[tuple[int, bytes]] = []
-        buffer = cls(
-            num_destinations, lambda dest, payload, sink=sink: sink.append((dest, payload)),
-            sort=sort, combiner=combiner, threshold_bytes=threshold,
-        )
-        for destination, key, value in records:
+        buffer, stream, sink = buffer_for(num_destinations, records, combiner=combiner,
+                                          threshold=threshold, sort=sort, cls=cls)
+        for destination, key, value in stream:
             buffer.add(destination, key, value)
         before = [getattr(buffer, name) for name in COUNTERS]
         buffer.flush_all()
@@ -322,53 +348,192 @@ def run_both(num_destinations, records, *, combiner, threshold, sort=True):
     return outcomes
 
 
-class TestGroupingMatchesSortThenCombine:
+def reduced(combine, pairs):
+    """``[(key, combine(key, values))]`` per group of ``==`` keys, values in
+    order, keys in first-seen order (a scan: list keys cannot be hashed)."""
+    groups: list[tuple[object, list]] = []
+    for key, value in pairs:
+        for seen, values in groups:
+            if seen == key:
+                values.append(value)
+                break
+        else:
+            groups.append((key, [value]))
+    return [(key, combine(key, values)) for key, values in groups]
+
+
+def shipped(sink, destination):
+    return [(kv.key, kv.value) for dest, payload in sink if dest == destination
+            for kv in decode_stream(payload)]
+
+
+class TestTuplePathUnchanged:
+    """``sort=False``, no combiner, or a buffer an unhashable key moved off
+    the grouped path: byte for byte the reference's ``(destination,
+    payload)`` sequence — flush boundaries, key objects, value order — and
+    its counters, mid-stream and at the end."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         stream=duplicate_heavy_streams(),
         threshold=st.integers(min_value=1, max_value=1000),
-        combiner=st.sampled_from(sorted(COMBINERS)),
-        sort=st.booleans(),
+        path=st.sampled_from([(False, "sum"), (False, "concat"), (False, None),
+                              (True, None)]),
     )
-    def test_same_chunks_and_counters(self, stream, threshold, combiner, sort):
-        """Byte for byte the same ``(destination, payload)`` sequence —
-        hence the same flush boundaries, first-seen key objects and value
-        order — and the same counters, mid-stream and at the end."""
+    def test_same_chunks_and_counters(self, stream, threshold, path):
+        sort, combiner = path
         num_destinations, records = stream
-        new, reference = run_both(
-            num_destinations, records,
-            combiner=COMBINERS[combiner], threshold=threshold, sort=sort,
-        )
+        new, reference = run_both(num_destinations, records, combiner=combiner,
+                                  threshold=threshold, sort=sort)
         assert new == reference
 
     @settings(max_examples=100, deadline=None)
     @given(
         stream=duplicate_heavy_streams(key_pool(partly_unhashable_keys)),
         threshold=st.integers(min_value=1, max_value=1000),
+        combiner=st.sampled_from(sorted(COMBINERS)),
     )
-    def test_same_when_grouping_ends_mid_stream(self, stream, threshold):
+    def test_same_after_an_unhashable_key(self, stream, threshold, combiner):
         num_destinations, records = stream
-        new, reference = run_both(
-            num_destinations, records,
-            combiner=COMBINERS["list"], threshold=threshold,
-        )
+        records = [(0, ("b", [0]), 0), *records]  # on the tuple path from the start
+        new, reference = run_both(num_destinations, records, combiner=combiner,
+                                  threshold=threshold)
         assert new == reference
 
     def test_list_key_after_other_destination_grouped(self):
         """An unhashable key ends grouping for the whole buffer mid-stream;
-        what the other destination's table already held is not lost."""
+        what the other destination's table already held is not lost, and a
+        window that never folded ships what the tuple path would."""
         records = [
             (0, "b", 1), (0, "a", 2), (0, "b", 3),  # grouped in table 0
             (1, [2], 4),  # unhashable: back to tuples, both destinations
             (1, [1], 5), (1, [2], 6), (0, "a", 7), (0, "b", 8),
         ]
-        new, reference = run_both(
-            2, records, combiner=COMBINERS["list"], threshold=10 ** 6)
+        new, reference = run_both(2, records, combiner="concat", threshold=10 ** 6)
         assert new == reference
         sink = new[0]
         assert [(dest, [tuple(kv) for kv in decode_stream(payload)])
                 for dest, payload in sink] == [
-            (0, [("a", [2, 7]), ("b", [1, 3, 8])]),
-            (1, [([1], 5), ([2], [4, 6])]),
+            (0, [("a", (2, 7)), ("b", (1, 3, 8))]),
+            (1, [([1], (5,)), ([2], (4, 6))]),
         ]
         assert new[2][COUNTERS.index("records_combined_away")] == 4
+
+
+class TestGroupingFoldsInPlace:
+    """The grouped path (``sort`` + combiner) charges a new key the record
+    it will ship and a repeat its list slot, folds repeats in place when a
+    destination reaches the threshold, and ships per distinct key."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=duplicate_heavy_streams(),
+        threshold=st.integers(min_value=1, max_value=1000),
+        combiner=st.sampled_from(sorted(COMBINERS)),
+    )
+    def test_shipped_values_reduce_to_every_value(self, stream, threshold, combiner):
+        """Per destination and key, reducing what shipped equals reducing
+        every value added, in arrival order — ``concat`` shows the order."""
+        num_destinations, records = stream
+        buffer, stream, sink = buffer_for(num_destinations, records,
+                                          combiner=combiner, threshold=threshold)
+        for destination, key, value in stream:
+            buffer.add(destination, key, value)
+        buffer.flush_all()
+        combine = COMBINERS[combiner][0]
+        for destination in range(num_destinations):
+            added = reduced(combine, [(key, value) for dest, key, value in stream
+                                      if dest == destination])
+            sent = reduced(combine, shipped(sink, destination))
+            assert len(sent) == len(added)
+            for key, value in added:
+                assert [v for k, v in sent if k == key] == [value]
+        assert buffer.records_buffered == buffer.records_sent + buffer.records_combined_away
+        assert buffer.chunks_sent == len(sink)
+        assert buffer.bytes_sent == sum(len(payload) for _, payload in sink)
+        assert buffer.buffered_bytes == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=duplicate_heavy_streams(),
+        threshold=st.integers(min_value=1, max_value=1000),
+        combiner=st.sampled_from(sorted(COMBINERS)),
+    )
+    def test_charge_stays_below_threshold(self, stream, threshold, combiner):
+        """After every ``add`` each grouped destination is charged less than
+        the threshold, and exactly its keys' records plus an 8-byte slot per
+        further value — so the threshold bounds what a table holds."""
+        num_destinations, records = stream
+        buffer, stream, _ = buffer_for(num_destinations, records,
+                                       combiner=combiner, threshold=threshold)
+        for destination, key, value in stream:
+            buffer.add(destination, key, value)
+            if not hasattr(buffer, "_tables"):
+                break  # an unhashable key: the tuple path from here on
+            for charge, table in zip(buffer._bytes, buffer._tables):
+                assert charge < threshold
+                assert charge == sum(record_size(key, values[0]) + 8 * (len(values) - 1)
+                                     for key, values in table.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=duplicate_heavy_streams(hashable_key_pools),
+        headroom=st.integers(min_value=1, max_value=500),
+    )
+    def test_one_chunk_per_destination_while_distinct_keys_fit(self, stream, headroom):
+        """Distinct keys under half the threshold: however many repeats
+        arrive, each destination ships once, at close, each key once."""
+        num_destinations, records = stream
+        distinct = [dict.fromkeys(key for dest, key, _ in records if dest == destination)
+                    for destination in range(num_destinations)]
+        widest = max(sum(record_size(key, 0) for key in keys) for keys in distinct)
+        buffer, stream, sink = buffer_for(num_destinations, records, combiner="sum",
+                                          threshold=2 * widest + headroom)
+        for destination, key, value in stream:
+            buffer.add(destination, key, value)
+        assert sink == []
+        buffer.flush_all()
+        assert [dest for dest, _ in sink] == [d for d, keys in enumerate(distinct) if keys]
+        for dest, payload in sink:
+            assert len(list(decode_stream(payload))) == len(distinct[dest])
+        assert buffer.records_combined_away == len(records) - sum(map(len, distinct))
+
+
+class TestRetriedFlushCountsOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=duplicate_heavy_streams(),
+        threshold=st.integers(min_value=1, max_value=1000),
+        combiner=st.sampled_from(sorted(COMBINERS)),
+        sort=st.booleans(),
+        failing_send=st.integers(min_value=0, max_value=8),
+    )
+    def test_every_record_sent_or_combined_away_once(self, stream, threshold, combiner,
+                                                     sort, failing_send):
+        """A send that raises once leaves its chunk to be flushed again;
+        nothing it combined is counted until a send returns."""
+        num_destinations, records = stream
+        combine, lift = COMBINERS[combiner]
+        sends = 0
+
+        def send(destination, payload):
+            nonlocal sends
+            sends += 1
+            if sends == failing_send + 1:
+                raise ConnectionError("send failed once")
+
+        buffer = PartitionedSendBuffer(num_destinations, send, sort=sort,
+                                       combiner=combine, threshold_bytes=threshold)
+        for destination, key, value in records:
+            try:
+                buffer.add(destination, key, lift(value))
+            except ConnectionError:
+                pass
+        try:
+            buffer.flush_all()
+        except ConnectionError:
+            buffer.flush_all()
+        assert buffer.records_buffered == buffer.records_sent + buffer.records_combined_away
+        assert buffer.buffered_bytes == 0
+
+
