@@ -246,7 +246,6 @@ class AContext:
             "a.records_received": self.records_received,
             "a.bytes_received": self.bytes_received,
             "a.spills": self._store.spills,
-            "a.spilled_bytes": self._store.spilled_bytes,
             "a.bytes_spilled": self._store.bytes_spilled,
             "a.spill_reads": self._store.spill_reads,
         }

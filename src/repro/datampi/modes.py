@@ -11,7 +11,8 @@ other two as drivers of :func:`repro.datampi.world.superstep_loop`:
   iteration reads them locally, so the per-iteration bytes moved drop by
   exactly the input-scatter volume (the redundant I/O Section 4.5's
   k-means analysis charges against one-job-per-iteration engines).
-  Per-iteration state (e.g. centroids) is broadcast from the root; a
+  Per-iteration state (e.g. centroids) goes from the root to the O ranks
+  only — the A task is Common's ``a_task(ctx)`` and never sees it; a
   user-supplied ``update`` function folds the A outputs into the next
   state and decides convergence.
 
@@ -22,7 +23,7 @@ other two as drivers of :func:`repro.datampi.world.superstep_loop`:
 
 Both run one control round per superstep — the loop's; what each mode
 adds is its binder (how a control tuple becomes tasks) and its step
-source (what the root broadcasts next and does with a settled round).
+source (what the root sends next and does with a settled round).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.datampi.checkpoint import (
     read_iteration_state,
     write_iteration_state,
 )
-from repro.datampi.job import DataMPIConf, add_counters, merge_outputs
+from repro.datampi.job import ATask, DataMPIConf, add_counters, merge_outputs
 from repro.datampi.world import Binder, Control, RoundOutcome, superstep_loop
 from repro.mpi.comm import Comm
 from repro.mpi.launcher import mpi_run
@@ -59,8 +60,6 @@ def _tally(result: "IterativeResult | StreamResult", outcome: RoundOutcome) -> d
 
 #: o_task(ctx, split, state) — Common's OTask plus the per-iteration state.
 IterOTask = Callable[[Any, Any, Any], None]
-#: a_task(ctx, state) — Common's ATask plus the per-iteration state.
-IterATask = Callable[[Any, Any], Any]
 #: update(state, merged_outputs, iteration) -> (new_state, converged).
 UpdateFn = Callable[[Any, list[Any], int], tuple[Any, bool]]
 
@@ -94,8 +93,9 @@ class IterativeJob:
     cannot serve it.  With ``conf.mode == "common"`` the same protocol is
     replayed with a fresh world per iteration — the one-job-per-iteration
     pattern — which makes the two modes byte-comparable: identical
-    shuffles, state broadcasts and gathers, differing exactly by the
-    re-scattered input.
+    shuffles, controls and gathers, differing exactly by the re-scattered
+    input.  Only the O task reads the state; the A task takes Common's
+    ``a_task(ctx)``, and A ranks' controls leave the state out.
 
     Examples:
         Accumulate split values into ``state`` until the total reaches 10
@@ -104,7 +104,7 @@ class IterativeJob:
         >>> from repro.datampi import DataMPIConf, IterativeJob
         >>> def o_task(ctx, split, state):
         ...     ctx.send(0, split + state)
-        >>> def a_task(ctx, state):
+        >>> def a_task(ctx):
         ...     return [v for _key, values in ctx.grouped() for v in values]
         >>> def update(state, outputs, iteration):
         ...     total = state + sum(outputs)
@@ -122,7 +122,7 @@ class IterativeJob:
     def __init__(
         self,
         o_task: IterOTask,
-        a_task: IterATask,
+        a_task: ATask,
         update: UpdateFn,
         conf: DataMPIConf | None = None,
         max_iterations: int = 20,
@@ -183,16 +183,16 @@ class IterativeJob:
         return None if saved is None else (saved["iteration"], saved["state"])
 
     def _binder(self, iteration: int) -> Binder:
-        """One rank's binder: ``("run", state)`` closes the tasks over the
-        broadcast state and numbers the superstep after ``iteration``."""
+        """One rank's binder: closes the O task over the state an O rank's
+        ``("run", state)`` carries (an A rank's ``("run",)`` has none) and
+        numbers the superstep after ``iteration``."""
         supersteps = count(iteration + 1)
 
         def bind(control: Control):
-            state = control[1]
             return (
                 self.conf,
-                lambda ctx, split: self.o_task(ctx, split, state),
-                lambda ctx: self.a_task(ctx, state),
+                lambda ctx, split: self.o_task(ctx, split, control[1]),
+                self.a_task,
                 next(supersteps),
             )
 
@@ -218,7 +218,7 @@ class IterativeJob:
             steps = _IterationSteps(self, iteration, state)
             shutdown_bytes = superstep_loop(
                 comm, conf.num_o, conf.num_a, conf.storage, self._binder(iteration),
-                lambda: (steps.pending, splits), steps.settle, cache_input=True,
+                lambda: steps.step(splits), steps.settle, cache_input=True,
             )
             steps.result.counters["mode.shutdown_bytes"] = shutdown_bytes
             return steps.result if comm.rank == 0 else None
@@ -238,14 +238,14 @@ class IterativeJob:
         ``update``) stays in the launching process."""
         conf = self.conf
         while steps.pending[0] == "run":
-            control, iteration = steps.pending, steps.result.iterations
+            step, iteration = steps.step(splits), steps.result.iterations
             started = time.perf_counter()
 
             def rank_main(comm: Comm):
                 settled: list[RoundOutcome] = []
                 superstep_loop(
                     comm, conf.num_o, conf.num_a, conf.storage, self._binder(iteration),
-                    lambda: (control, splits), settled.append,
+                    lambda: step, settled.append,
                     cache_input=False, one_round=True,
                 )
                 return settled
@@ -262,8 +262,8 @@ class IterativeJob:
 
 
 class _IterationSteps:
-    """An iterative run's step source: the control to broadcast next and
-    the result so far.
+    """An iterative run's step source: the control to send next and the
+    result so far.
 
     Lives on the root rank in Iteration mode and in the launching process
     for the Common replay, so both modes put a round through the same
@@ -278,8 +278,14 @@ class _IterationSteps:
             start_iteration=iteration,
         )
         self.pending: Control = (
-            ("stop", False) if iteration >= job.max_iterations else ("run", state)
+            ("stop", False) if iteration >= job.max_iterations else ("run",)
         )
+
+    def step(self, splits: Sequence[Any]) -> tuple[Control, Control, Sequence[Any]]:
+        """The next round for :func:`superstep_loop`: a ``"run"`` carries
+        the current state to the O ranks only."""
+        o_only = (self.result.state,) if self.pending[0] == "run" else ()
+        return self.pending, o_only, splits
 
     def settle(self, outcome: RoundOutcome) -> None:
         job, result = self.job, self.result
@@ -292,7 +298,7 @@ class _IterationSteps:
             state, done = job.update(
                 result.state, merge_outputs(outcome.outputs), iteration
             )
-        except Exception as exc:  # noqa: BLE001 - broadcast to all ranks
+        except Exception as exc:  # noqa: BLE001 - sent to all ranks
             self.pending = ("error", f"update failed at iteration {iteration}: {exc!r}")
             return
         result.state, result.outputs, result.converged = state, outcome.outputs, bool(done)
@@ -302,7 +308,7 @@ class _IterationSteps:
         if done or iteration >= job.max_iterations:
             self.pending = ("stop", done)
         else:
-            self.pending = ("run", state)
+            self.pending = ("run",)
 
 
 # -- Streaming mode ------------------------------------------------------------
@@ -389,13 +395,13 @@ class StreamingJob:
             result = StreamResult(windows=[])
             failure: str | None = None
 
-            def next_step() -> tuple[Control, list[Any] | None]:
+            def next_step() -> tuple[Control, Control, list[Any] | None]:
                 if failure is not None:  # propagate it before admitting more input
-                    return ("error", failure), None
+                    return ("error", failure), (), None
                 batch = list(islice(stream, self.window_splits))
                 if not batch:
-                    return ("stop", None), None
-                return ("window", next(watermarks)), batch
+                    return ("stop", None), (), None
+                return ("window", next(watermarks)), (), batch
 
             def settle(outcome: RoundOutcome) -> None:
                 nonlocal failure

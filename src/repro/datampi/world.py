@@ -3,15 +3,19 @@
 Every driver that keeps an O/A world alive — Iteration mode, its Common
 replay, Streaming mode (:mod:`repro.datampi.modes`) and the serving
 :class:`~repro.serving.pool.WorldPool` — runs the same round: the root
-broadcasts a control tuple, the O ranks ask the input root for their
+scatters a control tuple, the O ranks ask the input root for their
 splits, the shuffle runs, and every rank's outcome is gathered back at
 the root.  :func:`superstep_loop` is that round, written once; a driver
 supplies only what differs — a per-rank *binder* (control tuple -> conf,
-tasks, superstep number) and a root-only *step source* (what to
-broadcast next, which splits the root serves, what to do with the
-settled round).
+tasks, superstep number) and a root-only *step source* (what to send
+next, which splits the root serves, what to do with the settled round).
 
-Task failures ride the outcome gather and are re-broadcast by the step
+The control goes out as one :meth:`~repro.mpi.comm.Comm.scatter`, one
+message per non-root rank: a step source names the part of a control
+only O tasks read (Iteration mode's state), and A ranks receive the
+control without it.
+
+Task failures ride the outcome gather and are re-sent by the step
 source, so a killed superstep fails every rank in unison on every
 transport backend — no reliance on receive timeouts.  All payloads that
 cross ranks are pickled to bytes first, which makes the per-round byte
@@ -59,10 +63,13 @@ _CACHE_COUNTER_KEYS = (
 Control = tuple[Any, ...]
 #: Per-rank: a driver's control tuple -> (conf, invoke_o, invoke_a,
 #: superstep number).  Owns whatever rank-local counter numbers the rounds.
+#: O ranks are handed the control with its O-only part, A ranks without.
 Binder = Callable[
     [Control],
     tuple[DataMPIConf, Callable[[Any, Any], None], Callable[[Any], Any], int],
 ]
+#: Root-only: the next round as (control, O-only part, splits served).
+StepSource = Callable[[], tuple[Control, Control, Sequence[Any] | None]]
 
 
 def _dumps(obj: Any) -> bytes:
@@ -204,7 +211,7 @@ class RoundOutcome:
     outputs: list[Any]  # per-A-rank outputs, in A-rank order
     counters: dict[str, int]  # every rank's counters, summed
     error: str | None  # the lowest failed rank's cause; None = all ok
-    state_bytes: int  # the control broadcast
+    state_bytes: int  # the control scatter: what the root sent
     scatter_bytes: int  # the input root's TAG_SPLITS answers
     gather_bytes: int  # the outcome gather
     elapsed: float  # root wall-clock seconds, control decoded -> outcomes folded
@@ -227,7 +234,7 @@ def superstep_loop(
     num_a: int,
     storage: StorageConfig,
     bind: Binder,
-    next_step: Callable[[], tuple[Control, Sequence[Any] | None]],
+    next_step: StepSource,
     settle: Callable[[RoundOutcome], None],
     *,
     cache_input: bool,
@@ -237,14 +244,15 @@ def superstep_loop(
 ) -> int:
     """Every rank's main on a kept-alive world: rounds until ``"stop"``.
 
-    Each round the root asks ``next_step()`` for the control tuple to
-    broadcast and the splits it will serve; ``("stop", ...)`` ends the
+    Each round the root asks ``next_step()`` for ``(control, o_only,
+    splits)``: O ranks receive ``control + o_only``, A ranks ``control``,
+    and the input root serves ``splits``.  ``("stop", ...)`` ends the
     loop on every rank, ``("error", cause)`` raises ``MPIError(cause)``
     on every rank, and any other tuple goes to ``bind`` and through
     :func:`run_superstep`.  The gathered outcomes are folded into a
     :class:`RoundOutcome` and handed to ``settle`` — on the root only, as
-    is ``next_step``.  Returns the bytes the closing ``"stop"`` broadcast
-    moved.
+    is ``next_step``.  Returns, on the root, the bytes the closing
+    ``"stop"`` moved (0 on every other rank).
 
     The keyword parameters are exactly what differs between the drivers:
     ``cache_input`` pins the O ranks' splits across rounds (Iteration
@@ -253,7 +261,7 @@ def superstep_loop(
     pool); ``idle_timeout`` bounds a non-root rank's wait for the next
     control (the pool idles between submissions);
     ``one_round`` is the Common replay — a fresh world per iteration that
-    returns 0 after its single round with no ``"stop"`` broadcast, and
+    returns 0 after its single round with no ``"stop"`` control, and
     keeps no cache because nothing outlives the round.
 
     Examples:
@@ -273,7 +281,7 @@ def superstep_loop(
         ...     supersteps, settled = count(1), []
         ...     def next_step():
         ...         control = next(controls)
-        ...         return control, control[1] if control[0] == "words" else None
+        ...         return control, (), control[1] if control[0] == "words" else None
         ...     superstep_loop(
         ...         comm, 1, 1, StorageConfig(),
         ...         lambda control: (conf, o_task, a_task, next(supersteps)),
@@ -289,13 +297,16 @@ def superstep_loop(
     splits: Sequence[Any] | None = None
     try:
         while True:
-            payload: bytes | None = None
+            payloads: list[bytes] | None = None
+            state_bytes = 0
             if comm.rank == 0:
-                request, splits = next_step()
-                payload = _dumps(request)
-            control: bytes = comm.bcast(payload, root=0, timeout=idle_timeout)
-            request = pickle.loads(control)
-            state_bytes = len(control) * (comm.size - 1)
+                control, o_only, splits = next_step()
+                full = _dumps(control + o_only)
+                bare = _dumps(control) if o_only else full
+                payloads = [full] * num_o + [bare] * num_a
+                state_bytes = sum(len(payload) for payload in payloads[1:])
+            request = pickle.loads(
+                comm.scatter(payloads, root=0, timeout=idle_timeout))
             if request[0] == "error":
                 raise MPIError(request[1])
             if request[0] == "stop":

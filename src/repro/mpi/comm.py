@@ -112,10 +112,13 @@ class Comm:
         self._collective_seq += 1
         return self._COLLECTIVE_TAG_BASE + sequence * 8 + kind
 
-    def bcast(self, payload: Any, root: int = 0,
-              timeout: float = RECV_TIMEOUT) -> Any:
-        """Broadcast ``payload`` from ``root``; every rank returns it.
+    def scatter(self, payloads: list[Any] | None, root: int = 0,
+                timeout: float = RECV_TIMEOUT) -> Any:
+        """Send ``payloads[i]`` from ``root`` to rank ``i``; every rank
+        returns its own slot (MPI_Scatter).
 
+        Only the root's ``payloads`` is read — it must hold one entry per
+        rank, and the root keeps ``payloads[root]`` without sending it.
         ``timeout`` bounds how long a non-root rank waits for the root's
         message.  Control loops that legitimately idle between rounds — a
         serving world parked at its job announcement — pass their idle
@@ -123,11 +126,24 @@ class Comm:
         """
         tag = self._collective_tag(1)
         if self.rank == root:
-            for dest in range(self.size):
+            count = len(payloads or ())
+            if count != self.size:
+                raise MPIError(f"scatter needs {self.size} payloads, got {count}")
+            for dest, payload in enumerate(payloads):
                 if dest != root:
                     self.send(dest, payload, tag)
-            return payload
+            return payloads[root]
         return self.recv(source=root, tag=tag, timeout=timeout).payload
+
+    def bcast(self, payload: Any, root: int = 0,
+              timeout: float = RECV_TIMEOUT) -> Any:
+        """Broadcast ``payload`` from ``root``; every rank returns it.
+
+        A :meth:`scatter` of the one payload to every rank; ``timeout`` is
+        scatter's.
+        """
+        payloads = [payload] * self.size if self.rank == root else None
+        return self.scatter(payloads, root, timeout)
 
     def gather(self, payload: Any, root: int = 0) -> list[Any] | None:
         """Gather one value from every rank at ``root`` (rank order)."""

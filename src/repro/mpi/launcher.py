@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.mpi.transport import (  # noqa: F401 - JOIN_TIMEOUT re-exported for compat
-    JOIN_TIMEOUT,
-    Transport,
-    get_transport,
-)
+from repro.mpi.transport import JOIN_TIMEOUT, Transport, get_transport
 
 
 def mpi_run(

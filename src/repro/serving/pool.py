@@ -28,7 +28,7 @@ back over a result pipe, both created before the world launches so
 forked ranks inherit them.  The world runs
 :func:`repro.datampi.world.superstep_loop` — the round Iteration and
 Streaming mode run — with the request pipe as its step source: rank 0
-broadcasts each request's ``("job", seq, name)`` (every rank takes the
+sends every rank each request's ``("job", seq, name)`` (every rank takes the
 same branch) and keeps the submitted splits to itself, so input crosses
 the wire once — from the input root to the O rank that owns it — the
 world runs one superstep and is recycled, and rank 0 answers the result
@@ -223,14 +223,14 @@ class WorldPool:
                 faultinject.fire("pool-submit", rank=comm.rank, superstep=superstep)
                 return jobs[name].conf, jobs[name].o_task, jobs[name].a_task, superstep
 
-            def next_step() -> tuple[Control, Sequence[Any] | None]:
+            def next_step() -> tuple[Control, Control, Sequence[Any] | None]:
                 nonlocal request
                 request = request_recv.recv()
                 if request[0] != "job":
-                    return request, None
+                    return request, (), None
                 # The world hears only which job to run; the input goes
                 # once, over TAG_SPLITS, to the O rank that owns it.
-                return request[:3], request[3]
+                return request[:3], (), request[3]
 
             def settle(outcome: RoundOutcome) -> None:
                 # A failed task fails this submission, not the world.

@@ -14,10 +14,6 @@ between the shuffle and the compute:
   (``cache_bytes``, ``spill_threshold``) and spill placement
   (``spill_dir``); ``DataMPIConf.storage`` holds one and every driver
   builds its per-rank cache/store from it.
-
-The historical import paths ``repro.datampi.kvcache`` and
-``repro.datampi.receiver`` still work but emit a ``DeprecationWarning``;
-new code imports from here.
 """
 
 from repro.storage.chunkstore import ChunkStore, Origin

@@ -106,13 +106,8 @@ class ChunkStore:
         return self._spill.in_memory_bytes
 
     @property
-    def spilled_bytes(self) -> int:
-        """Cumulative chunk bytes written to segment files (legacy name;
-        :attr:`bytes_spilled` is the same number)."""
-        return self._spill.bytes_spilled
-
-    @property
     def bytes_spilled(self) -> int:
+        """Cumulative chunk bytes written to segment files."""
         return self._spill.bytes_spilled
 
     @property

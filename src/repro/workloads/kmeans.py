@@ -138,6 +138,11 @@ def _reduce_partial_list(partials: list[tuple[dict, int]]) -> tuple[dict, int]:
     return merged
 
 
+def _combine_partials(_cluster: int, partials: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """The DataMPI combiner: one cluster's partials, left-folded."""
+    return _reduce_partial_list(partials)
+
+
 def kmeans_spark(
     vectors: Sequence[SparseVector], k: int, max_iterations: int = 10,
     epsilon: float = DEFAULT_EPSILON, seed: int = 0, parallelism: int = 4,
@@ -195,7 +200,7 @@ def kmeans_iterative_job(
         for vector in split:
             ctx.send(_nearest(vector, centroids), (dict(vector.weights), 1))
 
-    def a_task(ctx, _centroids):
+    def a_task(ctx):
         return [
             (cluster, _reduce_partial_list(values))
             for cluster, values in ctx.grouped()
@@ -208,7 +213,7 @@ def kmeans_iterative_job(
     job = IterativeJob(
         o_task, a_task, update,
         DataMPIConf(num_o=parallelism, num_a=parallelism,
-                    combiner=lambda cluster, values: _reduce_partial_list(values),
+                    combiner=_combine_partials,
                     job_name="kmeans-iterative", transport=transport,
                     mode=mode, checkpoint_dir=checkpoint_dir,
                     storage=storage),

@@ -180,6 +180,16 @@ def train_hadoop_result(
     return model, pipeline.total_counters
 
 
+def _sum_combiner(_key, values):
+    """Every counting pass's combiner, in both modes."""
+    return sum(values)
+
+
+def _sum_a_task(ctx):
+    """Every counting pass's A task, in both modes: sum each key's ones."""
+    return [(key, sum(values)) for key, values in ctx.grouped()]
+
+
 def train_datampi_result(
     documents: Sequence[LabeledDocument], parallelism: int = 4,
     alpha: float = 1.0, transport: str | Transport | None = None,
@@ -193,13 +203,10 @@ def train_datampi_result(
     """
     splits = split_round_robin(list(documents), parallelism)
     conf = DataMPIConf(num_o=parallelism, num_a=parallelism,
-                       combiner=lambda key, values: sum(values),
+                       combiner=_sum_combiner,
                        job_name="nb-count",
                        transport=transport,
                        storage=storage)
-
-    def sum_a_task(ctx):
-        return [(key, sum(values)) for key, values in ctx.grouped()]
 
     def term_o(ctx, split):
         for doc in split:
@@ -218,7 +225,7 @@ def train_datampi_result(
     totals: dict[str, int] = {}
 
     def run_pass(o_task):
-        result = DataMPIJob(o_task, sum_a_task, conf).run(splits)
+        result = DataMPIJob(o_task, _sum_a_task, conf).run(splits)
         for name, value in result.counters.items():
             totals[name] = totals.get(name, 0) + value
         return result.merged_outputs()
@@ -261,9 +268,6 @@ def train_datampi_iterative(
             else:
                 ctx.send(doc.label, 1)
 
-    def a_task(ctx, _state):
-        return [(key, sum(values)) for key, values in ctx.grouped()]
-
     def update(state, merged, _iteration):
         rows = dict(state["rows"])
         rows[state["phase"]] = merged
@@ -272,9 +276,9 @@ def train_datampi_iterative(
         return {"phase": next_phase, "rows": rows}, done
 
     job = IterativeJob(
-        o_task, a_task, update,
+        o_task, _sum_a_task, update,
         DataMPIConf(num_o=parallelism, num_a=parallelism,
-                    combiner=lambda key, values: sum(values),
+                    combiner=_sum_combiner,
                     job_name="nb-iterative", transport=transport,
                     mode=mode, storage=storage),
         max_iterations=len(_NB_PHASES),

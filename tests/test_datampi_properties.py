@@ -15,11 +15,16 @@ Invariants under test:
 * the grouped path (``sort`` + combiner) folds repeats in place: what it
   ships reduces to what was added, its charge stays under the threshold,
   and distinct keys that fit ship once per destination;
-* a send that fails once and is retried counts every record once.
+* a send that fails once and is retried counts every record once;
+* every combiner an in-repo DataMPI workload configures may be
+  re-applied to its own output: folding a prefix first changes nothing,
+  bit for bit.
 """
 
+import pickle
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.kv import decode_stream, encode_stream, record_size
@@ -29,6 +34,11 @@ from repro.datampi.partition import (
     hash_partitioner,
     validate_partition,
 )
+from repro.workloads.grep import grep_datampi_job
+from repro.workloads.kmeans import _combine_partials
+from repro.workloads.naivebayes import _sum_combiner
+from repro.workloads.streaming import _streaming_count_job
+from repro.workloads.wordcount import wordcount_datampi_job
 
 keys = st.one_of(
     st.text(max_size=24),
@@ -537,3 +547,44 @@ class TestRetriedFlushCountsOnce:
         assert buffer.buffered_bytes == 0
 
 
+
+
+# -- combiner re-application ------------------------------------------------------
+
+counts = st.lists(st.integers(min_value=-(10 ** 12), max_value=10 ** 12),
+                  min_size=1, max_size=24)
+# K-means partials: (weight sums by dimension, vector count).
+partials = st.lists(
+    st.tuples(st.dictionaries(st.integers(min_value=0, max_value=12),
+                              st.floats(allow_nan=False, allow_infinity=False),
+                              max_size=6),
+              st.integers(min_value=1, max_value=10 ** 6)),
+    min_size=1, max_size=16,
+)
+
+#: Every combiner the in-repo DataMPI workloads configure, with the values
+#: it folds.  Naive Bayes' common and iteration jobs share theirs.
+IN_REPO_COMBINERS = {
+    "wordcount": (wordcount_datampi_job().conf.combiner, counts),
+    "grep": (grep_datampi_job("a").conf.combiner, counts),
+    "streaming": (_streaming_count_job(None, "stream", 1, None, None).conf.combiner,
+                  counts),
+    "naive_bayes": (_sum_combiner, counts),
+    "kmeans": (_combine_partials, partials),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_REPO_COMBINERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_combiner_reapplied_to_a_prefix_is_bit_identical(name, data):
+    """``combiner(k, [combiner(k, vs[:i])] + vs[i:]) == combiner(k, vs)``:
+    what lets the send buffer fold repeats in place and ship a folded
+    value beside later ones.  Pickled, so a float that differs in its last
+    bit fails."""
+    combine, values = IN_REPO_COMBINERS[name]
+    vs = data.draw(values)
+    i = data.draw(st.integers(min_value=1, max_value=len(vs)))
+    whole = combine("k", vs)
+    assert pickle.dumps(combine("k", [combine("k", vs[:i])] + vs[i:])) == \
+        pickle.dumps(whole)

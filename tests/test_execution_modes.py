@@ -25,7 +25,7 @@ def counting_o(ctx, split, _state):
         ctx.send(item % 5, 1)
 
 
-def counting_a(ctx, _state):
+def counting_a(ctx):
     return [(key, sum(values)) for key, values in ctx.grouped()]
 
 
@@ -107,7 +107,7 @@ class TestIterativeJob:
     def test_previous_output_pinned_in_cache(self):
         seen = []
 
-        def a_task(ctx, _state):
+        def a_task(ctx):
             seen.append((ctx.superstep, ctx.cache.get(A_OUTPUT_KEY)))
             return [("n", ctx.superstep)]
 
@@ -123,7 +123,7 @@ class TestIterativeJob:
     def test_previous_output_pinned_on_every_backend(self, transport):
         # The pin is skipped only on a world recycled after each round
         # (the pool); what a forked rank saw comes back through the state.
-        def a_task(ctx, _state):
+        def a_task(ctx):
             return [("previous", ctx.cache.get(A_OUTPUT_KEY))]
 
         job = IterativeJob(
@@ -183,7 +183,7 @@ class TestIterativeFailures:
             job.run(SPLITS, 0)
 
     def test_a_task_failure_propagates(self):
-        def bad_a(ctx, _state):
+        def bad_a(ctx):
             raise ValueError("a-side kill")
 
         job = IterativeJob(counting_o, bad_a, sum_update,

@@ -43,7 +43,7 @@ def counting_o(ctx, split, _state):
         ctx.send(item % 5, 1)
 
 
-def counting_a(ctx, _state):
+def counting_a(ctx):
     return [(key, sum(values)) for key, values in ctx.grouped()]
 
 

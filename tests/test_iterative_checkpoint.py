@@ -30,7 +30,7 @@ def o_task(ctx, split, state):
         ctx.send(item % 4, item * state["scale"])
 
 
-def a_task(ctx, _state):
+def a_task(ctx):
     return [(key, sum(values)) for key, values in ctx.grouped()]
 
 

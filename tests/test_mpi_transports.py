@@ -164,6 +164,47 @@ class TestSharedSemantics:
             assert total == 6
             assert exchanged == [f"{src}->{rank}" for src in range(3)]
 
+    def test_scatter_gives_each_rank_its_own_slot(self, transport):
+        def main(comm):
+            root = 1
+            payloads = None
+            if comm.rank == root:
+                payloads = [f"for-{dest}" for dest in range(comm.size)]
+            mine = comm.scatter(payloads, root=root)
+            # The root keeps its own slot: the very object, never sent.
+            return mine, comm.rank == root and mine is payloads[root]
+
+        results = mpi_run(3, main, transport=transport)
+        assert results == [("for-0", False), ("for-1", True), ("for-2", False)]
+
+    def test_scatter_interleaved_with_bcast_and_gather_keeps_its_tags(
+            self, transport):
+        def main(comm):
+            def slots(tag, root):
+                if comm.rank != root:
+                    return None
+                return [(tag, dest) for dest in range(comm.size)]
+
+            first = comm.scatter(slots("s1", 1), root=1)
+            told = comm.bcast("b" if comm.rank == 2 else None, root=2)
+            gathered = comm.gather(("g", comm.rank), root=0)
+            second = comm.scatter(slots("s2", 0), root=0)
+            return first, told, gathered, second
+
+        results = mpi_run(3, main, transport=transport)
+        for rank, (first, told, gathered, second) in enumerate(results):
+            assert first == ("s1", rank)
+            assert told == "b"
+            assert gathered == ([("g", 0), ("g", 1), ("g", 2)] if rank == 0 else None)
+            assert second == ("s2", rank)
+
+    def test_scatter_wrong_length_raises(self, transport):
+        def main(comm):
+            comm.scatter(["only-one"] if comm.rank == 0 else None)
+
+        with pytest.raises(MPIError, match="scatter needs 2 payloads, got 1"):
+            mpi_run(2, main, transport=transport)
+
     def test_barrier(self, transport):
         def main(comm):
             if comm.rank == 0:

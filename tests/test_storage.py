@@ -236,12 +236,6 @@ class TestChunkStoreSpill:
         assert store.raw_chunks() == chunks
         store.cleanup()
 
-    def test_legacy_spilled_bytes_alias(self, tmp_path):
-        store = ChunkStore(spill_threshold=8, spill_dir=str(tmp_path))
-        store.add(b"0" * 64, origin=(0, 0))
-        assert store.spilled_bytes == store.bytes_spilled > 0
-        store.cleanup()
-
 
 class TestResidentUnsortedMerge:
     """``merged(sort=False)`` on a never-spilled store is the lazy chain of

@@ -1,20 +1,30 @@
 """The superstep round, pinned for all four drivers in one table.
 
 Iteration mode, its Common replay, Streaming mode and the warm pool all
-run the same round — control broadcast, input exchange, shuffle, outcome
+run the same round — control scatter, input exchange, shuffle, outcome
 gather.  ``tests/data/superstep_wire.json`` was recorded before the four
 hand-written copies of that round became one loop: for one fixed 2x1 job
-per driver on the ``inline`` transport it holds every payload the root
-handed ``Comm.bcast``, every ``TAG_SPLITS`` answer, the fault points each
-rank fired in order, and every per-round counter record (re-recorded
-twice since: when the pool's two ``("job", ...)`` controls stopped
-carrying the submitted splits, and when ``(str, int)`` chunks went
-columnar — ``o.bytes_sent`` / ``a.bytes_received`` / ``mode.bytes_moved``
-of the WordCount-shaped ``streaming`` and ``pool`` jobs shrank; nothing
-else in the file moved either time).  The suite
-asserts the runtime still reproduces them byte-for-byte, and that a
-failing O task, A task or ``update`` ends every driver with the original
-cause.
+per driver on the ``inline`` transport it holds every ``[dest, payload]``
+the root handed ``Comm.scatter`` each round, every ``TAG_SPLITS`` answer,
+the fault points each rank fired in order, and every per-round counter
+record.  Re-recorded three times since, each time with nothing else in
+the file moving:
+
+* when the pool's two ``("job", ...)`` controls stopped carrying the
+  submitted splits;
+* when ``(str, int)`` chunks went columnar — ``o.bytes_sent`` /
+  ``a.bytes_received`` / ``mode.bytes_moved`` of the WordCount-shaped
+  ``streaming`` and ``pool`` jobs shrank;
+* when the control became a scatter that leaves the state out of A
+  ranks' ``("run",)`` (``iteration`` / ``common``: ``mode.state_bytes``
+  and ``mode.bytes_moved`` shrank by exactly that), and the duplicate
+  ``a.spilled_bytes`` counter was dropped (every driver: the key left
+  the records and ``mode.gather_bytes`` shrank by its pickled bytes per
+  A rank per round).
+
+The suite asserts the runtime still reproduces them byte-for-byte, and
+that a failing O task, A task or ``update`` ends every driver with the
+original cause.
 
 Re-record (only when the wire is *meant* to change)::
 
@@ -56,7 +66,7 @@ def iter_o(ctx, split, state):
         ctx.send(item % 3, item + state)
 
 
-def iter_a(ctx, _state):
+def iter_a(ctx):
     return [(key, sum(values)) for key, values in ctx.grouped()]
 
 
@@ -124,14 +134,16 @@ def run_driver(driver, tmp_path, transport="inline", **tasks):
 def trace(driver, tmp_path, **overrides):
     """Run ``driver``'s fixed job with the wire tapped; returns the pin."""
     lock = threading.Lock()
-    bcasts, answers, fires = [], [], {}
-    real_bcast, real_send, real_fire = Comm.bcast, Comm.send, faultinject.fire
+    scatters, answers, fires = [], [], {}
+    real_scatter, real_send, real_fire = Comm.scatter, Comm.send, faultinject.fire
 
-    def bcast(self, payload, root=0, **kwargs):
+    def scatter(self, payloads, root=0, **kwargs):
         if self.rank == root:
             with lock:
-                bcasts.append(payload.hex())
-        return real_bcast(self, payload, root, **kwargs)
+                scatters.append([[dest, payload.hex()]
+                                 for dest, payload in enumerate(payloads)
+                                 if dest != root])
+        return real_scatter(self, payloads, root, **kwargs)
 
     def send(self, dest, payload, tag=0):
         if tag == TAG_SPLITS:
@@ -144,12 +156,12 @@ def trace(driver, tmp_path, **overrides):
             fires.setdefault(str(rank), []).append([point, superstep])
         return real_fire(point, rank=rank, superstep=superstep)
 
-    with (mock.patch.object(Comm, "bcast", bcast),
+    with (mock.patch.object(Comm, "scatter", scatter),
           mock.patch.object(Comm, "send", send),
           mock.patch.object(faultinject, "fire", fire)):
         records, totals = run_driver(driver, tmp_path, **overrides)
     return {
-        "bcast": bcasts,
+        "scatter": scatters,
         "splits": answers,
         "fires": dict(sorted(fires.items())),
         "records": [[[key, value] for key, value in record.items()]
@@ -158,10 +170,24 @@ def trace(driver, tmp_path, **overrides):
     }
 
 
+def controls_of(pin):
+    """Each round's control payloads, by destination rank."""
+    return [{dest: bytes.fromhex(payload) for dest, payload in sent}
+            for sent in pin["scatter"]]
+
+
+def kinds_of(pin):
+    """Each round's control kind — the same on every rank."""
+    kinds = [{pickle.loads(control)[0] for control in sent.values()}
+             for sent in controls_of(pin)]
+    assert all(len(kind) == 1 for kind in kinds)
+    return [kind.pop() for kind in kinds]
+
+
 def rounds_of(pin):
-    """Pair each data round's control payload with its counter record."""
-    controls = [bytes.fromhex(payload) for payload in pin["bcast"]]
-    data_rounds = [c for c in controls if pickle.loads(c)[0] not in ("stop", "error")]
+    """Pair each data round's control payloads with its counter record."""
+    data_rounds = [sent for sent, kind in zip(controls_of(pin), kinds_of(pin))
+                   if kind not in ("stop", "error")]
     assert len(data_rounds) == len(pin["records"])
     return list(zip(data_rounds, (dict(record) for record in pin["records"])))
 
@@ -187,14 +213,14 @@ class TestPinnedRound:
             self, driver, traced, pinned):
         got, want = traced[driver], pinned[driver]
         # Compared field by field so a drift names what moved.
-        assert got["bcast"] == want["bcast"]
+        assert got["scatter"] == want["scatter"]
         assert got["splits"] == want["splits"]
         assert got["fires"] == want["fires"]
         assert got["records"] == want["records"]
         assert got["totals"] == want["totals"]
 
     def test_control_vocabulary(self, driver, traced):
-        kinds = [pickle.loads(bytes.fromhex(p))[0] for p in traced[driver]["bcast"]]
+        kinds = kinds_of(traced[driver])
         expected = {
             "iteration": ["run", "run", "run", "stop"],
             # Every rank of a fresh one-round world knows the bound.
@@ -221,7 +247,9 @@ def test_pool_input_travels_once_to_the_rank_that_owns_it(tmp_path):
     inputs = ([["a"], ["b"], ["c"]],
               [[f"word-{n}" * 40 for n in range(200)] for _split in range(5)])
     pin = trace("pool", tmp_path, inputs=inputs)
-    controls = [bytes.fromhex(payload) for payload in pin["bcast"]]
+    controls = [set(sent.values()) for sent in controls_of(pin)]
+    assert all(len(sent) == 1 for sent in controls)  # every rank hears the same
+    controls = [sent.pop() for sent in controls]
     assert [pickle.loads(control) for control in controls] == [
         ("job", 1, "wc"), ("job", 2, "wc"), ("stop",)]
     assert len(controls[0]) == len(controls[1])
@@ -236,8 +264,8 @@ def test_pool_input_travels_once_to_the_rank_that_owns_it(tmp_path):
 def test_byte_counters_add_up_per_round(driver, traced):
     pin = traced[driver]
     answers = [len(bytes.fromhex(payload)) for _dest, payload in pin["splits"]]
-    for index, (control, record) in enumerate(rounds_of(pin)):
-        assert record["mode.state_bytes"] == len(control) * (WORLD - 1)
+    for index, (sent, record) in enumerate(rounds_of(pin)):
+        assert record["mode.state_bytes"] == sum(map(len, sent.values()))
         served = answers[index * NUM_O:(index + 1) * NUM_O]
         assert record["mode.scatter_bytes"] == sum(served)
         assert record["mode.bytes_moved"] == (

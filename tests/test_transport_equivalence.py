@@ -10,7 +10,7 @@ that makes the transport layer a pure performance knob.
 The mode x transport matrix extends the same guarantee to the Iteration
 and Streaming execution modes: merged outputs, per-superstep counters,
 and (for iteration mode) the evolved state must be byte-identical on
-every backend, because the superstep control traffic (state broadcast,
+every backend, because the superstep control traffic (control scatter,
 input scatter, outcome gather) is pickled to bytes before it travels.
 """
 
