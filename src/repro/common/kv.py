@@ -11,6 +11,13 @@ lengths) followed by the two fields, each one tag byte plus payload.
 The size/encode/decode kernels handle exact ``str``, ``None`` and ``int``
 inline; the general ``isinstance`` chains are the only fallback.
 
+A non-empty dict whose type is exactly ``dict``, whose keys are all exact
+64-bit ``int`` and whose values are all exact ``float`` — K-means'
+``dict(vector.weights)`` — is the ``W`` field: one width byte, the keys
+at the narrowest of 1/2/4/8 signed bytes, then the values as ``>d``, in
+insertion order.  Every other dict is the ``M`` field of length-prefixed
+items.  ``record_size`` charges both the same.
+
 A *chunk* (:func:`encode_stream`) is those records back to back — unless
 every key is exactly ``str`` and the values are all ``None`` or all exact
 64-bit ``int``.  Such a chunk ships as columns: a 7-byte header, the key
@@ -63,8 +70,6 @@ def _field_size(obj: Any) -> int:
         return 8
     if isinstance(obj, float):
         return 8
-    if obj is None:
-        return 0
     if isinstance(obj, (list, tuple)):
         return sum(_field_size(item) for item in obj) + 4
     if isinstance(obj, dict):
@@ -122,24 +127,53 @@ def _encode_field(obj: Any) -> bytes:
         return b"I" + str(obj).encode("ascii")
     if isinstance(obj, float):
         return b"D" + struct.pack(">d", obj)
-    if obj is None:
-        return b"N"
     if isinstance(obj, tuple):
         return b"U" + _encode_items(obj)
     if isinstance(obj, list):
         return b"L" + _encode_items(obj)
     if isinstance(obj, dict):
-        return b"M" + _encode_items(
+        return _encode_weights(obj) or b"M" + _encode_items(
             item for pair in obj.items() for item in pair
         )
     raise TypeError(f"cannot encode field of type {type(obj).__name__}")
+
+
+def _encode_weights(obj: dict[Any, Any]) -> bytes | None:
+    """A non-empty, exact ``dict`` of exact ``int`` keys within 64 bits to
+    exact ``float`` values as a ``W`` field — one width byte, the keys as
+    one column at that width, the values as one ``>d`` column — else
+    ``None``."""
+    values = list(obj.values())
+    if (type(obj) is not dict or set(map(type, obj)) != {int}
+            or set(map(type, values)) != {float}):
+        return None
+    keys = _pack_column(list(obj), _VALUE_COLUMNS)
+    if keys is None:  # a key past 64 bits
+        return None
+    return b"".join((b"W", bytes((keys[0],)), keys[1],
+                     struct.pack(f">{len(values)}d", *values)))
+
+
+def _decode_weights(payload: bytes | memoryview) -> dict[int, float]:
+    """The dict a ``W`` payload holds; a payload whose width code or length
+    does not add up raises ``ValueError``."""
+    if not len(payload) or payload[0] not in _VALUE_COLUMNS:
+        raise ValueError(f"unknown key width in weight field {bytes(payload[:1])!r}")
+    width = payload[0]
+    count, spare = divmod(len(payload) - 1, width + 8)
+    if spare or not count:
+        raise ValueError(f"torn weight field: {len(payload) - 1} bytes "
+                         f"are not whole {width}+8-byte entries")
+    keys = struct.unpack_from(f">{count}{_VALUE_COLUMNS[width]}", payload, 1)
+    values = struct.unpack_from(f">{count}d", payload, 1 + count * width)
+    return dict(zip(keys, values))
 
 
 # Field tag markers as ints: indexing bytes *or* a memoryview yields an
 # int, so one dispatch serves both the copying and the zero-copy path.
 _T_BYTES, _T_STR, _T_TRUE, _T_FALSE = ord("B"), ord("S"), ord("T"), ord("F")
 _T_INT, _T_FLOAT, _T_NONE = ord("I"), ord("D"), ord("N")
-_T_TUPLE, _T_LIST, _T_DICT = ord("U"), ord("L"), ord("M")
+_T_TUPLE, _T_LIST, _T_DICT, _T_WEIGHTS = ord("U"), ord("L"), ord("M"), ord("W")
 
 
 def _decode_field(data: bytes | memoryview) -> Any:
@@ -172,6 +206,8 @@ def _decode_field(data: bytes | memoryview) -> Any:
     if tag == _T_DICT:
         flat = _decode_items(payload)
         return dict(zip(flat[0::2], flat[1::2]))
+    if tag == _T_WEIGHTS:
+        return _decode_weights(payload)
     raise ValueError(f"unknown field tag {bytes(data[:1])!r}")
 
 

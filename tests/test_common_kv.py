@@ -1,5 +1,6 @@
 """Unit and property tests for the key-value record codec."""
 
+import math
 import random
 import struct
 import sys
@@ -105,7 +106,8 @@ class TestRecordSize:
 # Reference codec: the general, one-helper-call-per-field implementation the
 # exact-type kernels in ``repro.common.kv`` replaced.  Kept here, whole and
 # independent of the module under test, so the differential properties below
-# compare the kernels with something they cannot share a bug with.
+# compare the kernels with something they cannot share a bug with.  The
+# packed ``W`` dict field is restated here one entry at a time.
 # ---------------------------------------------------------------------------
 
 _REF_LEN = struct.Struct(">II")
@@ -159,9 +161,28 @@ def _ref_encode_field(obj):
     if isinstance(obj, list):
         return b"L" + _ref_encode_items(obj)
     if isinstance(obj, dict):
-        return b"M" + _ref_encode_items(
-            item for pair in obj.items() for item in pair)
+        return _ref_encode_weights(obj) or _ref_encode_map(obj)
     raise TypeError(f"cannot encode field of type {type(obj).__name__}")
+
+
+def _ref_encode_map(obj):
+    return b"M" + _ref_encode_items(item for pair in obj.items() for item in pair)
+
+
+def _ref_encode_weights(obj):
+    """The packed rule, one entry at a time: a non-empty, exact ``dict`` of
+    exact ``int`` keys within 64 bits to exact ``float`` values is ``W``,
+    the narrowest signed key width, every key, then every value."""
+    if type(obj) is not dict or not obj or not all(
+            type(key) is int and -(2**63) <= key < 2**63 and type(value) is float
+            for key, value in obj.items()):
+        return None
+    width = next(width for width in (1, 2, 4, 8)
+                 if all(-(2 ** (8 * width - 1)) <= key < 2 ** (8 * width - 1)
+                        for key in obj))
+    return (b"W" + bytes([width])
+            + b"".join(key.to_bytes(width, "big", signed=True) for key in obj)
+            + b"".join(struct.pack(">d", value) for value in obj.values()))
 
 
 def _ref_decode_items(payload):
@@ -195,6 +216,16 @@ def _ref_decode_field(data):
     if tag == b"M":
         flat = _ref_decode_items(payload)
         return dict(zip(flat[0::2], flat[1::2]))
+    if tag == b"W":
+        payload = bytes(payload)
+        width = payload[0]
+        count = (len(payload) - 1) // (width + 8)
+        keys = [int.from_bytes(payload[1 + i * width:1 + (i + 1) * width],
+                               "big", signed=True) for i in range(count)]
+        base = 1 + count * width
+        values = [struct.unpack(">d", payload[base + 8 * i:base + 8 * i + 8])[0]
+                  for i in range(count)]
+        return dict(zip(keys, values))
     raise ValueError(f"unknown field tag {tag!r}")
 
 
@@ -235,8 +266,20 @@ hashable_leaves = st.one_of(
     st.text(max_size=8), st.integers(), st.booleans(), st.none(),
     st.binary(max_size=8),
 )
+#: What ``W`` packs: K-means' ``dict(vector.weights)``.  Keys reach both
+#: ends of every width; values reach NaN with payloads (compared by bit
+#: pattern), infinities, ``-0.0`` and subnormals; insertion order is drawn.
+WIDTH_EDGES = [0, 127, -128, 128, -129, 2**15, -(2**15) - 1, 2**31, -(2**31) - 1,
+               2**63 - 1, -(2**63)]
+ODD_FLOATS = [math.nan, -math.nan, struct.unpack(">d", bytes.fromhex("7ff0000000000001"))[0],
+              math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-308]
+numeric_maps = st.lists(
+    st.tuples(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(WIDTH_EDGES)),
+              st.one_of(st.floats(), st.sampled_from(ODD_FLOATS))),
+    min_size=1, max_size=12,
+).flatmap(lambda pairs: st.permutations(pairs)).map(dict)
 values = st.recursive(
-    leaves,
+    st.one_of(leaves, numeric_maps),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -270,9 +313,22 @@ def _is_columnar(records):
                                        for _key, value in records))))
 
 
+def _exactly(obj):
+    """``obj`` as nested ``(type, …)`` tuples, each float as its bit
+    pattern and each dict as its items in order — what "the same" means
+    for decoded data: ``True`` is not ``1``, NaN is its own payload."""
+    if type(obj) is float:
+        return float, struct.pack(">d", obj)
+    if isinstance(obj, dict):
+        return type(obj), tuple(map(_exactly, obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return type(obj), tuple(map(_exactly, obj))
+    return type(obj), obj
+
+
 def _same(decoded, reference):
-    """Equal records of equal types: ``True == 1`` must not pass."""
-    return decoded == reference and repr(decoded) == repr(reference)
+    """Equal records of equal types, bit for bit."""
+    return _exactly(decoded) == _exactly(reference)
 
 
 def _decodes_to(chunk, reference):
@@ -295,6 +351,7 @@ class TestKernelsAgainstReference:
     @example([("a", 1), ("b", None), ("c", 3)])
     @example([(7, None)])
     @example([("a", None), (7, None)])
+    @example([(3, ({2**40: 0.5, -7: math.nan, 12: -0.0}, 1))])
     @example([])
     def test_encode_bytes_equal_reference(self, records):
         """The record stream is the reference's, byte for byte; a columnar
@@ -311,6 +368,7 @@ class TestKernelsAgainstReference:
         _decodes_to(stream, list(_ref_decode_stream(_ref_encode_stream(records))))
 
     @given(record_lists)
+    @example([(1, ({5: 0.25, 300: math.inf}, 1)), (2, {-1: 5e-324})])
     def test_decode_equals_reference_over_bytes_and_views(self, records):
         stream = _ref_encode_stream(records)
         reference = list(_ref_decode_stream(stream))
@@ -528,6 +586,94 @@ class TestTornColumnarChunk:
         self._raises_before_first_record(bytes(damaged), "torn columnar chunk")
 
 
+class FloatSub(float):
+    """A ``float`` subclass: a dict holding one is not packed."""
+
+
+class DictSub(dict):
+    """A ``dict`` subclass: not packed, whatever it holds."""
+
+
+class TestPackedWeights:
+    """A non-empty, exact ``dict`` of 64-bit ``int`` to ``float`` ships as
+    ``W``; every other dict is the ``M`` field, byte for byte."""
+
+    WEIGHTS = {1: 0.5, -300: math.nan, 2**40: -0.0}
+
+    @pytest.mark.parametrize("keys, width", [
+        ([0, 127, -128], 1), ([128], 2), ([-(2**15)], 2), ([2**15], 4),
+        ([-(2**31)], 4), ([2**31], 8), ([2**63 - 1, -(2**63)], 8)])
+    def test_key_width_and_size(self, keys, width):
+        weights = dict.fromkeys(keys, 1.5)
+        field = kv._encode_field(weights)
+        assert field[:2] == bytes([ord("W"), width])
+        assert len(field) == 2 + len(keys) * (width + 8)
+        for data in (field, memoryview(field)):
+            decoded = kv._decode_field(data)
+            assert _same(decoded, weights)
+
+    def test_a_kmeans_record(self):
+        """Header, ``I5``, then ``U`` of the ``W`` field and ``I1``: ten
+        bytes a weight with two-byte keys, against ≈ 21 as ``M``.  The send
+        buffer's charge, ``record_size``, stays the unpacked size."""
+        weights = {dim * 37: 0.1 * dim for dim in range(32)}
+        packed = encode_record(5, (weights, 1))
+        assert len(packed) == 8 + 2 + 1 + (4 + 2 + 32 * (2 + 8)) + (4 + 2)
+        assert len(_ref_encode_map(weights)) == 673
+        assert record_size(5, (weights, 1)) == 8 + 8 + (4 + (4 + 32 * 16) + 8)
+
+    @pytest.mark.parametrize("obj", [
+        {True: 1.0}, {1: 1.0, False: 2.0}, {2**63: 1.0}, {-(2**63) - 1: 1.0},
+        {1: 1}, {1: FloatSub(1.0)}, DictSub({1: 1.0}), {}, {1: 1.0, 2: 2},
+        {1: 1.0, "a": 2.0}, {1.0: 1.0}])
+    def test_everything_else_is_the_map_field(self, obj):
+        field = kv._encode_field(obj)
+        assert field == _ref_encode_map(obj)
+        decoded = kv._decode_field(field)
+        assert type(decoded) is dict and _same(decoded, _ref_decode_field(field))
+
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    def test_every_proper_prefix_in_a_record_stream(self, wrap):
+        """The field carries no count, like ``M``, ``L`` and ``U``: its
+        length is the enclosing record's, and a cut anywhere in the record
+        raises."""
+        stream = encode_stream([(3, (self.WEIGHTS, 1))])
+        for cut in range(1, len(stream)):
+            with pytest.raises(ValueError, match="truncated record"):
+                list(decode_stream(wrap(stream[:cut])))
+
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    def test_every_proper_prefix_off_an_entry(self, wrap):
+        """A bare field cut anywhere but after whole entries raises; cut
+        after ``k`` whole entries it is a shorter field of ``k`` entries,
+        as an ``M`` field cut between items is a shorter map."""
+        field = kv._encode_field(self.WEIGHTS)
+        width = field[1]
+        for cut in range(len(field)):
+            whole, spare = divmod(cut - 2, width + 8)
+            if cut > 2 and not spare:
+                assert len(kv._decode_field(wrap(field[:cut]))) == whole
+                continue
+            with pytest.raises(ValueError):
+                kv._decode_field(wrap(field[:cut]))
+        one = kv._encode_field({7: 2.5})
+        for cut in range(len(one)):
+            with pytest.raises(ValueError):
+                kv._decode_field(wrap(one[:cut]))
+
+    def test_trailing_byte(self):
+        field = kv._encode_field(self.WEIGHTS)
+        with pytest.raises(ValueError, match="torn weight field"):
+            kv._decode_field(field + b"\x00")
+
+    @pytest.mark.parametrize("code", [0, 3, 5, 16, 255])
+    def test_unknown_width_code(self, code):
+        damaged = bytearray(kv._encode_field(self.WEIGHTS))
+        damaged[1] = code
+        with pytest.raises(ValueError, match="unknown key width"):
+            kv._decode_field(bytes(damaged))
+
+
 def _python_calls(function):
     """Python-level ``call`` events (function entries and generator
     resumes) while ``function`` runs — machine-independent, no timing."""
@@ -569,6 +715,17 @@ class TestKernelsStayKernels:
     def test_encode_makes_no_per_record_call(self, name):
         records = self.CHUNKS[name]
         assert _python_calls(lambda: encode_stream(records)) <= 50
+
+    def test_a_weight_map_packs_and_unpacks_in_c(self):
+        """A 10 000-entry ``W`` field, inside a K-means record."""
+        record = [(3, ({dim: dim / 7 for dim in range(-5_000, 5_000)}, 1))]
+        calls = _python_calls(lambda: encode_stream(record))
+        assert calls <= 50
+        stream = encode_stream(record)
+        decoded = []
+        calls = _python_calls(lambda: decoded.extend(decode_stream(stream)))
+        assert _same(decoded, [KeyValue(*record[0])])
+        assert calls <= 50
 
     @pytest.mark.parametrize("name", sorted(CHUNKS))
     def test_decode_is_lazy(self, name):

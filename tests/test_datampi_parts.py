@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.bigdatabench import TextGenerator
 from repro.common import CommunicatorError, DataMPIError
 from repro.common.kv import KeyValue, decode_stream
+from test_common_kv import _python_calls
 from repro.datampi import (
     BipartiteComm,
     ChunkStore,
@@ -411,3 +412,42 @@ class TestRouteMemo:
             ctx.close()
             outcomes.append((comm.sent, ctx.counters))
         assert outcomes[0] == outcomes[1]
+
+
+class TestSendPathStaysFlat:
+    """Python call events from ``OContext.send`` through the buffer and its
+    flushes, pinned at what they were measured to be: a per-record helper
+    that comes back costs one more call per send and trips the budget.
+
+    The tuple path makes 9 calls a send: ``send``, the partitioner with
+    ``encode_record`` and its two ``_encode_field``, ``add``, and
+    ``record_size`` with its two ``_field_size``.  The combiner path makes
+    2: ``_send_remembering`` and ``_add_grouped``; routing and charging a
+    key happen once per distinct key per window, 8 calls each.  A chunk
+    (flush, ship, encode, the sink) costs at most 14, the close 20.
+    """
+
+    N = 10_000
+
+    @classmethod
+    def _calls(cls, **kwargs):
+        ctx, _ = o_context(2, **kwargs)
+        keys = [f"key{i % 500:03d}" for i in range(cls.N)]
+
+        def sends():
+            for key in keys:
+                ctx.send(key, 1)
+            ctx.close()
+
+        return _python_calls(sends), ctx.counters
+
+    def test_tuple_path(self):
+        calls, counters = self._calls(send_buffer_bytes=4096)
+        assert counters["o.chunks_sent"] > 50
+        assert calls <= 9 * self.N + 14 * counters["o.chunks_sent"] + 20
+
+    def test_grouped_path(self):
+        calls, counters = self._calls(combiner=sum_combiner)
+        assert counters["o.records_sent"] == 500
+        assert calls <= (2 * self.N + 8 * counters["o.records_sent"]
+                         + 14 * counters["o.chunks_sent"] + 20)
