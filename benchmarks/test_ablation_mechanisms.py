@@ -18,7 +18,7 @@ from repro.perfmodels import DataMPIModel, MECHANISMS, ablated_datampi
 from repro.perfmodels.ablation import AblatedDataMPIModel
 
 
-def test_ablation_mechanisms(once):
+def test_ablation_mechanisms():
     def run_all():
         return {
             ("text_sort", 8): ablated_datampi("text_sort", 8 * GB),
@@ -26,7 +26,7 @@ def test_ablation_mechanisms(once):
             ("grep", 8): ablated_datampi("grep", 8 * GB),
         }
 
-    results = once(run_all)
+    results = run_all()
     print("\nAblation: slowdown from removing each DataMPI mechanism")
     rows = []
     for (workload, size), result in results.items():

@@ -9,8 +9,8 @@ from repro.common.units import GB, MB
 from repro.experiments import fig2a, render_table
 
 
-def test_fig2a_dfsio_block_size(once):
-    data = once(fig2a)
+def test_fig2a_dfsio_block_size():
+    data = fig2a()
     blocks = [64 * MB, 128 * MB, 256 * MB, 512 * MB]
     print("\nFigure 2(a). DFSIO throughput (MB/s) by HDFS block size")
     rows = []

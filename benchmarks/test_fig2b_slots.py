@@ -8,8 +8,8 @@ from repro import paperdata
 from repro.experiments import fig2b, render_table
 
 
-def test_fig2b_slots_tuning(once):
-    data = once(fig2b, executions=3)
+def test_fig2b_slots_tuning():
+    data = fig2b(executions=3)
     print("\nFigure 2(b). Text Sort throughput (MB/s) vs tasks/workers per node")
     rows = [
         [framework] + [f"{data[framework][slots]:.1f}" for slots in (2, 4, 6)]

@@ -11,8 +11,8 @@ from repro.common.units import GB
 from repro.experiments import improvement_range, micro_benchmark, sweep_table
 
 
-def test_fig3a_normal_sort(once):
-    series = once(micro_benchmark, "normal_sort", 3)
+def test_fig3a_normal_sort():
+    series = micro_benchmark("normal_sort", 3)
     print("\nFigure 3(a). Normal Sort job execution time")
     print(sweep_table(series))
 

@@ -11,8 +11,8 @@ from repro.common.units import GB
 from repro.experiments import improvement_range, micro_benchmark, sweep_table
 
 
-def test_fig3c_wordcount(once):
-    series = once(micro_benchmark, "wordcount", 3)
+def test_fig3c_wordcount():
+    series = micro_benchmark("wordcount", 3)
     print("\nFigure 3(c). WordCount job execution time")
     print(sweep_table(series))
 

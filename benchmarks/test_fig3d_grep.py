@@ -9,8 +9,8 @@ from repro.common.units import GB
 from repro.experiments import improvement_range, micro_benchmark, sweep_table
 
 
-def test_fig3d_grep(once):
-    series = once(micro_benchmark, "grep", 3)
+def test_fig3d_grep():
+    series = micro_benchmark("grep", 3)
     print("\nFigure 3(d). Grep job execution time")
     print(sweep_table(series))
 

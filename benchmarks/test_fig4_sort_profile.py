@@ -12,8 +12,8 @@ from repro import paperdata
 from repro.experiments import fig4_sort, profile_table
 
 
-def test_fig4_sort_resource_profile(once):
-    profiles = once(fig4_sort)
+def test_fig4_sort_resource_profile():
+    profiles = fig4_sort()
     print("\nFigure 4(a-d). Resource utilization of 8GB Text Sort")
     print(profile_table(profiles))
 

@@ -12,8 +12,8 @@ from repro import paperdata
 from repro.experiments import fig4_wordcount, profile_table
 
 
-def test_fig4_wordcount_resource_profile(once):
-    profiles = once(fig4_wordcount)
+def test_fig4_wordcount_resource_profile():
+    profiles = fig4_wordcount()
     print("\nFigure 4(e-h). Resource utilization of 32GB WordCount")
     print(profile_table(profiles))
 

@@ -11,8 +11,8 @@ from repro import paperdata
 from repro.experiments import fig5, render_table
 
 
-def test_fig5_small_jobs(once):
-    data = once(fig5, 3)
+def test_fig5_small_jobs():
+    data = fig5(3)
     print("\nFigure 5. Small job execution time (128MB input)")
     rows = [
         [workload] + [f"{data[workload][fw]:.1f}s" for fw in ("hadoop", "spark", "datampi")]

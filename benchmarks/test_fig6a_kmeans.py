@@ -8,8 +8,8 @@ from repro import paperdata
 from repro.experiments import improvement_range, micro_benchmark, sweep_table
 
 
-def test_fig6a_kmeans(once):
-    series = once(micro_benchmark, "kmeans", 3)
+def test_fig6a_kmeans():
+    series = micro_benchmark("kmeans", 3)
     print("\nFigure 6(a). K-means first-iteration time")
     print(sweep_table(series))
 

@@ -12,8 +12,8 @@ from repro.experiments import mean_improvement, micro_benchmark, sweep_table
 from repro.perfmodels import simulate_once
 
 
-def test_fig6b_naive_bayes(once):
-    series = once(micro_benchmark, "naive_bayes", 3)
+def test_fig6b_naive_bayes():
+    series = micro_benchmark("naive_bayes", 3)
     print("\nFigure 6(b). Naive Bayes training time")
     print(sweep_table(series))
 

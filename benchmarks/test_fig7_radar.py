@@ -12,8 +12,8 @@ from repro import paperdata
 from repro.experiments import AXES, compute_radar, render_table
 
 
-def test_fig7_seven_pronged_summary(once):
-    radar = once(compute_radar, 1)
+def test_fig7_seven_pronged_summary():
+    radar = compute_radar(1)
     print("\nFigure 7. Normalized evaluation results (1.0 = best per axis)")
     rows = [
         [axis] + [f"{radar.scores[axis][fw]:.2f}" for fw in ("hadoop", "spark", "datampi")]

@@ -6,12 +6,10 @@ DataMPI wins iteration 1 (as in Figure 6a), but Spark's cached RDDs win
 cumulatively within a few iterations, while Hadoop (one job per
 iteration) falls further behind every round.
 
-The functional half benchmarks DataMPI's *Iteration mode* against the
+The functional half runs DataMPI's *Iteration mode* against the
 one-job-per-iteration Common baseline on the real O/A stack: identical
 centroids bit for bit, strictly fewer bytes moved per iteration after
-the first (the input lives in the cross-iteration KV cache), with
-per-iteration timings and cache-hit bytes recorded into the benchmark
-JSON ``extra_info``.
+the first (the input lives in the cross-iteration KV cache).
 """
 
 import pickle
@@ -24,8 +22,8 @@ from repro.perfmodels import iterative_kmeans
 from repro.workloads import kmeans_iterative_job
 
 
-def test_iterative_kmeans_crossover(once):
-    result = once(iterative_kmeans, 32 * GB, 10)
+def test_iterative_kmeans_crossover():
+    result = iterative_kmeans(32 * GB, 10)
     print("\nIterative K-means, cumulative time over iterations (32GB)")
     rows = []
     for iteration in range(0, result.iterations, 2):
@@ -81,8 +79,8 @@ def _run_both_modes():
     return iter_result, iter_stats, common_result, common_stats
 
 
-def test_iteration_mode_cache_cuts_bytes_moved(benchmark, once):
-    iter_result, iter_stats, common_result, common_stats = once(_run_both_modes)
+def test_iteration_mode_cache_cuts_bytes_moved():
+    iter_result, iter_stats, common_result, common_stats = _run_both_modes()
 
     # Byte-identical centroids vs the common-mode replay (one fresh job
     # per iteration) of the superstep protocol.
@@ -109,19 +107,3 @@ def test_iteration_mode_cache_cuts_bytes_moved(benchmark, once):
     assert iter_bytes[0] == common_bytes[0]
     assert all(i < c for i, c in zip(iter_bytes[1:], common_bytes[1:]))
     assert all(r["cache.hit_bytes"] > 0 for r in iter_stats.per_iteration[1:])
-
-    benchmark.extra_info["workload"] = "kmeans-iteration-mode"
-    benchmark.extra_info["iterations"] = iter_result.iterations
-    benchmark.extra_info["per_iteration_bytes_iteration_mode"] = iter_bytes
-    benchmark.extra_info["per_iteration_bytes_common_mode"] = common_bytes
-    benchmark.extra_info["per_iteration_seconds_iteration_mode"] = [
-        round(seconds, 6) for seconds in iter_stats.timings
-    ]
-    benchmark.extra_info["per_iteration_seconds_common_mode"] = [
-        round(seconds, 6) for seconds in common_stats.timings
-    ]
-    benchmark.extra_info["cache_hit_bytes_total"] = \
-        iter_stats.counters["cache.hit_bytes"]
-    benchmark.extra_info["bytes_saved_total"] = \
-        common_stats.counters["mode.bytes_moved"] - \
-        iter_stats.counters["mode.bytes_moved"]

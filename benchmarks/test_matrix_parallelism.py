@@ -1,10 +1,9 @@
-"""Parallel vs serial matrix execution, recorded into the benchmark JSON.
+"""Parallel vs serial matrix execution.
 
 The cells of an :class:`~repro.experiments.spec.ExperimentSpec` are
 independent, so ``MatrixRunner(workers=N)`` fans them out to a process
-pool.  This benchmark runs the quick spec both ways and records the
-wall-clock pair (and their ratio) in ``extra_info`` — the trajectory
-record of the scheduler-level parallelism the ROADMAP called for.
+pool.  This test runs the quick spec both ways and prints the
+wall-clock pair and their ratio.
 
 Assertions:
 
@@ -14,7 +13,7 @@ Assertions:
   the property that makes the byte-identical-reports guarantee possible;
 * on machines with >= 4 cores (the CI runners), the 4-worker run is
   faster than the serial run.  On smaller machines the timing pair is
-  recorded but not asserted — a 1-core box legitimately gains nothing.
+  printed but not asserted — a 1-core box legitimately gains nothing.
 """
 
 import os
@@ -34,7 +33,7 @@ def _deterministic_record(result):
     }
 
 
-def test_parallel_matrix_speedup(benchmark, once, tmp_path):
+def test_parallel_matrix_speedup(tmp_path):
     spec = quick_spec()
 
     start = time.perf_counter()
@@ -42,11 +41,8 @@ def test_parallel_matrix_speedup(benchmark, once, tmp_path):
     serial_sec = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = once(
-        MatrixRunner(spec, str(tmp_path / "parallel"),
-                     workers=WORKERS).run,
-        resume=False,
-    )
+    parallel = MatrixRunner(spec, str(tmp_path / "parallel"),
+                            workers=WORKERS).run(resume=False)
     parallel_sec = time.perf_counter() - start
 
     assert not serial.failed_cells() and not parallel.failed_cells()
@@ -58,15 +54,6 @@ def test_parallel_matrix_speedup(benchmark, once, tmp_path):
     print(f"\nquick matrix ({len(spec.cells)} cells): "
           f"serial {serial_sec:.2f}s, {WORKERS} workers {parallel_sec:.2f}s "
           f"(speedup {speedup:.2f}x on {cpu_count} cores)")
-
-    benchmark.extra_info["experiment"] = "quick-matrix-parallel"
-    benchmark.extra_info["cells"] = len(spec.cells)
-    benchmark.extra_info["workers"] = WORKERS
-    benchmark.extra_info["cpu_count"] = cpu_count
-    benchmark.extra_info["serial_sec"] = round(serial_sec, 6)
-    benchmark.extra_info["parallel_sec"] = round(parallel_sec, 6)
-    benchmark.extra_info["speedup"] = round(speedup, 3)
-    benchmark.extra_info["deterministic_match"] = True
 
     if cpu_count >= WORKERS:
         # Measurably faster, with a margin so a noisy-neighbor stall on a

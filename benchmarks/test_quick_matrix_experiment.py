@@ -1,4 +1,4 @@
-"""The scaled-down paper matrix, recorded into the benchmark JSON.
+"""The scaled-down paper matrix, end to end.
 
 Runs the `quick` experiment spec — WordCount and Normal Sort (common),
 K-means and Naive Bayes (common + iteration) × {datampi, hadoop-model,
@@ -13,9 +13,6 @@ through the MatrixRunner and asserts the paper's cross-engine shape:
   bytes than the hadoop-model engine's one-job-per-iteration pattern on
   every warm iteration — the Section 4.5/4.6 redundant-I/O gap, measured
   rather than modeled.
-
-The per-cell numbers land in ``extra_info`` so the trajectory JSON
-records cross-engine figures from this PR onward.
 """
 
 from repro.experiments import quick_spec, render_table, verify_cross_engine
@@ -26,8 +23,8 @@ def _run_quick_matrix(tmp_dir: str):
     return MatrixRunner(quick_spec(), tmp_dir).run(resume=False)
 
 
-def test_quick_matrix_cross_engine(benchmark, once, tmp_path):
-    result = once(_run_quick_matrix, str(tmp_path))
+def test_quick_matrix_cross_engine(tmp_path):
+    result = _run_quick_matrix(str(tmp_path))
     assert not result.failed_cells()
 
     # Outputs agree wherever two engines ran the same (workload, scale).
@@ -83,22 +80,3 @@ def test_quick_matrix_cross_engine(benchmark, once, tmp_path):
     spark_bytes = [r.bytes_moved for r in result.results
                    if r.spec.engine == "spark-model"]
     assert spark_bytes and all(b is not None and b > 0 for b in spark_bytes)
-
-    benchmark.extra_info["experiment"] = "quick-matrix"
-    benchmark.extra_info["cells"] = len(result.results)
-    benchmark.extra_info["cross_engine_agreement"] = all(agreement.values())
-    benchmark.extra_info["cell_results"] = [
-        {
-            "cell": r.spec.cell_id,
-            "measured_sec": round(r.elapsed_sec, 6),
-            "modeled_sec": None if r.modeled_sec is None
-            else round(r.modeled_sec, 3),
-            "bytes_moved": r.bytes_moved,
-            "per_iteration_bytes": r.per_iteration_bytes,
-        }
-        for r in result.results
-    ]
-    benchmark.extra_info["iterative_bytes_saved"] = {
-        pair_key: hadoop.bytes_moved - datampi.bytes_moved
-        for pair_key, datampi, hadoop in iterative_pairs
-    }

@@ -3,8 +3,8 @@
 from repro.experiments import render_table, table1
 
 
-def test_table1_workloads(once):
-    rows = once(table1)
+def test_table1_workloads():
+    rows = table1()
     print("\nTable 1. Representative Workloads")
     print(render_table(["No.", "Workload", "Type"], rows))
     assert [row[1] for row in rows] == [

@@ -4,8 +4,8 @@ from repro.cluster import ClusterSpec
 from repro.experiments import render_table, table2
 
 
-def test_table2_hardware(once):
-    rows = once(table2)
+def test_table2_hardware():
+    rows = table2()
     print("\nTable 2. Details of Hardware Configuration")
     print(render_table(["Item", "Value"], rows))
     values = dict(rows)

@@ -1,9 +1,10 @@
-"""The CI gate scripts: report determinism diff + benchmark baseline check,
+"""The CI gate scripts: report determinism diff + ladder count tripwire,
 and the parent/change pair runner a gain claim is measured with."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -21,7 +22,7 @@ def _load(name: str):
 
 
 diff_reports = _load("diff_reports")
-check_bench = _load("check_bench_regression")
+check_ladder = _load("check_ladder_counts")
 bench_pairs = _load("bench_pairs")
 
 
@@ -80,163 +81,80 @@ class TestDiffReports:
             frozenset(VOLATILE_ARTIFACTS)
 
 
-def _bench(fullname: str, extra_info: dict, median: float = 0.01) -> dict:
-    return {"fullname": fullname, "extra_info": extra_info,
-            "stats": {"median": median}}
+def _pin_id(pin) -> str:
+    return f"{pin[0]}-{pin[1]}"
 
 
-class TestCheckBenchRegression:
-    BASELINE = {
-        "suites": [
-            {"match": "test_transport", "min_count": 2,
-             "require_extra_info": ["transport", "bytes_moved"],
-             "require_positive": ["bytes_moved"],
-             "median_sec": 0.01},
-            {"match": "test_matrix", "min_count": 1,
-             "require_extra_info": ["cells"]},
-        ]
-    }
+class TestCheckLadderCounts:
+    @staticmethod
+    def ladders(tmp_path, moved=None, drop=None) -> list[str]:
+        """One file per pinned workload, printed the way ``python3 -m
+        bench run --trace 1`` prints it, every pin at its value unless
+        ``moved`` replaces it or ``drop`` leaves its line out."""
+        texts: dict[str, list[str]] = {}
+        for workload, metric, expected, _moved in check_ladder.PINS:
+            lines = texts.setdefault(workload, [
+                f"workload={workload} seed=1 scale=default",
+                "machine nproc=2 python=3.11 platform=test",
+                f"{'job_s':28s} {0.25:16.6f} s      calibrated",
+            ])
+            if (workload, metric) != drop:
+                value = float((moved or {}).get((workload, metric), expected))
+                lines.append(f"{metric:28s} {value:16.6f} bytes  ladder")
+        paths = []
+        for workload, lines in texts.items():
+            path = tmp_path / f"{workload}_ladder.txt"
+            path.write_text("\n".join(lines + ['{"correct": true}']) + "\n")
+            paths.append(str(path))
+        return paths
 
-    def good_report(self) -> dict:
-        return {"benchmarks": [
-            _bench("bench.py::test_transport[a]",
-                   {"transport": "a", "bytes_moved": 1}),
-            _bench("bench.py::test_transport[b]",
-                   {"transport": "b", "bytes_moved": 2}),
-            _bench("bench.py::test_matrix", {"cells": 12}),
-        ]}
+    def test_exact_counts_pass(self, tmp_path, capsys):
+        assert check_ladder.main(self.ladders(tmp_path)) == 0
+        assert "ladder counts match" in capsys.readouterr().out
 
-    def test_good_report_passes(self):
-        assert check_bench.check(self.good_report(), self.BASELINE) == []
-
-    def test_zero_benchmarks_fails(self):
-        problems = check_bench.check({"benchmarks": []}, self.BASELINE)
-        assert problems and "collection error" in problems[0]
-
-    def test_missing_suite_fails(self):
-        report = self.good_report()
-        report["benchmarks"] = report["benchmarks"][2:]
-        problems = check_bench.check(report, self.BASELINE)
-        assert any("test_transport" in p and "expected >= 2" in p
-                   for p in problems)
-
-    def test_missing_extra_info_key_fails(self):
-        report = self.good_report()
-        del report["benchmarks"][0]["extra_info"]["bytes_moved"]
-        problems = check_bench.check(report, self.BASELINE)
-        assert problems == [
-            "bench.py::test_transport[a]: extra_info missing bytes_moved",
-            "bench.py::test_transport[a]: extra_info['bytes_moved'] must "
-            "be a positive number, got None",
+    @pytest.mark.parametrize("pin", check_ladder.PINS, ids=_pin_id)
+    def test_moved_count_fails_naming_it(self, tmp_path, capsys, pin):
+        workload, metric, expected, meaning = pin
+        # One unit in the last printed place: a byte, a chunk, or 1e-6 of
+        # a ratio that compares as printed.
+        read = float(expected) + (1e-6 if isinstance(expected, str) else 1)
+        paths = self.ladders(tmp_path, moved={(workload, metric): read})
+        assert check_ladder.main(paths) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{workload} {metric}: expected {expected}, read {read:.6f}: {meaning}"
         ]
 
-    def test_zero_throughput_fails_positive_gate(self):
-        """Present-but-zero counters are broken measurements, not slow
-        machines: the structural gate must reject them."""
-        report = self.good_report()
-        report["benchmarks"][1]["extra_info"]["bytes_moved"] = 0
-        problems = check_bench.check(report, self.BASELINE)
-        assert problems == [
-            "bench.py::test_transport[b]: extra_info['bytes_moved'] must "
-            "be a positive number, got 0"
-        ]
+    @pytest.mark.parametrize("pin", check_ladder.PINS, ids=_pin_id)
+    def test_missing_line_fails(self, tmp_path, capsys, pin):
+        workload, metric = pin[:2]
+        paths = self.ladders(tmp_path, drop=(workload, metric))
+        assert check_ladder.main(paths) == 1
+        assert capsys.readouterr().out.strip() == \
+            f"{workload} {metric}: line missing from the ladder"
 
-    def test_non_numeric_positive_key_fails(self):
-        report = self.good_report()
-        report["benchmarks"][0]["extra_info"]["bytes_moved"] = "12"
-        problems = check_bench.check(report, self.BASELINE)
-        assert any("must be a positive number, got '12'" in p
-                   for p in problems)
+    def test_missing_or_other_seed_ladder_fails(self, tmp_path):
+        sort, wordcount, kmeans = self.ladders(tmp_path)
+        assert check_ladder.main([sort, wordcount]) == 1
+        pathlib.Path(kmeans).write_text(
+            pathlib.Path(kmeans).read_text().replace("seed=1", "seed=2"))
+        assert check_ladder.main([sort, wordcount, kmeans]) == 1
 
-    def test_committed_baseline_gates_transport_throughput(self):
-        """Every transport suite in the committed baseline must demand a
-        positive bytes_per_sec — the codec PR's measured-throughput
-        contract."""
-        baseline = json.loads(
-            (REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-        transport_suites = [s for s in baseline["suites"]
-                            if "test_transport_backends" in s["match"]]
-        assert len(transport_suites) == 3
-        for suite in transport_suites:
-            assert "bytes_per_sec" in suite["require_extra_info"]
-            assert "bytes_per_sec" in suite["require_positive"]
+    def test_unreadable_file_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            check_ladder.main([str(tmp_path / "absent.txt")])
+        assert excinfo.value.code == 2
 
-    def test_slowdown_gate_is_opt_in(self):
-        report = self.good_report()
-        for bench in report["benchmarks"]:
-            bench["stats"]["median"] = 99.0
-        assert check_bench.check(report, self.BASELINE) == []
-        problems = check_bench.check(report, self.BASELINE, max_slowdown=20)
-        assert any("exceeds" in p for p in problems)
-        # fast enough runs pass the gate too
-        assert check_bench.check(self.good_report(), self.BASELINE,
-                                 max_slowdown=20) == []
-
-    def test_main_against_committed_baseline_schema(self, tmp_path):
-        """The committed baseline must parse and gate a realistic JSON."""
-        baseline_path = REPO_ROOT / "benchmarks" / "baseline.json"
-        baseline = json.loads(baseline_path.read_text())
-        assert baseline["suites"], "committed baseline must name suites"
-        for suite in baseline["suites"]:
-            assert suite["match"] and suite["require_extra_info"]
-
-        report = {"benchmarks": [
-            _bench(f"benchmarks/{suite['match']}[{index}]",
-                   dict.fromkeys(suite["require_extra_info"], 1))
-            for suite in baseline["suites"]
-            for index in range(suite.get("min_count", 1))
-        ]}
-        report_path = tmp_path / "bench.json"
-        report_path.write_text(json.dumps(report))
-        assert check_bench.main(
-            [str(report_path), "--baseline", str(baseline_path)]) == 0
-
-    def test_main_fails_on_missing_report(self, tmp_path):
-        with pytest.raises(SystemExit):
-            check_bench.main([str(tmp_path / "absent.json")])
-
-    # -- missing-suite detection (distinct exit code) -----------------------
-
-    def test_missing_suites_lists_unmatched_baseline_entries(self):
-        report = self.good_report()
-        report["benchmarks"] = report["benchmarks"][:2]  # drop test_matrix
-        assert check_bench.missing_suites(report, self.BASELINE) == \
-            ["test_matrix"]
-        assert check_bench.missing_suites(self.good_report(),
-                                          self.BASELINE) == []
-
-    def test_undermatched_suite_is_not_missing(self):
-        """A suite matching fewer than min_count benchmarks is a regular
-        check() problem, not a structural mismatch."""
-        report = self.good_report()
-        del report["benchmarks"][1]  # one test_transport left (min_count=2)
-        assert check_bench.missing_suites(report, self.BASELINE) == []
-        assert any("expected >= 2" in p
-                   for p in check_bench.check(report, self.BASELINE))
-
-    def test_main_missing_suite_exit_code_and_message(self, tmp_path, capsys):
-        report = self.good_report()
-        report["benchmarks"] = report["benchmarks"][:2]
-        report_path = tmp_path / "bench.json"
-        report_path.write_text(json.dumps(report))
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps(self.BASELINE))
-        code = check_bench.main(
-            [str(report_path), "--baseline", str(baseline_path)])
-        assert code == check_bench.MISSING_SUITE_EXIT == 3
-        out = capsys.readouterr().out.strip()
-        assert out.count("\n") == 0, "missing-suite report is one line"
-        assert "test_matrix" in out and "missing" in out
-
-    def test_main_zero_benchmarks_still_generic_failure(self, tmp_path):
-        """An empty report is a collection error (exit 1), not a
-        missing-suite mismatch (exit 3)."""
-        report_path = tmp_path / "bench.json"
-        report_path.write_text(json.dumps({"benchmarks": []}))
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps(self.BASELINE))
-        assert check_bench.main(
-            [str(report_path), "--baseline", str(baseline_path)]) == 1
+    @pytest.mark.parametrize("workload", sorted({pin[0] for pin in check_ladder.PINS}))
+    def test_pins_are_this_trees_seed1_counts(self, workload):
+        """One round of the real seed-1 ladder, run the way CI runs it,
+        reads every pin of its workload exactly."""
+        completed = subprocess.run(
+            [sys.executable, "-m", "bench", "run", "--workload", workload,
+             "--seed", "1", "--seconds", "0", "--trace", "1"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=300)
+        assert completed.returncode == 0, completed.stderr
+        problems = check_ladder.check([completed.stdout])
+        assert [p for p in problems if p.startswith(f"{workload} ")] == []
 
 
 # A stand-in for ``python3 -m bench run``: logs which tree ran, then

@@ -133,17 +133,32 @@ class TestSharedSemantics:
 
         assert mpi_run(2, main, transport=transport) == ["echo-0", "echo-1"]
 
-    def test_large_bytes_payload(self, transport):
-        blob = bytes(range(256)) * 4096  # 1 MiB, exercises the shm ring path
+    @pytest.mark.parametrize("chunks, chunk_bytes", [(1, 1 << 20), (200, 64 << 10)],
+                             ids=["1x1MiB", "200x64KiB"])
+    def test_large_bytes_payload(self, transport, chunks, chunk_bytes):
+        # One 1 MiB blob exercises the shm ring path; a long stream of
+        # 64 KiB chunks (the O->A hot path's shape) wraps every ring.
+        blob = bytes(range(256)) * (chunk_bytes // 256)
 
         def main(comm):
             if comm.rank == 0:
-                comm.send(1, blob)
+                for _ in range(chunks):
+                    comm.send(1, blob)
                 return None
-            return comm.recv(source=0).payload
+            return [comm.recv(source=0).payload == blob for _ in range(chunks)]
 
         results = mpi_run(2, main, transport=transport)
-        assert results[1] == blob
+        assert results[1] == [True] * chunks
+
+    def test_large_bytes_bcast(self, transport):
+        """One writer bcasts 512 KiB to three readers, ten rounds."""
+        blob = bytes(range(256)) * 2048
+
+        def main(comm):
+            return [comm.bcast(blob if comm.rank == 0 else None, root=0) == blob
+                    for _ in range(10)]
+
+        assert mpi_run(4, main, transport=transport) == [[True] * 10] * 4
 
     def test_collectives(self, transport):
         def main(comm):

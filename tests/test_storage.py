@@ -17,6 +17,7 @@ Four families of guarantees:
 
 import heapq
 import os
+import random
 import time
 
 import pytest
@@ -92,6 +93,46 @@ class TestSpillStore:
         assert store.is_spilled("old")
         assert store.in_memory_bytes == resident_before
         assert store.spill_reads == 2
+        store.cleanup()
+
+    @staticmethod
+    def _over_budget_store(tmp_path) -> tuple[SpillStore, list[bytes]]:
+        """64 payloads of 16 KiB in a store 8x over its budget."""
+        payloads = [bytes([index % 251]) * (16 * 1024) for index in range(64)]
+        store = SpillStore(budget_bytes=len(payloads) * 16 * 1024 // 8,
+                           spill_dir=str(tmp_path))
+        for index, payload in enumerate(payloads):
+            store.put(index, payload)
+        assert store.bytes_spilled > 0
+        return store, payloads
+
+    def test_full_scan_over_budget_reads_each_spilled_entry_once(self, tmp_path):
+        """Every key once in key order, the A-side merge's shape: each
+        spilled entry is one segment read, each resident one none."""
+        store, payloads = self._over_budget_store(tmp_path)
+        spilled = [key for key in store.keys() if store.is_spilled(key)]
+        resident_before = store.in_memory_bytes
+        for key in sorted(store.keys()):
+            assert bytes(store.get(key)) == payloads[key]
+        assert store.spill_reads == len(spilled) > 0
+        assert store.in_memory_bytes == resident_before
+        store.cleanup()
+
+    def test_size_of_over_budget_reads_no_segment(self, tmp_path):
+        store, payloads = self._over_budget_store(tmp_path)
+        assert [store.size_of(key) for key in store.keys()] == \
+            [len(payload) for payload in payloads]
+        assert store.spill_reads == 0
+        store.cleanup()
+
+    def test_random_reads_with_repeats_over_budget(self, tmp_path):
+        """Uniform random touches with repeats over a store 8x its budget,
+        the adversarial shape for LRU spill: every read is exact."""
+        store, payloads = self._over_budget_store(tmp_path)
+        rng = random.Random(7)
+        for key in (rng.randrange(len(payloads)) for _ in range(256)):
+            assert bytes(store.get(key)) == payloads[key]
+        assert store.spill_reads > 0
         store.cleanup()
 
     def test_oversized_entry_admitted_and_spilled(self, tmp_path):

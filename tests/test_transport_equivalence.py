@@ -122,7 +122,7 @@ class TestManyChunkEquivalence:
     regime where arrival order actually varies between backends."""
 
     @staticmethod
-    def _run(transport: str):
+    def _run(transport: str, send_buffer_bytes: int = 64, lines=LINES):
         def o_task(ctx, split):
             for index, line in enumerate(split):
                 ctx.send(len(line) % 5, (line, index * 0.125))
@@ -132,15 +132,27 @@ class TestManyChunkEquivalence:
 
         job = DataMPIJob(
             o_task, a_task,
-            DataMPIConf(num_o=3, num_a=2, send_buffer_bytes=64,
+            DataMPIConf(num_o=3, num_a=2, send_buffer_bytes=send_buffer_bytes,
                         job_name="many-chunks", transport=transport),
         )
-        splits = [LINES[index::3] for index in range(3)]
+        splits = [lines[index::3] for index in range(3)]
         return job.run(splits)
 
     def test_outputs_and_counters_match(self, alt_transport):
         reference = self._run("thread")
         other = self._run(alt_transport)
+        assert stable_bytes(other.outputs) == stable_bytes(reference.outputs)
+        assert other.counters == reference.counters
+
+    def test_8kib_buffers_stream_every_record(self, alt_transport):
+        """The O->A streaming shape at a mid-size send buffer: several
+        8 KiB chunks per O->A pair, every record arrives, and outputs and
+        counters match the thread backend."""
+        lines = LINES * 16
+        reference = self._run("thread", 8 * 1024, lines)
+        other = self._run(alt_transport, 8 * 1024, lines)
+        assert reference.counters["o.chunks_sent"] > 3 * 2
+        assert reference.counters["a.records_received"] == len(lines)
         assert stable_bytes(other.outputs) == stable_bytes(reference.outputs)
         assert other.counters == reference.counters
 
