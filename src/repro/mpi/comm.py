@@ -12,7 +12,9 @@ pair, matching MPI's non-overtaking guarantee.
 
 from __future__ import annotations
 
-from typing import Any
+import functools
+import operator
+from typing import Any, Callable
 
 from repro.common.errors import MPIError
 from repro.mpi.transport.base import (
@@ -35,8 +37,8 @@ __all__ = [
 class Comm:
     """One rank's handle on the world — the object user code programs against.
 
-    ``Comm(endpoint)`` wraps any transport endpoint.  Every collective is
-    built from the endpoint's send/recv/barrier primitives, so all
+    ``Comm(endpoint)`` wraps any transport endpoint.  Every collective —
+    barrier included — is built from the endpoint's send/recv, so all
     backends share one semantics.
     """
 
@@ -54,16 +56,28 @@ class Comm:
     def send(self, dest: int, payload: Any, tag: int = 0) -> None:
         """Deliver ``payload`` to ``dest`` (asynchronous, buffered).
 
-        Mutable byte buffers are snapshotted here: every backend then
-        delivers the bytes as they were at the moment of the send, even
-        when the transport passes payloads by reference (thread, inline)
-        or coalesces them into a later batch (shm).
+        User tags lie in ``[0, _COLLECTIVE_TAG_BASE)``; the tags above
+        belong to the collectives, so a user message can never satisfy a
+        collective's receive.
+
+        Mutable byte buffers (``bytearray``, writable ``memoryview``) are
+        snapshotted here: every backend then delivers the bytes as they
+        were at the moment of the send, even when the transport passes
+        payloads by reference (thread, inline) or coalesces them into a
+        later batch (shm).
         """
+        if not 0 <= tag < self._COLLECTIVE_TAG_BASE:
+            raise MPIError(
+                f"tag must be in [0, {self._COLLECTIVE_TAG_BASE}), got {tag}"
+            )
+        self._send(dest, payload, tag)
+
+    def _send(self, dest: int, payload: Any, tag: int) -> None:
+        """:meth:`send` without the user tag range check (collectives)."""
         if not 0 <= dest < self.size:
             raise MPIError(f"send to invalid rank {dest}")
-        if tag < 0:
-            raise MPIError(f"tag must be non-negative, got {tag}")
-        if isinstance(payload, bytearray):
+        if isinstance(payload, bytearray) or (
+                isinstance(payload, memoryview) and not payload.readonly):
             payload = bytes(payload)
         self.endpoint.send(dest, Message(self.rank, tag, payload))
 
@@ -93,10 +107,6 @@ class Comm:
         return message
 
     # -- collectives ----------------------------------------------------------
-
-    def barrier(self, timeout: float = RECV_TIMEOUT) -> None:
-        """Wait until every rank in the world reaches the barrier."""
-        self.endpoint.barrier(timeout)
 
     _COLLECTIVE_TAG_BASE = 1 << 20
 
@@ -131,7 +141,7 @@ class Comm:
                 raise MPIError(f"scatter needs {self.size} payloads, got {count}")
             for dest, payload in enumerate(payloads):
                 if dest != root:
-                    self.send(dest, payload, tag)
+                    self._send(dest, payload, tag)
             return payloads[root]
         return self.recv(source=root, tag=tag, timeout=timeout).payload
 
@@ -155,7 +165,7 @@ class Comm:
                 message = self.recv(tag=tag)
                 values[message.source] = message.payload
             return values
-        self.send(root, payload, tag)
+        self._send(root, payload, tag)
         return None
 
     def allgather(self, payload: Any) -> list[Any]:
@@ -173,7 +183,7 @@ class Comm:
         tag = self._collective_tag(3)
         for dest in range(self.size):
             if dest != self.rank:
-                self.send(dest, chunks[dest], tag)
+                self._send(dest, chunks[dest], tag)
         received: list[Any] = [None] * self.size
         received[self.rank] = chunks[self.rank]
         for _ in range(self.size - 1):
@@ -181,15 +191,27 @@ class Comm:
             received[message.source] = message.payload
         return received
 
-    def allreduce(self, value: Any, op=None) -> Any:
-        """Reduce a value across ranks (default: sum) and share the result."""
-        values = self.allgather(value)
-        if op is None:
-            result = values[0]
-            for item in values[1:]:
-                result = result + item
-            return result
-        result = values[0]
-        for item in values[1:]:
-            result = op(result, item)
-        return result
+    def allreduce(self, value: Any,
+                  op: Callable[[Any, Any], Any] | None = None) -> Any:
+        """Reduce a value across ranks (default: sum) and share the result.
+
+        A left fold in rank order, so every rank computes the same result.
+        """
+        return functools.reduce(op or operator.add, self.allgather(value))
+
+    def barrier(self, timeout: float = RECV_TIMEOUT) -> None:
+        """Wait until every rank in the world reaches the barrier.
+
+        Every rank reports to rank 0, then rank 0 releases every rank;
+        ``timeout`` bounds each receive.  A peer's death wakes the waiting
+        ranks through their backend's receive poison.
+        """
+        tag = self._collective_tag(4)
+        if self.rank == 0:
+            for source in range(1, self.size):
+                self.recv(source, tag, timeout)
+            for dest in range(1, self.size):
+                self._send(dest, None, tag)
+        else:
+            self._send(0, None, tag)
+            self.recv(0, tag, timeout)

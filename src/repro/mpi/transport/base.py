@@ -16,9 +16,10 @@ interface (send/recv/collectives) can run over interchangeable backends:
 
 A backend provides two things: a :class:`Transport` that launches one
 callable per rank and collects results, and per-rank :class:`Endpoint`
-objects implementing point-to-point delivery with MPI's per-(source,
-destination) non-overtaking guarantee.  ``Comm`` builds every collective
-on top of the endpoint primitives, so all backends share one semantics.
+objects implementing point-to-point ``send``/``recv`` with MPI's
+per-(source, destination) non-overtaking guarantee.  ``Comm`` builds
+every collective, barrier included, on top of those two, so all backends
+share one semantics.
 """
 
 from __future__ import annotations
@@ -68,11 +69,13 @@ def match(message: Message, source: int, tag: int) -> bool:
 
 
 class Endpoint(ABC):
-    """One rank's handle on a transport: point-to-point plus barrier.
+    """One rank's handle on a transport: point-to-point send and receive.
 
     Implementations must preserve FIFO delivery per (source, destination)
     pair — MPI's non-overtaking guarantee — and support selective receive
-    by (source, tag) with ``ANY_SOURCE`` / ``ANY_TAG`` wildcards.
+    by (source, tag) with ``ANY_SOURCE`` / ``ANY_TAG`` wildcards.  A
+    blocked ``recv`` must fail promptly once a peer rank dies, since every
+    collective waits there.
     """
 
     rank: int
@@ -85,22 +88,6 @@ class Endpoint(ABC):
     @abstractmethod
     def recv(self, source: int, tag: int, timeout: float) -> Message:
         """Block until a matching message arrives; raise MPIError on timeout."""
-
-    @abstractmethod
-    def barrier(self, timeout: float) -> None:
-        """Wait until every rank in the world reaches the barrier."""
-
-    def flush_sends(self) -> None:
-        """Push any locally coalesced sends to their destinations.
-
-        Backends that batch small payloads (shm) override this and call
-        it before every blocking operation and at rank finish, so a
-        buffered message can never deadlock a waiting peer.  For the
-        rest every send is already in flight: the default is a no-op.
-        """
-
-    def abort(self) -> None:
-        """Break collectives so peers fail fast after this rank dies."""
 
 
 class WorldHandle:

@@ -1,9 +1,10 @@
 """Inline transport: deterministic cooperative scheduling for unit tests.
 
-Ranks still get real call stacks (each runs on its own thread so blocking
-``recv``/``barrier`` calls work unchanged), but a scheduler enforces that
-exactly **one** rank executes at any moment and hands control off at
-blocking points only, always resuming the lowest-numbered runnable rank.
+Ranks still get real call stacks (each runs on its own thread so a
+blocking ``recv`` — and every collective built on it — works unchanged),
+but a scheduler enforces that exactly **one** rank executes at any moment
+and hands control off at blocking receives only, always resuming the
+lowest-numbered runnable rank.
 Two consequences make this the right backend for tests:
 
 * runs are fully deterministic — message arrival order, collective
@@ -38,7 +39,6 @@ from repro.mpi.transport.base import (
 _START = "start"
 _RUNNING = "running"
 _RECV = "recv"
-_BARRIER = "barrier"
 _DONE = "done"
 
 
@@ -46,7 +46,6 @@ class _RankState:
     def __init__(self) -> None:
         self.state = _START
         self.want: tuple[int, int] | None = None  # (source, tag) when in recv
-        self.arrived_gen = -1  # barrier generation this rank is waiting on
         self.gate = threading.Event()
 
 
@@ -58,7 +57,6 @@ class _InlineWorld:
         self.mailboxes: list[list[Message]] = [[] for _ in range(size)]
         self.ranks = [_RankState() for _ in range(size)]
         self.sched_wake = threading.Event()
-        self.barrier_gen = 0
         self.poisoned = False
 
     # -- called from rank threads (which hold the execution token) ------------
@@ -96,21 +94,10 @@ class _InlineWorld:
             if self.poisoned:
                 return True
             return any(match(m, source, tag) for m in self.mailboxes[rank])
-        if record.state == _BARRIER:
-            return self.poisoned or record.arrived_gen < self.barrier_gen
         return False
 
     def finished(self) -> bool:
         return all(r.state == _DONE for r in self.ranks)
-
-    def maybe_release_barrier(self) -> None:
-        arrived = sum(
-            1
-            for r in self.ranks
-            if r.state == _BARRIER and r.arrived_gen == self.barrier_gen
-        )
-        if arrived == self.size:
-            self.barrier_gen += 1
 
 
 class InlineEndpoint(Endpoint):
@@ -134,14 +121,6 @@ class InlineEndpoint(Endpoint):
                 return message
             record.want = (source, tag)
             self.world.yield_to_scheduler(self.rank, _RECV)
-
-    def barrier(self, timeout: float) -> None:
-        record = self.world.ranks[self.rank]
-        record.arrived_gen = self.world.barrier_gen
-        self.world.yield_to_scheduler(self.rank, _BARRIER)
-
-    def abort(self) -> None:
-        self.world.poisoned = True
 
 
 @register_transport
@@ -189,7 +168,6 @@ class InlineTransport(Transport):
         done — or one holds it past the run's deadline, which the caller
         reports (that rank's thread is still alive)."""
         while not world.finished():
-            world.maybe_release_barrier()
             chosen = next(
                 (rank for rank in range(world.size) if world.runnable(rank)), None
             )

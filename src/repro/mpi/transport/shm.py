@@ -21,14 +21,13 @@ The single-producer/single-consumer ring keeps MPI's per-(source,
 destination) non-overtaking guarantee for free: descriptors leave the
 pipe in send order, ring space is reclaimed in the same order, and a
 batch preserves the order of the sends it coalesced.  Pending batches
-are flushed before any blocking operation (receive, barrier) and when a
-rank finishes, so batching can never deadlock a waiting peer.
+are flushed before every receive and when a rank finishes, so batching
+can never deadlock a waiting peer.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 import time
 from functools import partial
 from multiprocessing import shared_memory
@@ -192,7 +191,6 @@ class ShmEndpoint(Endpoint):
         send_rings: list[ShmRing | None],      # [dest] -> this rank's outgoing ring
         recv_rings: list[ShmRing | None],      # [source] -> incoming ring
         control: Connection,
-        barrier,
     ):
         self.rank = rank
         self.size = size
@@ -201,7 +199,6 @@ class ShmEndpoint(Endpoint):
         self._send_rings = send_rings
         self._recv_rings = recv_rings
         self._control = control
-        self._barrier = barrier
         self._stash: list[Message] = []
         self._source_of = {id(conn): s for s, conn in enumerate(recv_conns) if conn}
         self._aborted = False
@@ -291,9 +288,9 @@ class ShmEndpoint(Endpoint):
         )
 
     def flush_sends(self) -> None:
-        """Push every pending batch out — called before any blocking
-        operation and when the rank finishes, so no peer can wait on a
-        payload parked in a local batch."""
+        """Push every pending batch out — called before every receive and
+        when the rank finishes, so no peer can wait on a payload parked in
+        a local batch."""
         for dest, items in enumerate(self._batch_items):
             if items:
                 self._flush_batch(dest)
@@ -363,16 +360,6 @@ class ShmEndpoint(Endpoint):
                 self._stash.append(Message(source, tag, payload))
             else:
                 raise MPIError(f"unknown shm descriptor kind {kind}")
-
-    def barrier(self, timeout: float) -> None:
-        self.flush_sends()
-        try:
-            self._barrier.wait(timeout)
-        except threading.BrokenBarrierError as exc:
-            raise MPIError("barrier broken (peer died or timed out)") from exc
-
-    def abort(self) -> None:
-        self._barrier.abort()
 
 
 def _destroy_rings(rings: list[list[ShmRing | None]]) -> None:
@@ -449,7 +436,6 @@ class ShmTransport(Transport):
                 send_rings=rings[rank],
                 recv_rings=[rings[s][rank] for s in range(world_size)],
                 control=control_pipes[rank][0],
-                barrier=barrier,
             )
             try:
                 faultinject.fire("rendezvous", rank=rank)
@@ -459,7 +445,6 @@ class ShmTransport(Transport):
                 endpoint.flush_sends()
                 outcome = ("ok", result)
             except BaseException as exc:  # noqa: BLE001 - reported to parent
-                barrier.abort()
                 outcome = ("err", exc)
             report_outcome(result_pipes[rank][1].send, rank, outcome)
 
@@ -470,7 +455,6 @@ class ShmTransport(Transport):
                 return None
 
         def poison(still_running: list[int]) -> None:
-            barrier.abort()
             for rank in still_running:
                 try:
                     control_pipes[rank][1].send_bytes(_CTRL_ABORT)
@@ -492,7 +476,6 @@ class ShmTransport(Transport):
                     data_writers[s][d] = writer  # write end, owned by rank s
             control_pipes.extend(ctx.Pipe(duplex=False) for _ in range(world_size))
             result_pipes.extend(ctx.Pipe(duplex=False) for _ in range(world_size))
-            barrier = ctx.Barrier(world_size)
             for rank in range(world_size):
                 ranks.spawn(f"mpi-rank-{rank}", partial(child, rank),
                             self.fault_plan)

@@ -99,10 +99,6 @@ KIND_OUTCOME = 5   #: rank -> launcher: (rank, "ok" | "err", value)
 KIND_SHUTDOWN = 6  #: launcher -> rank: world complete, tear down
 KIND_RESTART = 7   #: launcher -> rank: world restarting, re-register
 
-#: Barrier control messages ride ordinary frames in a tag range far above
-#: anything user code (tags >= 0) or the collectives (1<<20 + seq*8) use.
-_BARRIER_TAG_BASE = 1 << 40
-
 #: Seconds a finished rank waits for the launcher's shutdown frame before
 #: tearing down unilaterally.
 _SHUTDOWN_GRACE = 30.0
@@ -176,7 +172,6 @@ class TcpEndpoint(Endpoint):
         self._peers = peers
         self._control = control
         self._mailbox = Mailbox()
-        self._barrier_gen = 0
         self._stop = threading.Event()
         self.shutdown_received = threading.Event()
         self.restart_received = threading.Event()
@@ -205,28 +200,6 @@ class TcpEndpoint(Endpoint):
 
     def recv(self, source: int, tag: int, timeout: float) -> Message:
         return self._mailbox.get(source, tag, timeout)
-
-    def barrier(self, timeout: float) -> None:
-        """Centralised barrier over ordinary frames: everyone reports to
-        rank 0, rank 0 releases everyone.  SPMD code executes barriers in
-        the same order on all ranks, so a per-endpoint generation counter
-        sequences them without negotiation."""
-        generation = self._barrier_gen
-        self._barrier_gen += 1
-        tag = _BARRIER_TAG_BASE + generation
-        if self.rank == 0:
-            for source in range(1, self.size):
-                self.recv(source, tag, timeout)  # arrivals
-            for dest in range(1, self.size):
-                self.send(dest, Message(0, tag, None))  # release
-        else:
-            self.send(0, Message(self.rank, tag, None))
-            self.recv(0, tag, timeout)
-
-    def abort(self) -> None:
-        """Poison local receives and tell every peer to do the same."""
-        self.poison_peers()
-        self._mailbox.poison()
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -85,18 +85,17 @@ class Mailbox:
 
 
 class World:
-    """Shared state of one threaded MPI world: mailboxes and a barrier."""
+    """Shared state of one threaded MPI world: one mailbox per rank."""
 
     def __init__(self, size: int):
         if size < 1:
             raise MPIError(f"world size must be >= 1, got {size}")
         self.size = size
         self.mailboxes = [Mailbox() for _ in range(size)]
-        self.barrier = threading.Barrier(size)
 
     def abort(self) -> None:
-        """Poison every rank's blocking points after a rank death."""
-        self.barrier.abort()
+        """Poison every rank's mailbox after a rank death, so peers blocked
+        in receives or collectives fail fast instead of timing out."""
         for mailbox in self.mailboxes:
             mailbox.poison()
 
@@ -116,17 +115,6 @@ class ThreadEndpoint(Endpoint):
 
     def recv(self, source: int, tag: int, timeout: float) -> Message:
         return self.world.mailboxes[self.rank].get(source, tag, timeout)
-
-    def barrier(self, timeout: float) -> None:
-        try:
-            self.world.barrier.wait(timeout)
-        except threading.BrokenBarrierError as exc:
-            raise MPIError("barrier broken (peer died or timed out)") from exc
-
-    def abort(self) -> None:
-        # Break the barrier and poison mailboxes so peers blocked in
-        # collectives or receives fail fast instead of timing out.
-        self.world.abort()
 
 
 @register_transport
@@ -162,7 +150,7 @@ class ThreadTransport(Transport):
                 faultinject.fire("rendezvous", rank=rank)
                 return main(Comm(endpoint), *args)
             except BaseException:
-                endpoint.abort()
+                world.abort()
                 raise
 
         return run_rank_threads(world_size, rank_main, "mpi-rank", timeout, self.fault_plan)

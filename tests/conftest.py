@@ -11,6 +11,12 @@ import pytest
 from repro.mpi import faultinject
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds, not milliseconds"
+    )
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_fault_plan():
     """Fault plans are per-process state installed by transports; a test

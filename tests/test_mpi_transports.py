@@ -29,6 +29,9 @@ TAG_WRONG = 5
 TAG_RIGHT = 9
 TAG_ECHO = 3
 TAG_NEVER_SENT = 42
+TAG_NEGATIVE = -1
+TAG_COLLECTIVE_BASE = 1 << 20  # the first tag the collectives own
+TAG_TOP_USER = TAG_COLLECTIVE_BASE - 1
 
 
 @pytest.fixture(params=TRANSPORTS)
@@ -233,6 +236,70 @@ class TestSharedSemantics:
 
         assert mpi_run(3, main, transport=transport)[1:] == ["pre-barrier"] * 2
 
+    def test_barrier_interleaved_with_collectives_keeps_rounds_apart(
+            self, transport):
+        """Barrier draws from the collectives' tag sequence: ten rounds of
+        barrier mixed with gather, bcast and alltoall never cross rounds."""
+        rounds = 10
+
+        def main(comm):
+            seen = []
+            for round_ in range(rounds):
+                comm.barrier()
+                gathered = comm.gather((round_, comm.rank), root=0)
+                comm.barrier()
+                told = comm.bcast(("b", round_) if comm.rank == 1 else None,
+                                  root=1)
+                exchanged = comm.alltoall(
+                    [(round_, comm.rank, dest) for dest in range(comm.size)]
+                )
+                comm.barrier()
+                seen.append((gathered, told, exchanged))
+            return seen
+
+        results = mpi_run(3, main, transport=transport)
+        for rank, seen in enumerate(results):
+            for round_, (gathered, told, exchanged) in enumerate(seen):
+                expected = [(round_, r) for r in range(3)] if rank == 0 else None
+                assert gathered == expected
+                assert told == ("b", round_)
+                assert exchanged == [(round_, src, rank) for src in range(3)]
+
+    def test_writable_memoryview_is_snapshotted_at_send(self, transport):
+        """The bytes delivered are the bytes at send time on every backend,
+        even when the sender reuses the buffer right after."""
+        def main(comm):
+            if comm.rank == 0:
+                buffer = bytearray(b"before")
+                comm.send(1, memoryview(buffer))
+                buffer[:] = b"AFTER!"
+                return None
+            return comm.recv(source=0).payload
+
+        assert mpi_run(2, main, transport=transport)[1] == b"before"
+
+    def test_user_tags_stop_below_the_collective_range(self, transport):
+        def main(comm):
+            if comm.rank == 0:
+                rejected = []
+                for tag in (TAG_NEGATIVE, TAG_COLLECTIVE_BASE):
+                    try:
+                        comm.send(1, "stray", tag=tag)
+                    except MPIError as exc:
+                        rejected.append(str(exc))
+                comm.send(1, "top", tag=TAG_TOP_USER)
+            else:
+                rejected = comm.recv(source=0, tag=TAG_TOP_USER).payload
+            return rejected, comm.gather(comm.rank, root=0)
+
+        results = mpi_run(2, main, transport=transport)
+        allowed = f"tag must be in [0, {TAG_COLLECTIVE_BASE})"
+        assert results[0] == (
+            [f"{allowed}, got -1", f"{allowed}, got {TAG_COLLECTIVE_BASE}"],
+            [0, 1],
+        )
+        assert results[1] == ("top", None)
+
     def test_exception_propagates(self, transport):
         def main(comm):
             if comm.rank == 1:
@@ -422,6 +489,19 @@ class TestInlineSpecifics:
         start = time.monotonic()
         with pytest.raises(MPIError, match="deadlock"):
             mpi_run(1, main, transport="inline")
+        assert time.monotonic() - start < 5.0
+
+    def test_barrier_deadlock_detected_immediately(self):
+        """A barrier a peer never enters fails fast, like a blocked recv."""
+        import time
+
+        def main(comm):
+            if comm.rank == 0:
+                comm.barrier(timeout=3600.0)
+
+        start = time.monotonic()
+        with pytest.raises(MPIError, match="deadlock"):
+            mpi_run(2, main, transport="inline")
         assert time.monotonic() - start < 5.0
 
     def test_cross_deadlock_detected(self):
