@@ -30,12 +30,15 @@ def test_fig3a_normal_sort():
     # Scaling shape: 8x the data costs Hadoop close to 4x-8x the time
     # (sub-linear only through fixed-overhead amortization at 4 GB; our
     # simulator underestimates the paper's superlinear growth at 32 GB —
-    # see EXPERIMENTS.md).
+    # see EXPERIMENTS.md, written by `python scripts/make_experiments_md.py`
+    # and not committed).
     hadoop = series["hadoop"]
     assert hadoop[32 * GB].elapsed_sec > 3.5 * hadoop[8 * GB].elapsed_sec
     assert hadoop[32 * GB].elapsed_sec > 4.5 * hadoop[4 * GB].elapsed_sec
 
     # Note: our simulated absolutes run below the paper's chart values for
-    # this workload (see EXPERIMENTS.md); the ratios are the claim tested.
+    # this workload (see EXPERIMENTS.md, written by
+    # `python scripts/make_experiments_md.py` and not committed); the ratios
+    # are the claim tested.
     for size in series["hadoop"]:
         assert series["datampi"][size].elapsed_sec < series["hadoop"][size].elapsed_sec

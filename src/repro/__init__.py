@@ -16,8 +16,9 @@ The package rebuilds, in pure Python, every system the paper touches:
 * :mod:`repro.experiments` — runners that regenerate every table and
   figure of the evaluation.
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-paper-vs-measured results.
+See ``docs/architecture.md`` for the system inventory; ``EXPERIMENTS.md``
+(paper-vs-measured results) is written by
+``python scripts/make_experiments_md.py`` and is not committed.
 """
 
 __version__ = "1.0.0"

@@ -1,7 +1,8 @@
 """Rendering helpers: figure data -> text tables and markdown.
 
 Used by the benchmarks (to print the rows each figure reports) and by
-``scripts/make_experiments_md.py`` (to regenerate EXPERIMENTS.md).
+``python scripts/make_experiments_md.py`` (which writes EXPERIMENTS.md,
+a file that is not committed).
 """
 
 from __future__ import annotations

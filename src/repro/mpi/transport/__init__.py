@@ -20,7 +20,6 @@ from repro.mpi.transport.base import (
     Endpoint,
     Message,
     Transport,
-    WorldHandle,
     available_transports,
     default_transport_name,
     get_transport,
@@ -102,7 +101,6 @@ __all__ = [
     "ThreadTransport",
     "Transport",
     "World",
-    "WorldHandle",
     "answer_challenge",
     "available_transports",
     "decode_batch",

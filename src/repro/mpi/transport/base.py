@@ -14,9 +14,10 @@ interface (send/recv/collectives) can run over interchangeable backends:
 * ``tcp``    — ranks are processes exchanging length-prefixed message
   frames over one socket pair per rank pair, on one host or many.
 
-A backend provides two things: a :class:`Transport` that launches one
-callable per rank and collects results, and per-rank :class:`Endpoint`
-objects implementing point-to-point ``send``/``recv`` with MPI's
+A backend provides two things: a :class:`Transport` whose one method,
+``run``, executes one callable per rank and returns their results once
+every rank is reaped, and per-rank :class:`Endpoint` objects
+implementing point-to-point ``send``/``recv`` with MPI's
 per-(source, destination) non-overtaking guarantee.  ``Comm`` builds
 every collective, barrier included, on top of those two, so all backends
 share one semantics.
@@ -90,55 +91,13 @@ class Endpoint(ABC):
         """Block until a matching message arrives; raise MPIError on timeout."""
 
 
-class WorldHandle:
-    """A world running in the background — the reusable-world primitive.
-
-    ``Transport.run`` builds a world, executes one callable per rank, and
-    tears everything down before returning: the right lifecycle for batch
-    jobs, and exactly the wrong one for serving, where world construction
-    (fork, rendezvous, ring/socket setup) must be paid once and amortized
-    over a stream of submissions.  ``Transport.launch`` runs the same
-    ``run`` on a background thread and returns this handle; the caller
-    keeps talking to the live ranks through whatever channel it set up
-    before launching (e.g. pipes inherited across the fork) and joins the
-    handle when the ranks' main functions return.
-    """
-
-    def __init__(self, thread: threading.Thread):
-        self._thread = thread
-        self._results: list[Any] | None = None
-        self._error: BaseException | None = None
-
-    def done(self) -> bool:
-        """Has the world finished (successfully or not)?"""
-        return not self._thread.is_alive()
-
-    @property
-    def error(self) -> BaseException | None:
-        """The world's failure, if it has failed (None while running/ok)."""
-        return self._error
-
-    def join(self, timeout: float | None = None) -> bool:
-        """Wait for the world to finish; returns False on timeout."""
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
-    def result(self, timeout: float | None = None) -> list[Any]:
-        """Per-rank results, blocking until the world finishes.
-
-        Re-raises the world's failure (the same :class:`MPIError` surface
-        ``Transport.run`` presents) if any rank failed.
-        """
-        if not self.join(timeout):
-            raise MPIError("world is still running")
-        if self._error is not None:
-            raise self._error
-        assert self._results is not None
-        return self._results
-
-
 class Transport(ABC):
-    """Factory/launcher for one backend: runs ``main`` on every rank."""
+    """One backend's launcher: ``run`` executes ``main`` on every rank.
+
+    ``run`` blocks until the world is over, which is all a caller needs:
+    a long-lived world (a serving pool) calls it from a thread of its own
+    and feeds the live ranks through channels it created beforehand.
+    """
 
     #: Registry key; subclasses must override.
     name: str = ""
@@ -157,38 +116,6 @@ class Transport(ABC):
         caller (wrapped in :class:`MPIError` unless it already is one)
         after every rank has been reaped, so no rank leaks.
         """
-
-    def launch(
-        self,
-        world_size: int,
-        main: Callable[..., Any],
-        args: tuple = (),
-        timeout: float = JOIN_TIMEOUT,
-    ) -> WorldHandle:
-        """Run the world on a background thread; returns a :class:`WorldHandle`.
-
-        ``timeout`` bounds the world's whole lifetime (it is ``run``'s
-        timeout), so long-lived worlds — serving pools — must pass a
-        budget covering their expected service window, not a per-job
-        bound.  Fork-based backends fork from the background thread, so
-        any file descriptors (pipes) the caller created before ``launch``
-        are inherited by the ranks — that is the supported way to feed a
-        live world work.
-        """
-        handle: WorldHandle
-
-        def world_main() -> None:
-            try:
-                handle._results = self.run(world_size, main, args, timeout)
-            except BaseException as exc:  # noqa: BLE001 - surfaced via result()
-                handle._error = exc
-
-        thread = threading.Thread(
-            target=world_main, name=f"{self.name}-world", daemon=True
-        )
-        handle = WorldHandle(thread)
-        thread.start()
-        return handle
 
 
 _REGISTRY: dict[str, type[Transport]] = {}

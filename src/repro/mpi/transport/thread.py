@@ -79,10 +79,6 @@ class Mailbox:
                 index = find()
             return self._items.pop(index)
 
-    def pending(self) -> int:
-        with self._cond:
-            return len(self._items)
-
 
 class World:
     """Shared state of one threaded MPI world: one mailbox per rank."""

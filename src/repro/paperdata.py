@@ -7,7 +7,8 @@ Two provenance levels:
   the benchmarks compare shapes and ratios against these, not absolutes).
 
 The benchmark harness (one bench per table/figure) compares the simulated
-results against these values and EXPERIMENTS.md records the outcome.
+results against these values, and EXPERIMENTS.md records the outcome
+(written by ``python scripts/make_experiments_md.py``; not committed).
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ SPARK_NORMAL_SORT_ALWAYS_FAILS = True
 
 @dataclass(frozen=True)
 class Claim:
-    """A checkable claim for EXPERIMENTS.md reporting."""
+    """A checkable claim for the EXPERIMENTS.md report, which
+    ``python scripts/make_experiments_md.py`` writes (not committed)."""
 
     experiment: str
     description: str

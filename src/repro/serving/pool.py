@@ -24,7 +24,7 @@ then serves an unbounded stream of job submissions on the live ranks:
   world keeps serving.
 
 Plumbing: the frontend talks to rank 0 over a request pipe and hears
-back over a result pipe, both created before the world launches so
+back over a result pipe, both created before the world starts so
 forked ranks inherit them.  The world runs
 :func:`repro.datampi.world.superstep_loop` — the round Iteration and
 Streaming mode run — with the request pipe as its step source: rank 0
@@ -32,7 +32,13 @@ sends every rank each request's ``("job", seq, name)`` (every rank takes the
 same branch) and keeps the submitted splits to itself, so input crosses
 the wire once — from the input root to the O rank that owns it — the
 world runs one superstep and is recycled, and rank 0 answers the result
-pipe with the settled round.
+pipe with the settled round.  The pool runs its world itself: a
+``worldpool-world`` thread calls the transport's ``run`` (fork-based
+backends fork from it) and, once every rank is reaped, records why the
+world ended and writes the result pipe's one goodbye, so the goodbye is
+always the pipe's last message.  A ``worldpool-dispatch`` thread blocks
+on the result pipe, resolving futures until that goodbye, then fails
+whatever is still pending with the recorded cause.
 
 Example::
 
@@ -60,7 +66,7 @@ from repro.datampi.world import Control, RoundOutcome, superstep_loop
 from repro.storage import StorageConfig
 from repro.mpi import faultinject
 from repro.mpi.comm import Comm
-from repro.mpi.transport import WorldHandle, get_transport
+from repro.mpi.transport import get_transport
 
 #: Default bound on a pool world's whole lifetime, in seconds.  This is
 #: the transport ``run`` timeout, so it must cover the pool's service
@@ -157,11 +163,13 @@ class WorldPool:
         #: so their confs' storage settings cannot apply per submission.
         self.storage = storage or StorageConfig()
         self._jobs: dict[str, DataMPIJob] = {}
-        self._handle: WorldHandle | None = None
+        self._world: threading.Thread | None = None
         self._dispatcher: threading.Thread | None = None
         self._lock = threading.Lock()
         self._seq = 0  #: guarded-by _lock
         self._pending: dict[int, JobFuture] = {}  #: guarded-by _lock
+        #: Why the world ended; None while it runs.  guarded-by _lock
+        self._world_error: BaseException | None = None
         self._closed = False
         self._request_send = None  # parent -> rank 0
         self._result_recv = None  # rank 0 -> parent
@@ -177,7 +185,7 @@ class WorldPool:
         share one world.  The job's own ``transport``/``checkpoint_dir``
         are ignored — the pool owns the world and writes no checkpoints.
         """
-        if self._handle is not None:
+        if self._world is not None:
             raise ConfigError(
                 "jobs must be registered before the pool starts (fork-based "
                 "transports capture the task callables at fork time)"
@@ -194,14 +202,15 @@ class WorldPool:
 
     def start(self) -> "WorldPool":
         """Form the world (the one-time fork/rendezvous cost) and begin serving."""
-        if self._handle is not None:
+        if self._world is not None:
             raise ConfigError("pool already started")
         if self._closed:
             raise ConfigError("pool is closed")
         if not self._jobs:
             raise ConfigError("register at least one job before start()")
-        # Unidirectional pipes, created *before* launch so fork-based
-        # backends hand the rank-0 ends to the child across the fork.
+        # Unidirectional pipes, created *before* the world starts so
+        # fork-based backends hand the rank-0 ends to the child across
+        # the fork.
         request_recv, request_send = multiprocessing.Pipe(duplex=False)
         result_recv, result_send = multiprocessing.Pipe(duplex=False)
         self._request_send = request_send
@@ -244,15 +253,6 @@ class WorldPool:
                 comm, num_o, num_a, storage, bind, next_step, settle,
                 cache_input=True, recycle=True, idle_timeout=idle_timeout,
             )
-            # Clean stop only: a rank dying out of the loop above must NOT
-            # say goodbye — on an elastic transport the world may come
-            # back, and the dispatcher has to survive the restart to serve
-            # it.
-            if comm.rank == 0:
-                try:
-                    result_send.send(None)
-                except (OSError, ValueError):
-                    pass
 
         transport = get_transport(self.transport)
         # Elastic transports (tcp with respawns) re-form the world after a
@@ -262,12 +262,32 @@ class WorldPool:
         listeners = getattr(transport, "restart_listeners", None)
         if listeners is not None:
             listeners.append(self._on_world_restart)
-        self._handle = transport.launch(
-            num_o + num_a, rank_main, timeout=self.world_timeout
+
+        def run_world() -> None:
+            """Run the world, record why it ended, then say the one goodbye.
+
+            ``run`` returns only once every rank is reaped, so rank 0's
+            last answer is already in the result pipe: the goodbye is
+            always the pipe's last message.
+            """
+            try:
+                transport.run(num_o + num_a, rank_main, timeout=self.world_timeout)
+                error: BaseException = MPIError("pool world exited")
+            except BaseException as exc:  # noqa: BLE001 - fails pending futures
+                error = exc
+            if listeners is not None:
+                listeners.remove(self._on_world_restart)
+            with self._lock:
+                self._world_error = error
+            result_send.send(None)
+
+        self._world = threading.Thread(
+            target=run_world, name="worldpool-world", daemon=True
         )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="worldpool-dispatch", daemon=True
         )
+        self._world.start()
         self._dispatcher.start()
         return self
 
@@ -277,7 +297,7 @@ class WorldPool:
         Thread-safe: concurrent submitters interleave at the request
         pipe and are resolved by sequence number.
         """
-        if self._handle is None:
+        if self._world is None:
             raise ConfigError("pool not started")
         if name not in self._jobs:
             raise ConfigError(
@@ -286,11 +306,8 @@ class WorldPool:
         with self._lock:
             if self._closed:
                 raise ConfigError("pool is closed")
-            if self._handle.done():
-                self._fail_pending_locked()
-                raise JobError(
-                    f"pool world died: {self._world_error()!r}"
-                )
+            if self._world_error is not None:
+                raise JobError(f"pool world died: {self._world_error!r}")
             self._seq += 1
             future = JobFuture(self._seq, name)
             self._pending[future.seq] = future
@@ -307,15 +324,10 @@ class WorldPool:
             if self._closed:
                 return
             self._closed = True
-            if self._request_send is not None and self._handle is not None \
-                    and not self._handle.done():
-                try:
-                    self._request_send.send(("stop",))
-                except (OSError, ValueError):
-                    pass  # world already tore the pipe down
-        if self._handle is not None:
-            self._handle.join(self.world_timeout)
-        if self._dispatcher is not None:
+            if self._world is not None and self._world_error is None:
+                self._request_send.send(("stop",))
+        if self._world is not None:
+            self._world.join(self.world_timeout)
             self._dispatcher.join(self.world_timeout)
         with self._lock:
             self._fail_pending_locked()
@@ -347,48 +359,23 @@ class WorldPool:
             ))
 
     def _dispatch_loop(self) -> None:
-        """Resolve futures from the result pipe until the world winds down."""
-        while True:
-            if self._result_recv.poll(0.05):
-                try:
-                    message = self._result_recv.recv()
-                except (EOFError, OSError):
-                    break
-                if message is None:  # world's goodbye
-                    break
-                seq, status, payload = message
-                with self._lock:
-                    future = self._pending.pop(seq, None)
-                if future is None:
-                    continue
-                if status == "ok":
-                    future._resolve(JobResult(**payload))
-                else:
-                    future._fail(JobError(payload))
-            elif self._handle.done():
-                break
-        with self._lock:
-            has_pending = bool(self._pending)
-        if has_pending and not self._handle.done():
-            # The result pipe broke before the launcher finished (a rank
-            # died mid-job on a fail-fast transport): wait for the world's
-            # own verdict so in-flight futures carry the real cause — which
-            # rank died and why — instead of a generic closed error.
-            self._handle.join(self.world_timeout)
+        """Resolve futures from the result pipe until the world's goodbye."""
+        while (message := self._result_recv.recv()) is not None:
+            seq, status, payload = message
+            with self._lock:
+                future = self._pending.pop(seq, None)
+            if future is None:
+                continue
+            if status == "ok":
+                future._resolve(JobResult(**payload))
+            else:
+                future._fail(JobError(payload))
         with self._lock:
             self._fail_pending_locked()
 
-    def _world_error(self) -> BaseException:
-        error = self._handle.error if self._handle is not None else None
-        return error if error is not None else MPIError("pool world exited")
-
     def _fail_pending_locked(self) -> None:
-        if not self._pending:
-            return
-        error = self._world_error() if (
-            self._handle is not None and self._handle.done()
-            and self._handle.error is not None
-        ) else JobError("pool closed with submissions in flight")
+        error = self._world_error or JobError(
+            "pool closed with submissions in flight")
         for future in self._pending.values():
             future._fail(error)
         self._pending.clear()
