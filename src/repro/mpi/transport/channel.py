@@ -189,13 +189,13 @@ def answer_challenge(sock: socket.socket, authkey: str | bytes) -> bool:
 
 def listen_on(host: str, port: int, backlog: int) -> socket.socket:
     """A listening TCP socket on ``host:port`` (0 = ephemeral).  Bind
-    failures propagate as :class:`OSError` with nothing left open."""
+    failures propagate with nothing left open."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
         listener.listen(backlog)
-    except OSError:
+    except BaseException:
         listener.close()
         raise
     return listener

@@ -265,24 +265,19 @@ def send_frame(
     kind: int,
     tag: int = 0,
     obj: Any = None,
-    payload: Any = None,
     *,
     source: int = -1,
     max_bytes: int = MAX_FRAME_BYTES,
 ) -> None:
     """Send one frame: header + payload parts, as one vectored write.
 
-    ``payload`` (bytes-like) goes out verbatim as :data:`FMT_RAW`;
-    otherwise ``obj`` is encoded via :func:`encode_payload` (bytes-like
-    objects still go raw).  Oversized frames raise :class:`MPIError`
-    locally *before* any byte is written, so the stream stays aligned
-    and the error lands on the sender, not as peer-side corruption.
+    ``obj`` is encoded via :func:`encode_payload`, so a bytes-like object
+    goes out verbatim as :data:`FMT_RAW`.  Oversized frames raise
+    :class:`MPIError` locally *before* any byte is written, so the stream
+    stays aligned and the error lands on the sender, not as peer-side
+    corruption.
     """
-    if payload is not None:
-        view = as_buffer(payload)
-        fmt, parts, total = FMT_RAW, [view], view.nbytes
-    else:
-        fmt, parts, total = encode_payload(obj)
+    fmt, parts, total = encode_payload(obj)
     if total > max_bytes:
         raise MPIError(
             f"refusing to send a {total}-byte frame: exceeds the "

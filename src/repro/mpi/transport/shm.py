@@ -38,11 +38,9 @@ from repro.common.errors import MPIError
 from repro.mpi import faultinject
 from repro.mpi.transport.base import (
     JOIN_TIMEOUT,
-    Endpoint,
     Message,
-    PoisonedError,
+    PolledEndpoint,
     Transport,
-    match,
     raise_rank_errors,
     register_transport,
 )
@@ -179,7 +177,7 @@ class ShmRing:
             pass
 
 
-class ShmEndpoint(Endpoint):
+class ShmEndpoint(PolledEndpoint):
     """One rank's process-local handle on the pipes-and-rings fabric."""
 
     def __init__(
@@ -192,6 +190,7 @@ class ShmEndpoint(Endpoint):
         recv_rings: list[ShmRing | None],      # [source] -> incoming ring
         control: Connection,
     ):
+        super().__init__()
         self.rank = rank
         self.size = size
         self._send_conns = send_conns
@@ -199,9 +198,7 @@ class ShmEndpoint(Endpoint):
         self._send_rings = send_rings
         self._recv_rings = recv_rings
         self._control = control
-        self._stash: list[Message] = []
         self._source_of = {id(conn): s for s, conn in enumerate(recv_conns) if conn}
-        self._aborted = False
         # Per-destination batch of small bytes payloads awaiting one ring
         # slot.  Thresholds clamp to the ring capacity so tiny test rings
         # still batch (or degrade to per-payload slots) correctly.
@@ -224,30 +221,23 @@ class ShmEndpoint(Endpoint):
         conn = self._send_conns[dest]
         assert conn is not None
         ring = self._send_rings[dest]
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            view = as_buffer(payload)
-            length = view.nbytes
-            if ring is not None and length <= self._batch_item_max:
-                self._batch_add(dest, message.tag, view)
-                return
-            # FIFO: anything already batched for this peer goes first.
-            self._flush_batch(dest)
-            if ring is not None and length <= ring.capacity:
-                offset = ring.write(view, JOIN_TIMEOUT)
-                conn.send_bytes(
-                    WIRE_HEADER.pack(_KIND_RING, FMT_RAW, self.rank,
-                                     message.tag, _RING_REF.size)
-                    + _RING_REF.pack(offset, length)
-                )
-                return
-            # Larger than the ring: raw bytes ride the pipe frame itself.
-            conn.send_bytes(b"".join([
-                WIRE_HEADER.pack(_KIND_INLINE, FMT_RAW, self.rank,
-                                 message.tag, length),
-                view,
-            ]))
+        view = (as_buffer(payload)
+                if isinstance(payload, (bytes, bytearray, memoryview)) else None)
+        if (view is not None and ring is not None
+                and view.nbytes <= self._batch_item_max):
+            self._batch_add(dest, message.tag, view)
             return
+        # FIFO: anything already batched for this peer goes first.
         self._flush_batch(dest)
+        if view is not None and ring is not None and view.nbytes <= ring.capacity:
+            offset = ring.write(view, JOIN_TIMEOUT)
+            conn.send_bytes(
+                WIRE_HEADER.pack(_KIND_RING, FMT_RAW, self.rank,
+                                 message.tag, _RING_REF.size)
+                + _RING_REF.pack(offset, view.nbytes)
+            )
+            return
+        # Objects, and bytes larger than the ring, ride the pipe frame.
         fmt, parts, total = encode_payload(payload)
         conn.send_bytes(b"".join([
             WIRE_HEADER.pack(_KIND_INLINE, fmt, self.rank,
@@ -297,24 +287,7 @@ class ShmEndpoint(Endpoint):
 
     def recv(self, source: int, tag: int, timeout: float) -> Message:
         self.flush_sends()
-        deadline = time.monotonic() + timeout
-        while True:
-            for index, message in enumerate(self._stash):
-                if match(message, source, tag):
-                    return self._stash.pop(index)
-            if self._aborted:
-                # A poison *symptom*, not a cause: the dedicated class
-                # lets the run report the original rank error instead.
-                raise PoisonedError(
-                    f"rank {self.rank} aborted: a peer rank failed"
-                )
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise MPIError(
-                    f"recv timed out after {timeout}s waiting for "
-                    f"source={source} tag={tag}"
-                )
-            self._poll(remaining)
+        return super().recv(source, tag, timeout)
 
     def _poll(self, timeout: float) -> None:
         """Drain every readable connection into the stash (ring payloads are

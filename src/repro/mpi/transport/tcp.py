@@ -26,11 +26,11 @@ Wire design
   chunk payloads travel verbatim (``FMT_RAW``) and never pass through
   pickle; only control-plane objects (collectives, outcomes, the
   rendezvous protocol) use the pickle-5 out-of-band format.
-* **Demux** — each rank runs one demux thread ``select``-ing over all of
-  its peer sockets plus the control channel, parsing frames into the same
-  tag/source-matched :class:`~repro.mpi.transport.thread.Mailbox` the
-  thread backend uses — selective receive semantics are shared by
-  construction.
+* **Receive** — a rank receives on its own thread, as a shm rank does
+  (the shared loop is :class:`~repro.mpi.transport.base.PolledEndpoint`):
+  ``recv`` ``select``s over its peer sockets plus the control channel and
+  stashes frames until one matches.  A send is buffered up to the socket
+  buffers; past them it waits for the peer to receive or to finish.
 * **Fail-fast abort** — a failing rank sends poison (``ABORT``) frames to
   every peer before reporting its error, and a hard-killed rank's
   sockets EOF, which poisons its peers locally: blocked receives raise
@@ -60,7 +60,6 @@ import secrets
 import selectors
 import socket
 import struct
-import threading
 import time
 from typing import Any, Callable, Sequence
 
@@ -68,9 +67,9 @@ from repro.common.errors import MPIError
 from repro.mpi import faultinject
 from repro.mpi.transport.base import (
     JOIN_TIMEOUT,
-    Endpoint,
     Message,
     PoisonedError,
+    PolledEndpoint,
     Transport,
     raise_rank_errors,
     register_transport,
@@ -84,7 +83,6 @@ from repro.mpi.transport.ranks import (
     fork_context,
     report_outcome,
 )
-from repro.mpi.transport.thread import Mailbox
 
 #: Peer-connection preamble: the connecting rank announces itself.
 _HELLO = struct.Struct(">I")
@@ -109,7 +107,7 @@ _SHUTDOWN_GRACE = 30.0
 #: accept loop without letting it eat the whole world-formation deadline.
 _REGISTER_TIMEOUT = 2.0
 
-_CONTROL = -1  # demux selector key for the control channel
+_CONTROL = -1  # an endpoint's selector key for the control channel
 
 
 class _WorldFormationError(PoisonedError):
@@ -150,12 +148,12 @@ def parse_hosts(hosts: str | Sequence[str] | None) -> list[str]:
 # -- the endpoint --------------------------------------------------------------
 
 
-class TcpEndpoint(Endpoint):
+class TcpEndpoint(PolledEndpoint):
     """One rank's handle on the socket fabric.
 
-    Sends happen on the rank's main thread only (one writer per socket —
-    no locking needed); a single demux thread drains every peer socket
-    plus the control channel into the mailbox.
+    Everything happens on the rank's own thread: sends write the peer's
+    socket (one writer per socket — no locking needed), and receives
+    ``select`` over every peer socket plus the control channel.
     """
 
     def __init__(
@@ -166,25 +164,25 @@ class TcpEndpoint(Endpoint):
         control: socket.socket,
         generation: int = 0,
     ):
+        super().__init__()
         self.rank = rank
         self.size = size
         self.generation = generation
         self._peers = peers
         self._control = control
-        self._mailbox = Mailbox()
-        self._stop = threading.Event()
-        self.shutdown_received = threading.Event()
-        self.restart_received = threading.Event()
-        self._demux = threading.Thread(
-            target=self._demux_loop, name=f"tcp-demux-{rank}", daemon=True
-        )
-        self._demux.start()
+        #: The launcher's last word: KIND_SHUTDOWN or KIND_RESTART.
+        self._verdict: int | None = None
+        self._selector = selectors.DefaultSelector()
+        for peer_rank, sock in enumerate(peers):
+            if sock is not None:
+                self._selector.register(sock, selectors.EVENT_READ, peer_rank)
+        self._selector.register(control, selectors.EVENT_READ, _CONTROL)
 
     # -- Endpoint contract -----------------------------------------------------
 
     def send(self, dest: int, message: Message) -> None:
         if dest == self.rank:
-            self._mailbox.put(message)  # loopback: no wire to cross
+            self._stash.append(message)  # loopback: no wire to cross
             return
         sock = self._peers[dest]
         assert sock is not None
@@ -198,10 +196,44 @@ class TcpEndpoint(Endpoint):
                 f"send to rank {dest} failed: peer unreachable ({exc})"
             ) from exc
 
-    def recv(self, source: int, tag: int, timeout: float) -> Message:
-        return self._mailbox.get(source, tag, timeout)
+    def _poll(self, timeout: float) -> None:
+        for key, _events in self._selector.select(timeout):
+            who = key.data
+            try:
+                frame = recv_frame(key.fileobj)
+            except (MPIError, OSError):
+                frame = None  # a torn connection is a peer death
+            if frame is None:
+                # EOF.  A healthy world tears sockets down only after the
+                # launcher's shutdown, so an early EOF means the other side
+                # died without a word (hard kill) — fail blocked receives now.
+                self._selector.unregister(key.fileobj)
+                if self._verdict is None:
+                    self._aborted = True
+                if who == _CONTROL:
+                    self._verdict = KIND_SHUTDOWN  # launcher is gone
+                continue
+            kind, tag, obj = frame
+            if kind == KIND_DATA:
+                self._stash.append(Message(who, tag, obj))
+            elif kind == KIND_ABORT:
+                self._aborted = True
+            elif kind in (KIND_SHUTDOWN, KIND_RESTART):
+                self._verdict = kind
 
     # -- lifecycle -------------------------------------------------------------
+
+    def await_verdict(self, wait: float) -> bool:
+        """Wait up to ``wait`` s for the launcher's verdict; ``True`` for a
+        restart.  Peer sockets are read meanwhile, so a peer still sending
+        to this finished rank never blocks on a full socket buffer."""
+        deadline = time.monotonic() + wait
+        while self._verdict is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            self._poll(remaining)
+        return self._verdict == KIND_RESTART
 
     def poison_peers(self) -> None:
         """Best-effort ABORT frame to every peer (dead peers are skipped)."""
@@ -225,51 +257,8 @@ class TcpEndpoint(Endpoint):
                 pass
 
     def close(self) -> None:
-        self._stop.set()
-        self._demux.join(2.0)
+        self._selector.close()
         channel.close_quietly(*self._peers)
-
-    # -- demux -----------------------------------------------------------------
-
-    def _demux_loop(self) -> None:
-        selector = selectors.DefaultSelector()
-        for peer_rank, sock in enumerate(self._peers):
-            if sock is not None:
-                selector.register(sock, selectors.EVENT_READ, peer_rank)
-        selector.register(self._control, selectors.EVENT_READ, _CONTROL)
-        with selector:
-            while not self._stop.is_set():
-                for key, _events in selector.select(timeout=0.1):
-                    self._demux_one(selector, key.fileobj, key.data)
-
-    def _demux_one(self, selector, sock, who: int) -> None:
-        try:
-            frame = recv_frame(sock)
-        except (MPIError, OSError):
-            frame = None  # a torn connection is a peer death
-        if frame is None:
-            # EOF.  A healthy world tears sockets down only after the
-            # launcher's shutdown, so an early EOF means the other side
-            # died without a word (hard kill) — fail blocked receives now.
-            selector.unregister(sock)
-            if not self.shutdown_received.is_set():
-                self._mailbox.poison()
-            if who == _CONTROL:
-                self.shutdown_received.set()  # launcher is gone; stop waiting
-            return
-        kind, tag, obj = frame
-        if kind == KIND_DATA:
-            self._mailbox.put(Message(who, tag, obj))
-        elif kind == KIND_ABORT:
-            self._mailbox.poison()
-        elif kind == KIND_SHUTDOWN:
-            self.shutdown_received.set()
-        elif kind == KIND_RESTART:
-            # The launcher is rebuilding the world: release the
-            # post-outcome wait and flag that this rank must re-register
-            # instead of tearing down.
-            self.restart_received.set()
-            self.shutdown_received.set()
 
 
 # -- rendezvous ----------------------------------------------------------------
@@ -325,7 +314,7 @@ class _Rendezvous:
                         f"tcp rendezvous incomplete: ranks {missing} never "
                         f"registered"
                     )
-                for key, _events in selector.select(min(remaining, 0.5)):
+                for key, _events in selector.select(remaining):
                     if key.data is None:  # a new connection for an open slot
                         conn = channel.accept_authenticated(
                             self._listener, self._authkey,
@@ -485,7 +474,7 @@ def _build_endpoint(
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise socket.timeout("tcp pair accept timed out")
-                    for key, _ev in selector.select(min(remaining, 0.5)):
+                    for key, _ev in selector.select(remaining):
                         if key.data == "control":
                             verdict = recv_frame(control)
                             if verdict is None:
@@ -586,16 +575,15 @@ def _run_rank(
                 control, KIND_OUTCOME, obj=(reporter, *sent)), reporter, outcome)
             if endpoint is None:
                 # Formation failed, but the launcher may still restart the
-                # world: a peerless endpoint demuxes its verdict off the
+                # world: a peerless endpoint reads its verdict off the
                 # control channel exactly as a formed one would.
                 endpoint = TcpEndpoint(-1, 0, [], control, generation)
             # Keep the fabric alive until the launcher says the whole world is
             # done: peers may still be receiving, and an early close would
             # read as a death.
-            endpoint.shutdown_received.wait(
+            restart = endpoint.await_verdict(
                 min(_SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic()))
             )
-            restart = endpoint.restart_received.is_set()
             endpoint.close()
             if not restart:
                 return outcome
@@ -657,9 +645,7 @@ class TcpTransport(Transport):
         self._ctx = fork_context("tcp transport spawn",
                                  "launch ranks externally with join_world instead")
         self.hosts = parse_hosts(hosts)
-        if not 0 <= int(port) <= 65535:
-            raise MPIError(f"rendezvous port out of range: {port}")
-        self.port = int(port)
+        self.port = channel.parse_address((self.hosts[0], port))[1]
         # A fresh random secret per transport unless pinned: forked ranks
         # inherit it, and nothing else may speak to this world's ports.
         self.authkey = (authkey if authkey is not None
@@ -747,6 +733,7 @@ class TcpWorldServer:
             raise MPIError(f"world size must be >= 1, got {world_size}")
         if restarts < 0:
             raise MPIError(f"restarts must be >= 0, got {restarts}")
+        port = channel.parse_address((bind, port))[1]
         self.world_size = world_size
         self.authkey, token = channel.resolve_authkey(authkey)
         #: World restarts the server may perform after rank deaths

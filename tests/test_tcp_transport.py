@@ -86,6 +86,11 @@ class TestSpecs:
         with pytest.raises(MPIError, match="port out of range"):
             TcpTransport(port=-1)
 
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_world_server_rejects_a_bad_port_at_construction(self, port):
+        with pytest.raises(MPIError, match="port out of range"):
+            TcpWorldServer(world_size=2, port=port)
+
     def test_unreachable_bind_host_fails_loudly(self):
         """A hosts entry that is not an address of this machine must
         surface as an MPIError, not a hang."""
@@ -299,6 +304,30 @@ class TestProcessWorld:
 
         assert mpi_run(3, main, transport="tcp") == \
             ["early", None, "late-message"]
+
+    def test_rank_receives_on_its_own_thread(self):
+        """No helper thread reads a rank's sockets: ``recv`` does."""
+
+        def main(comm):
+            count = threading.active_count()
+            comm.barrier()
+            return count
+
+        assert mpi_run(2, main, transport="tcp") == [1, 1]
+
+    def test_finished_rank_drains_what_peers_still_send(self):
+        """A rank that returned still reads its sockets while it waits
+        for the launcher's verdict, so a peer sending it far more than
+        the socket buffers hold never blocks."""
+        blob = b"x" * (1 << 20)
+
+        def main(comm):
+            if comm.rank == 0:
+                for _ in range(32):
+                    comm.send(1, blob, tag=TAG_BULK)
+            return comm.rank
+
+        assert mpi_run(2, main, transport="tcp", timeout=20.0) == [0, 1]
 
     def test_explicit_rendezvous_port(self, bind_retry):
         # Probing cannot reserve the port, so the probe/bind window is

@@ -169,7 +169,7 @@ class TestSocketFraming:
     def test_frame_round_trip_over_socketpair(self):
         with _FrameSocket() as pair:
             send_frame(pair.writer, 3, tag=7, obj={"step": 1}, source=2)
-            send_frame(pair.writer, 4, tag=9, payload=b"raw-chunk")
+            send_frame(pair.writer, 4, tag=9, obj=b"raw-chunk")
             assert recv_frame(pair.reader) == (3, 7, {"step": 1})
             kind, tag, body = recv_frame(pair.reader)
             assert (kind, tag) == (4, 9)
@@ -232,9 +232,9 @@ class TestSocketFraming:
     def test_oversized_frame_rejected_locally_at_send(self):
         with _FrameSocket() as pair:
             with pytest.raises(MPIError, match="refusing to send"):
-                send_frame(pair.writer, 1, payload=b"x" * 64, max_bytes=16)
+                send_frame(pair.writer, 1, obj=b"x" * 64, max_bytes=16)
             # Nothing was written: the peer sees only what comes next.
-            send_frame(pair.writer, 2, payload=b"ok", max_bytes=1024)
+            send_frame(pair.writer, 2, obj=b"ok", max_bytes=1024)
             assert recv_frame(pair.reader) == (2, 0, b"ok")
 
     def test_crafted_pickle_bytes_stay_inert(self, tmp_path):
@@ -262,7 +262,7 @@ class TestSocketFraming:
 
             def pump():
                 try:
-                    send_frame(pair.writer, 1, tag=5, payload=payload)
+                    send_frame(pair.writer, 1, tag=5, obj=payload)
                 except BaseException as exc:  # noqa: BLE001
                     error.append(exc)
 
