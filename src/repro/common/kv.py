@@ -23,7 +23,10 @@ every key is exactly ``str`` and the values are all ``None`` or all exact
 64-bit ``int``.  Such a chunk ships as columns: a 7-byte header, the key
 lengths, the joined UTF-8 keys and the values, each column at the
 narrowest fixed width that holds it.  Only the data selects the layout,
-only this module knows it; :func:`decode_stream` reads it off the first byte.
+only this module knows it; both decoders read it off the first byte.
+:func:`decode_stream` is lazy in either layout, for chunks the reader
+must not make resident (a spilled chunk in its mapped segment);
+:func:`decode_chunk` decodes a resident columnar chunk in one pass.
 """
 
 from __future__ import annotations
@@ -345,18 +348,45 @@ def decode_stream(data: bytes | memoryview) -> Iterator[KeyValue]:
     return _decode_records(data)
 
 
+def decode_chunk(data: bytes | memoryview) -> list[KeyValue] | Iterator[KeyValue]:
+    """The records of one chunk that is already in memory, as
+    :func:`decode_stream` yields them.
+
+    A columnar chunk decodes at once, after the same checks: its whole key
+    body is one UTF-8 decode, and an ASCII body (as many characters as
+    bytes) is sliced into keys as text; any other body falls back to one
+    decode per key.  A record stream is :func:`decode_stream`'s lazy
+    generator, so a torn one still yields its whole records first.  Only
+    for resident chunks: the list holds every record of the chunk.
+    """
+    if not (len(data) and data[0] == _MARKER):
+        return _decode_records(data)
+    view = memoryview(data)
+    lengths, values, body, stop = _columns(view, resident=True)
+    text = str(view[body:stop], "utf-8")
+    spans = starmap(slice, pairwise(accumulate(lengths, initial=0)))
+    if len(text) == stop - body:
+        keys: Iterator[str] = map(text.__getitem__, spans)
+    else:
+        keys = map(str, map(view[body:stop].__getitem__, spans), repeat("utf-8"))
+    return list(map(tuple.__new__, repeat(KeyValue), zip(keys, values)))
+
+
 def _torn(promised: int, present: int) -> ValueError:
     return ValueError(f"torn columnar chunk: {promised} bytes promised, {present} present")
 
 
-def _decode_columns(view: memoryview) -> Iterator[KeyValue]:
-    """The records of a columnar chunk, as one chain of C iterators.
+def _columns(view: memoryview, resident: bool) -> tuple[
+        Iterable[int], Iterable[int | None], int, int]:
+    """``(key lengths, values, body, stop)`` of a columnar chunk whose keys
+    are ``view[body:stop]``.
 
-    The chunk's arithmetic is checked here, before the first record: known
-    codes, and header + columns + the sum of the key lengths == ``len(view)``
-    — a torn, padded or inconsistent chunk raises ``ValueError`` and yields
-    nothing.  The chain is O(1) Python objects however many records there
-    are; each key is sliced out of ``view`` as the caller advances.
+    Every check either decoder makes is here, before the first record:
+    known codes, and header + columns + the sum of the key lengths ==
+    ``len(view)`` — a torn, padded or inconsistent chunk raises
+    ``ValueError`` and yields nothing.  A ``resident`` chunk's columns come
+    back unpacked, as tuples; otherwise as iterators that read ``view`` as
+    they advance, so checking a spilled chunk allocates no column.
     """
     total = len(view)
     if total < _HEAD.size:
@@ -370,19 +400,35 @@ def _decode_columns(view: memoryview) -> Iterator[KeyValue]:
     stop = total - count * value_width
     if body > stop:
         raise _torn(body + total - stop, total)
-    length_format = ">" + _LENGTH_COLUMNS[length_width]
-    lengths = view[_HEAD.size:body]
-    keys_size = sum(chain.from_iterable(struct.iter_unpack(length_format, lengths)))
+    letter = _LENGTH_COLUMNS[length_width]
+    column = view[_HEAD.size:body]
+    lengths: Iterable[int]
+    if resident:
+        lengths = struct.unpack(f">{count}{letter}", column)
+        keys_size = sum(lengths)
+    else:
+        keys_size = sum(chain.from_iterable(struct.iter_unpack(">" + letter, column)))
+        lengths = chain.from_iterable(struct.iter_unpack(">" + letter, column))
     if body + keys_size != stop:
         raise _torn(body + keys_size + total - stop, total)
-    ends = accumulate(chain.from_iterable(
-        struct.iter_unpack(length_format, lengths)), initial=body)
-    keys = map(str, map(view.__getitem__, starmap(slice, pairwise(ends))),
-               repeat("utf-8"))
-    values: Iterator[int | None] = repeat(None)
+    values: Iterable[int | None] = repeat(None)
     if value_width:
-        values = chain.from_iterable(struct.iter_unpack(
-            ">" + _VALUE_COLUMNS[value_width], view[stop:]))
+        letter = _VALUE_COLUMNS[value_width]
+        values = (struct.unpack_from(f">{count}{letter}", view, stop) if resident
+                  else chain.from_iterable(struct.iter_unpack(">" + letter, view[stop:])))
+    return lengths, values, body, stop
+
+
+def _decode_columns(view: memoryview) -> Iterator[KeyValue]:
+    """The records of a columnar chunk, as one chain of C iterators.
+
+    The chain is O(1) Python objects however many records there are; each
+    key is sliced out of ``view`` as the caller advances.
+    """
+    lengths, values, body, stop = _columns(view, resident=False)
+    keys = map(str, map(view.__getitem__,
+                        starmap(slice, pairwise(accumulate(lengths, initial=body)))),
+               repeat("utf-8"))
     return map(tuple.__new__, repeat(KeyValue), zip(keys, values))
 
 

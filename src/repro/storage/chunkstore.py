@@ -9,7 +9,9 @@ it the least-recently-received chunks move to mmap-backed segment files
 and stream back lazily during the merge.  The merged iterator yields
 records in global key order when sorting is enabled: one stable sort of
 the concatenated chunks when nothing spilled, a lazy k-way merge
-(``heapq.merge``) as soon as any chunk did.
+(``heapq.merge``) as soon as any chunk did.  A chunk still in memory
+decodes in one pass (``decode_chunk``); a spilled chunk streams out of
+its segment (``decode_stream``) and never becomes resident as records.
 
 Chunks carry an *origin* — ``(source O rank, per-source sequence)`` — and
 both paths visit chunks in origin order.  A stable sort and
@@ -27,7 +29,7 @@ import itertools
 from operator import itemgetter
 from typing import Iterator
 
-from repro.common.kv import KeyValue, decode_stream
+from repro.common.kv import KeyValue, decode_chunk, decode_stream
 from repro.storage.spill import DEFAULT_SPILL_BYTES, SpillStore
 
 #: Chunk origin: (source O rank, per-source sequence number).
@@ -75,18 +77,20 @@ class ChunkStore:
         any chunk spilled the merge stays lazy — ``decode_stream`` reads a
         spilled chunk out of its mapped segment as the merge advances, in
         either chunk layout, so a dataset that spilled because it outgrew
-        memory is never materialized as records.  Every chunk decodes
-        through a ``memoryview``.
+        memory is never materialized as records.  A chunk that is still
+        resident decodes in one pass through ``decode_chunk``, in all
+        three paths.
         """
         spill = self._spill
         origins = sorted(spill.keys())
         spilled = [spill.is_spilled(origin) for origin in origins]
-        chunks = map(decode_stream, map(spill.get, origins))
+        chunks = (decode_stream(spill.get(origin)) if lazy
+                  else decode_chunk(spill.get(origin))
+                  for origin, lazy in zip(origins, spilled))
         if not any(spilled):
             records = itertools.chain.from_iterable(chunks)
             return iter(sorted(records, key=itemgetter(0))) if sort else records
-        iterators = [chunk if lazy else iter(list(chunk))
-                     for lazy, chunk in zip(spilled, chunks)]
+        iterators = list(map(iter, chunks))
         if sort:
             return heapq.merge(*iterators, key=itemgetter(0))
         return itertools.chain.from_iterable(iterators)

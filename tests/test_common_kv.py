@@ -16,6 +16,7 @@ from repro.bigdatabench.toseqfile import to_sequence_file
 from repro.common import kv
 from repro.common.kv import (
     KeyValue,
+    decode_chunk,
     decode_record,
     decode_stream,
     encode_record,
@@ -409,6 +410,54 @@ class TestKernelsAgainstReference:
                 zlib.crc32(_ref_encode_record(key, None)) % parts)
 
 
+#: Columnar chunks for :func:`decode_chunk`: all-ASCII keys (the sliced
+#: text path) next to ones that mix in two-byte, CJK and astral
+#: characters (the per-key fallback), empty keys, and values at both ends
+#: of every column width.
+resident_keys = st.one_of(
+    st.text(alphabet="ab z\x00~", max_size=6),
+    column_keys,
+)
+resident_lists = st.one_of(
+    st.lists(st.tuples(resident_keys, st.none()), min_size=1, max_size=12),
+    st.lists(st.tuples(resident_keys, st.one_of(
+        st.integers(-(2**63), 2**63 - 1), st.sampled_from(WIDTH_EDGES))),
+        min_size=1, max_size=12),
+)
+
+
+class TestDecodeChunk:
+    """:func:`decode_chunk` is :func:`decode_stream`, listed, in either
+    layout and over ``bytes`` or a view."""
+
+    @given(st.one_of(resident_lists, record_lists))
+    @example([("ascii", None), ("", None)])
+    @example([("abc", 0), ("", 127), ("de", -128)])
+    @example([("h\u00e9", 128), ("", -129)])
+    @example([("x", 2**15)])
+    @example([("\U0001F600x", 2**31), ("", -(2**63)), ("a", 2**63 - 1)])
+    @example([("k", 1.5)])
+    @example([])
+    def test_equals_the_lazy_decoder(self, records):
+        chunk = encode_stream(records)
+        for data in (chunk, memoryview(chunk)):
+            decoded = decode_chunk(data)
+            assert (type(decoded) is list) == (chunk[:1] == bytes([MARKER]))
+            decoded = list(decoded)
+            assert _same(decoded, list(decode_stream(data)))
+            assert all(type(record) is KeyValue for record in decoded)
+
+    def test_a_key_cut_inside_a_character_raises(self):
+        """The body decodes whole, but a length column that splits a
+        character must not slice the text as if it were ASCII."""
+        chunk = bytearray(encode_stream([("\u00e9", None), ("a", None)]))
+        chunk[HEAD.size:HEAD.size + 2] = b"\x01\x02"  # same sum, split "é"
+        with pytest.raises(UnicodeDecodeError):
+            list(decode_stream(bytes(chunk)))
+        with pytest.raises(UnicodeDecodeError):
+            decode_chunk(bytes(chunk))
+
+
 class TestTruncatedStream:
     """A stream cut anywhere but a record boundary must raise — never
     decode a short slice into a shortened string."""
@@ -586,6 +635,65 @@ class TestTornColumnarChunk:
         self._raises_before_first_record(bytes(damaged), "torn columnar chunk")
 
 
+def _same_error(data):
+    """The ``ValueError`` text :func:`decode_stream` raises for ``data``,
+    after checking that :func:`decode_chunk` raises it too, word for word."""
+    with pytest.raises(ValueError) as lazy:
+        list(decode_stream(data))
+    with pytest.raises(ValueError) as whole:
+        decode_chunk(data)
+    assert str(whole.value) == str(lazy.value)
+    return str(lazy.value)
+
+
+class TestTornColumnarChunkAtOnce:
+    """:func:`decode_chunk` makes :class:`TestTornColumnarChunk`'s checks,
+    with its messages: every case there, through both decoders."""
+
+    CHUNKS = TestTornColumnarChunk.CHUNKS
+
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    @pytest.mark.parametrize("name", sorted(CHUNKS))
+    def test_every_proper_prefix(self, name, wrap):
+        chunk = encode_stream(self.CHUNKS[name])
+        for cut in range(1, len(chunk)):
+            assert f"bytes promised, {cut} present" in _same_error(wrap(chunk[:cut]))
+        assert list(decode_chunk(wrap(chunk[:0]))) == []
+
+    @pytest.mark.parametrize("name", sorted(CHUNKS))
+    def test_trailing_bytes(self, name):
+        chunk = encode_stream(self.CHUNKS[name])
+        assert _same_error(chunk + b"\x00") == (
+            f"torn columnar chunk: {len(chunk)} bytes promised, {len(chunk) + 1} present")
+
+    @pytest.mark.parametrize("name", sorted(CHUNKS))
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_length_column_that_does_not_add_up(self, name, delta):
+        damaged = bytearray(encode_stream(self.CHUNKS[name]))
+        damaged[HEAD.size] += delta
+        assert _same_error(bytes(damaged)).startswith("torn columnar chunk")
+
+    @pytest.mark.parametrize("position, code", [
+        (1, 0), (1, 3), (1, 8), (2, 3), (2, 16), (2, 255)])
+    def test_unknown_column_code(self, position, code):
+        damaged = bytearray(encode_stream(self.CHUNKS["str-int"]))
+        damaged[position] = code
+        assert _same_error(bytes(damaged)).startswith("unknown column code")
+
+    def test_count_far_beyond_the_chunk(self):
+        damaged = bytearray(encode_stream(self.CHUNKS["str-int"]))
+        damaged[3:7] = b"\xff\xff\xff\xff"
+        assert _same_error(bytes(damaged)).startswith("torn columnar chunk")
+
+    def test_a_torn_record_stream_still_yields_its_whole_records(self):
+        records = [("c", 4.0), ("d", 5.0)]
+        seen = []
+        with pytest.raises(ValueError, match="truncated record"):
+            for record in decode_chunk(encode_stream(records)[:-1]):
+                seen.append(tuple(record))
+        assert seen == records[:1]
+
+
 class FloatSub(float):
     """A ``float`` subclass: a dict holding one is not packed."""
 
@@ -709,6 +817,17 @@ class TestKernelsStayKernels:
         decoded = []
         calls = _python_calls(lambda: decoded.extend(decode_stream(view)))
         assert len(decoded) == self.N
+        assert calls <= 50
+
+    @pytest.mark.parametrize("records", [
+        CHUNKS["str-none"],
+        [("w\u00f6rd%d" % i, i) for i in range(N)],
+    ], ids=["ascii-body", "non-ascii-body"])
+    def test_decode_chunk_makes_no_per_record_call(self, records):
+        view = memoryview(encode_stream(records))
+        decoded = []
+        calls = _python_calls(lambda: decoded.extend(decode_chunk(view)))
+        assert decoded == [KeyValue(*record) for record in records]
         assert calls <= 50
 
     @pytest.mark.parametrize("name", sorted(CHUNKS))

@@ -19,6 +19,8 @@ import heapq
 import os
 import random
 import time
+import tracemalloc
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from repro.storage import (
     KVCache,
     SpillStore,
     StorageConfig,
+    chunkstore,
 )
 from repro.workloads import text_sort_datampi_result
 
@@ -310,6 +313,78 @@ class TestResidentUnsortedMerge:
         assert list(context.grouped()) == [
             ("b", [2, 3, 5]), ("a", [1]), ("c", [4.0])]
         assert context.records_received == 5
+
+
+class TestDecoderChoice:
+    """Which decoder ``merged()`` hands each chunk: ``decode_chunk`` for a
+    resident one, ``decode_stream`` for a spilled one — the one that keeps
+    a dataset bigger than memory from becoming resident as records."""
+
+    CHUNKS, KEYS = 4, 10_000
+
+    @classmethod
+    def _spill_everything(cls, tmp_path, value):
+        store = ChunkStore(spill_threshold=1, spill_dir=str(tmp_path))
+        chunks = [encode_stream([("key %d %06d" % (chunk, index), value)
+                                 for index in range(cls.KEYS)])
+                  for chunk in range(cls.CHUNKS)]
+        for origin, chunk in enumerate(chunks):
+            store.add(chunk, origin=(origin, 0))
+        assert store.memory_bytes == 0
+        assert store.bytes_spilled == sum(map(len, chunks))
+        return store, chunks
+
+    @pytest.mark.parametrize("value", [None, 7])
+    @pytest.mark.parametrize("sort", [True, False])
+    def test_spilled_chunks_stay_lazy(self, tmp_path, sort, value):
+        """Opening the merge of a store that spilled every chunk takes
+        less memory than one chunk's payload, in either merge."""
+        store, chunks = self._spill_everything(tmp_path, value)
+        tracemalloc.start()
+        try:
+            first = next(store.merged(sort=sort))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == KeyValue("key 0 000000", value)
+        assert peak < len(chunks[0])
+        store.cleanup()
+
+    @pytest.mark.parametrize("sort", [True, False])
+    @pytest.mark.parametrize("budget", [None, 1, 40])
+    def test_resident_chunks_decode_at_once(self, monkeypatch, tmp_path, sort, budget):
+        """Nothing spilled, everything spilled, and a mix (budget 40 keeps
+        the two newest chunks resident): each chunk goes to the decoder its
+        residency picks, and the records are the same."""
+        calls = []
+
+        def spy(name, decoder):
+            def decode(data):
+                calls.append((name, bytes(data)))
+                return decoder(data)
+            return decode
+
+        monkeypatch.setattr(chunkstore, "decode_chunk",
+                            spy("chunk", chunkstore.decode_chunk))
+        monkeypatch.setattr(chunkstore, "decode_stream",
+                            spy("stream", chunkstore.decode_stream))
+        store = ChunkStore(spill_threshold=budget or DEFAULT_SPILL_BYTES,
+                           spill_dir=str(tmp_path))
+        chunks = [encode_stream([("a", 1.5), ("b", None)]),  # a record stream
+                  encode_stream([("b", 1), ("b", 2), ("e", 3)]),
+                  encode_stream([("c", None), ("d", None)])]
+        for origin, chunk in enumerate(chunks):
+            store.add(chunk, origin=(0, origin))
+        expected = [("stream" if store._spill.is_spilled((0, origin)) else "chunk", chunk)
+                    for origin, chunk in enumerate(chunks)]
+        assert {name for name, _chunk in expected} == {
+            None: {"chunk"}, 1: {"stream"}, 40: {"chunk", "stream"}}[budget]
+        records = list(store.merged(sort=sort))
+        assert calls == expected
+        concatenated = [record for chunk in chunks for record in decode_stream(chunk)]
+        assert records == (sorted(concatenated, key=itemgetter(0)) if sort
+                           else concatenated)
+        store.cleanup()
 
 
 @st.composite

@@ -203,6 +203,23 @@ class TestSplitRoundRobin:
         with pytest.raises(WorkloadError):
             split_round_robin([1], 0)
 
+    @staticmethod
+    def _dealt(items, num_splits):
+        """The split as dealt one item at a time."""
+        splits = [[] for _ in range(num_splits)]
+        for index, item in enumerate(items):
+            splits[index % num_splits].append(item)
+        return splits
+
+    @pytest.mark.parametrize("items", [
+        list("abcdefghij"), tuple(range(11)), range(3, 40, 3), [], (), range(0),
+        ["x", "y"]])
+    @pytest.mark.parametrize("num_splits", [1, 2, 3, 4, 7])
+    def test_slices_equal_dealing_one_by_one(self, items, num_splits):
+        splits = split_round_robin(items, num_splits)
+        assert splits == self._dealt(items, num_splits)
+        assert all(type(split) is list for split in splits)
+
 
 class TestSortSampling:
     def test_small_input_uses_all_keys(self):
