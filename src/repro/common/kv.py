@@ -61,9 +61,9 @@ def _field_size(obj: Any) -> int:
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
     if isinstance(obj, memoryview):
-        # The FMT_BATCH zero-copy path hands out read-only views over
-        # shared buffers; sizing them by repr() (the opaque-object
-        # fallback) under-counted every byte budget they passed through.
+        # A view (``Comm.recv(buffer=True)``, a slice of a larger buffer)
+        # is sized by its bytes: repr(), the opaque-object fallback, would
+        # under-count every byte budget it passes through.
         return obj.nbytes
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))

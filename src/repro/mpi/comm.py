@@ -5,7 +5,7 @@ subset DataMPI needs — point-to-point send/receive with source and tag
 matching, barrier, and a handful of collectives.  *How* ranks execute and
 how bytes cross between them is delegated to a pluggable transport
 endpoint (see :mod:`repro.mpi.transport`): threads in one process, forked
-processes over shared-memory rings, or a deterministic inline scheduler.
+processes over sockets, or a deterministic inline scheduler.
 Whatever the backend, message delivery is FIFO per (source, destination)
 pair, matching MPI's non-overtaking guarantee.
 """
@@ -13,6 +13,7 @@ pair, matching MPI's non-overtaking guarantee.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import Any, Callable
 
@@ -63,8 +64,7 @@ class Comm:
         Mutable byte buffers (``bytearray``, writable ``memoryview``) are
         snapshotted here: every backend then delivers the bytes as they
         were at the moment of the send, even when the transport passes
-        payloads by reference (thread, inline) or coalesces them into a
-        later batch (shm).
+        payloads by reference (thread, inline).
         """
         if not 0 <= tag < self._COLLECTIVE_TAG_BASE:
             raise MPIError(
@@ -93,12 +93,11 @@ class Comm:
 
         Byte payloads arrive as ``bytes`` regardless of backend.  Pass
         ``buffer=True`` to accept read-only ``memoryview`` payloads where
-        the transport can skip a copy (the shm batch path slices one
-        buffer per ring slot instead of copying each small chunk out
-        individually).  The views are backed by a private snapshot and
-        safe to hold, but they do not pickle — code that returns payloads
-        from ``main`` or stores them across process boundaries should use
-        the default.
+        the transport can skip a copy (thread and inline hand a sender's
+        read-only view over by reference).  The views are safe to hold,
+        but they do not pickle — code that returns payloads from ``main``
+        or stores them across process boundaries should use the
+        default.
         """
         message = self.endpoint.recv(source, tag, timeout)
         if not buffer and isinstance(message.payload, memoryview):
@@ -181,14 +180,18 @@ class Comm:
                 f"alltoall needs {self.size} chunks, got {len(chunks)}"
             )
         tag = self._collective_tag(3)
-        for dest in range(self.size):
-            if dest != self.rank:
-                self._send(dest, chunks[dest], tag)
         received: list[Any] = [None] * self.size
         received[self.rank] = chunks[self.rank]
-        for _ in range(self.size - 1):
-            message = self.recv(tag=tag)
-            received[message.source] = message.payload
+        # Pairs exchange in one global order, the lower rank sending
+        # first: a chunk larger than the pair's send buffering then always
+        # meets a rank receiving it, never one blocked in a send of its own.
+        for low, high in itertools.combinations(range(self.size), 2):
+            if self.rank == low:
+                self._send(high, chunks[high], tag)
+                received[high] = self.recv(high, tag).payload
+            elif self.rank == high:
+                received[low] = self.recv(low, tag).payload
+                self._send(low, chunks[low], tag)
         return received
 
     def allreduce(self, value: Any,

@@ -3,8 +3,9 @@
 Importing this package registers the built-in backends:
 
 * ``thread`` — ranks as threads in one process (default);
-* ``shm``    — ranks as forked processes, chunk payloads through
-  ``multiprocessing.shared_memory`` ring buffers;
+* ``shm``    — ranks as forked processes on one host, joined by socket
+  pairs made before the fork and driven by the tcp backend's endpoint
+  (the name is historical: no shared memory is used);
 * ``inline`` — deterministic cooperative scheduling for unit tests;
 * ``tcp``    — ranks as processes (or machines) joined by socket pairs,
   with a rendezvous step so ranks can live anywhere reachable.
@@ -35,6 +36,8 @@ from repro.mpi.transport.channel import (
     resolve_authkey,
 )
 from repro.mpi.transport.codec import (
+    BATCH_FLUSH_BYTES,
+    BATCH_ITEM_MAX,
     FMT_BATCH,
     FMT_PICKLE,
     FMT_RAW,
@@ -47,14 +50,7 @@ from repro.mpi.transport.codec import (
     encode_payload,
 )
 from repro.mpi.transport.inline import InlineEndpoint, InlineTransport
-from repro.mpi.transport.shm import (
-    BATCH_FLUSH_BYTES,
-    BATCH_ITEM_MAX,
-    DEFAULT_RING_BYTES,
-    ShmEndpoint,
-    ShmRing,
-    ShmTransport,
-)
+from repro.mpi.transport.shm import ShmTransport
 from repro.mpi.transport.tcp import (
     TcpEndpoint,
     TcpTransport,
@@ -76,7 +72,6 @@ __all__ = [
     "BATCH_FLUSH_BYTES",
     "BATCH_ITEM_MAX",
     "DEFAULT_TRANSPORT",
-    "DEFAULT_RING_BYTES",
     "FMT_BATCH",
     "FMT_PICKLE",
     "FMT_RAW",
@@ -91,8 +86,6 @@ __all__ = [
     "InlineTransport",
     "Mailbox",
     "Message",
-    "ShmEndpoint",
-    "ShmRing",
     "ShmTransport",
     "TcpEndpoint",
     "TcpTransport",

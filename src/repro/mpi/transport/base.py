@@ -7,8 +7,9 @@ interface (send/recv/collectives) can run over interchangeable backends:
 
 * ``thread`` — ranks are threads in one process (the original substrate;
   cheap, but the GIL serialises the hot path);
-* ``shm``    — ranks are OS processes exchanging chunk payloads through
-  ``multiprocessing.shared_memory`` ring buffers (true parallelism);
+* ``shm``    — ranks are forked OS processes on one host, joined by
+  socket pairs made before the fork (true parallelism; the name is
+  historical — no shared memory is used);
 * ``inline`` — ranks are cooperatively scheduled one at a time in
   deterministic rank order (reproducible unit testing);
 * ``tcp``    — ranks are processes exchanging length-prefixed message
@@ -85,47 +86,12 @@ class Endpoint(ABC):
     @abstractmethod
     def send(self, dest: int, message: Message) -> None:
         """Deliver ``message`` to ``dest``: buffered without bound on thread
-        and inline, up to the ring on shm and the socket buffers on tcp;
-        past that, the send waits for ``dest`` to receive or finish."""
+        and inline, up to the socket buffers on shm and tcp; past that,
+        the send waits for ``dest`` to receive or finish."""
 
     @abstractmethod
     def recv(self, source: int, tag: int, timeout: float) -> Message:
         """Block until a matching message arrives; raise MPIError on timeout."""
-
-
-class PolledEndpoint(Endpoint):
-    """A process rank's endpoint, receiving on the rank's own thread:
-    ``recv`` returns the first stashed message that matches, and until one
-    does it hands the time left to :meth:`_poll`."""
-
-    def __init__(self) -> None:
-        self._stash: list[Message] = []
-        self._aborted = False
-
-    def recv(self, source: int, tag: int, timeout: float) -> Message:
-        deadline = time.monotonic() + timeout
-        while True:
-            for index, message in enumerate(self._stash):
-                if match(message, source, tag):
-                    return self._stash.pop(index)
-            if self._aborted:
-                # A poison *symptom*, not a cause: the dedicated class
-                # lets the run report the original rank error instead.
-                raise PoisonedError(
-                    f"rank {self.rank} aborted: a peer rank failed"
-                )
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise MPIError(
-                    f"recv timed out after {timeout}s waiting for "
-                    f"source={source} tag={tag}"
-                )
-            self._poll(remaining)
-
-    @abstractmethod
-    def _poll(self, timeout: float) -> None:
-        """Wait up to ``timeout`` seconds for the fabric, then stash every
-        message that arrived (and note a peer's death in ``_aborted``)."""
 
 
 class Transport(ABC):

@@ -8,7 +8,10 @@ enforces that by being the only place a listener is opened, a connection
 accepted or dialled, and the challenge spoken: the tcp rendezvous, the
 rank-pair fabric and the experiment matrix's worker protocol all get
 their sockets from :func:`accept_authenticated` /
-:func:`connect_authenticated` and from nowhere else.
+:func:`connect_authenticated` and from nowhere else.  (The shm
+transport's ``socket.socketpair()`` fabric needs no handshake: it is made
+before the fork and has no address, so only the run's own processes hold
+its ends.)
 
 The handshake is the ``multiprocessing.connection`` scheme with mutual
 proof: nonce out, ``HMAC-SHA256(key, "client:" + nonce)`` back, then

@@ -17,8 +17,9 @@ defines one wire format for both process transports:
     out-of-band buffers carried as raw trailers, so even buffer-bearing
     control objects keep their bulk outside the pickle stream;
   - :data:`FMT_BATCH` — several small ``(tag, payload)`` items packed
-    into one frame/ring slot (:func:`encode_batch`), decoded back into
-    zero-copy ``memoryview`` slices (:func:`decode_batch`).
+    into one body (:func:`encode_batch`), decoded back into zero-copy
+    ``memoryview`` slices (:func:`decode_batch`).  No transport sends
+    it; the bench ladder still times the round trip.
 
 * **vectored socket writes** (:func:`sendmsg_all`): a frame goes out as
   header + raw buffer parts via ``socket.sendmsg``, with no
@@ -28,7 +29,9 @@ Security note: :data:`FMT_RAW` payloads are returned as inert ``bytes``
 — a crafted frame whose body happens to contain pickle opcodes is simply
 delivered as those bytes, never unpickled.  :data:`FMT_PICKLE` frames do
 unpickle, so sockets must be authenticated before they reach the frame
-layer (see :mod:`repro.mpi.transport.channel`).
+layer (see :mod:`repro.mpi.transport.channel`) — or, like the shm
+transport's socket pairs, be made before the fork and reachable by no
+other process.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ PICKLE_PROTOCOL = 5
 WIRE_HEADER = struct.Struct(">BBiqQ")
 
 #: Hard cap on a single frame's payload.  Honest peers never approach it
-#: (the shm backend chunks at kilobytes); its job is to stop a hostile or
+#: (DataMPI chunks at kilobytes); its job is to stop a hostile or
 #: corrupt length field from demanding a multi-gigabyte allocation — and,
 #: symmetrically, to refuse an oversized frame at *send* time with a
 #: clear local error instead of a corrupt-stream error on the peer.
@@ -65,6 +68,12 @@ _BATCH_ITEM = struct.Struct(">qI")  # per-item tag (i64), length (u32)
 
 #: Largest single item allowed in a batch (the u32 length field's range).
 BATCH_ITEM_LIMIT = (1 << 32) - 1
+
+#: The batch shape the bench ladder's ``codec.batch_roundtrip_s`` rung
+#: times (no transport batches): items up to this many bytes, a batch
+#: flushed at :data:`BATCH_FLUSH_BYTES`.
+BATCH_ITEM_MAX = 16 * 1024
+BATCH_FLUSH_BYTES = 64 * 1024
 
 
 def as_buffer(data: Any) -> memoryview:

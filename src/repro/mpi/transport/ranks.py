@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from multiprocessing.connection import wait as connection_wait
+from multiprocessing import connection
 from typing import Any, Callable, Sequence
 
 from repro.common.errors import MPIError
@@ -134,13 +134,13 @@ def collect_outcomes(
                 f"ranks {sorted(pending)} did not finish in {timeout}s"
             ))
         watched = [item for item, rank in owner.items() if rank in pending]
-        for item in connection_wait(watched, remaining):
+        for item in connection.wait(watched, remaining):
             rank = owner[item]
             if rank not in pending:
                 continue  # channel and sentinel woke together; handled
             gone = item is not channels[rank]  # the sentinel: the child exited
             outcome = None
-            if not gone or connection_wait([channels[rank]], 0):
+            if not gone or connection.wait([channels[rank]], 0):
                 outcome = read(rank)
                 if outcome is KEEP_WAITING:
                     continue

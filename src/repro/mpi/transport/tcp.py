@@ -26,11 +26,12 @@ Wire design
   chunk payloads travel verbatim (``FMT_RAW``) and never pass through
   pickle; only control-plane objects (collectives, outcomes, the
   rendezvous protocol) use the pickle-5 out-of-band format.
-* **Receive** — a rank receives on its own thread, as a shm rank does
-  (the shared loop is :class:`~repro.mpi.transport.base.PolledEndpoint`):
-  ``recv`` ``select``s over its peer sockets plus the control channel and
-  stashes frames until one matches.  A send is buffered up to the socket
+* **Receive** — a rank receives on its own thread: ``recv``
+  ``select``s over its peer sockets plus the control channel and stashes
+  frames until one matches.  A send is buffered up to the socket
   buffers; past them it waits for the peer to receive or to finish.
+  :class:`TcpEndpoint` is also the ``shm`` transport's endpoint, over
+  socket pairs made before the fork (:mod:`repro.mpi.transport.shm`).
 * **Fail-fast abort** — a failing rank sends poison (``ABORT``) frames to
   every peer before reporting its error, and a hard-killed rank's
   sockets EOF, which poisons its peers locally: blocked receives raise
@@ -67,10 +68,11 @@ from repro.common.errors import MPIError
 from repro.mpi import faultinject
 from repro.mpi.transport.base import (
     JOIN_TIMEOUT,
+    Endpoint,
     Message,
     PoisonedError,
-    PolledEndpoint,
     Transport,
+    match,
     raise_rank_errors,
     register_transport,
 )
@@ -99,7 +101,7 @@ KIND_RESTART = 7   #: launcher -> rank: world restarting, re-register
 
 #: Seconds a finished rank waits for the launcher's shutdown frame before
 #: tearing down unilaterally.
-_SHUTDOWN_GRACE = 30.0
+SHUTDOWN_GRACE = 30.0
 
 #: Seconds the rendezvous waits for an accepted connection's handshake and
 #: registration frame.  Real ranks register immediately after connecting;
@@ -148,12 +150,15 @@ def parse_hosts(hosts: str | Sequence[str] | None) -> list[str]:
 # -- the endpoint --------------------------------------------------------------
 
 
-class TcpEndpoint(PolledEndpoint):
-    """One rank's handle on the socket fabric.
+class TcpEndpoint(Endpoint):
+    """One rank's handle on the socket fabric, under both process
+    transports (``tcp`` forms the fabric by rendezvous, ``shm`` by
+    pre-forked socket pairs).
 
     Everything happens on the rank's own thread: sends write the peer's
-    socket (one writer per socket — no locking needed), and receives
-    ``select`` over every peer socket plus the control channel.
+    socket (one writer per socket — no locking needed), and ``recv``
+    returns the first stashed message that matches, ``select``-ing over
+    every peer socket plus the control channel until one does.
     """
 
     def __init__(
@@ -164,10 +169,11 @@ class TcpEndpoint(PolledEndpoint):
         control: socket.socket,
         generation: int = 0,
     ):
-        super().__init__()
         self.rank = rank
         self.size = size
         self.generation = generation
+        self._stash: list[Message] = []
+        self._aborted = False
         self._peers = peers
         self._control = control
         #: The launcher's last word: KIND_SHUTDOWN or KIND_RESTART.
@@ -196,7 +202,29 @@ class TcpEndpoint(PolledEndpoint):
                 f"send to rank {dest} failed: peer unreachable ({exc})"
             ) from exc
 
+    def recv(self, source: int, tag: int, timeout: float) -> Message:
+        deadline = time.monotonic() + timeout
+        while True:
+            for index, message in enumerate(self._stash):
+                if match(message, source, tag):
+                    return self._stash.pop(index)
+            if self._aborted:
+                # A poison *symptom*, not a cause: the dedicated class
+                # lets the run report the original rank error instead.
+                raise PoisonedError(
+                    f"rank {self.rank} aborted: a peer rank failed"
+                )
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise MPIError(
+                    f"recv timed out after {timeout}s waiting for "
+                    f"source={source} tag={tag}"
+                )
+            self._poll(remaining)
+
     def _poll(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds, then stash every frame that
+        arrived (and note a peer's death or poison in ``_aborted``)."""
         for key, _events in self._selector.select(timeout):
             who = key.data
             try:
@@ -582,7 +610,7 @@ def _run_rank(
             # done: peers may still be receiving, and an early close would
             # read as a death.
             restart = endpoint.await_verdict(
-                min(_SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic()))
+                min(SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic()))
             )
             endpoint.close()
             if not restart:

@@ -11,8 +11,7 @@ Sizes are accounted with :func:`repro.common.kv.record_size` — the same
 cost model the send buffers charge to the network — so a cache hit's
 ``hit_bytes`` is directly comparable to the ``o.bytes_sent`` counter it
 saved.  ``record_size`` sizes ``memoryview``/``bytearray`` payloads by
-their byte length, so entries from the FMT_BATCH zero-copy path charge
-the budget exactly.  Eviction is LRU; an entry larger than the whole
+their byte length, so entries held as views charge the budget exactly.  Eviction is LRU; an entry larger than the whole
 capacity is rejected rather than thrashing the cache empty.
 """
 

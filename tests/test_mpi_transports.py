@@ -6,7 +6,10 @@ non-overtaking delivery, collectives, error propagation.  On top of that,
 deterministic and detect deadlock immediately.
 """
 
+import gc
 import os
+import socket
+import time
 
 import pytest
 
@@ -15,7 +18,6 @@ from repro.mpi import available_transports, get_transport, mpi_run
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG
 from repro.mpi.transport import (
     InlineTransport,
-    ShmRing,
     ShmTransport,
     TcpTransport,
     ThreadTransport,
@@ -29,6 +31,7 @@ TAG_WRONG = 5
 TAG_RIGHT = 9
 TAG_ECHO = 3
 TAG_NEVER_SENT = 42
+TAG_BULK = 11
 TAG_NEGATIVE = -1
 TAG_COLLECTIVE_BASE = 1 << 20  # the first tag the collectives own
 TAG_TOP_USER = TAG_COLLECTIVE_BASE - 1
@@ -68,7 +71,8 @@ class TestRegistry:
     def test_backend_options_pass_through(self):
         transport = get_transport("tcp", hosts="127.0.0.1", port=0)
         assert transport.hosts == ["127.0.0.1"]
-        assert get_transport("shm", ring_bytes=4096).ring_bytes == 4096
+        plan = get_transport("shm", fault_plan="kill@shuffle:rank=1").fault_plan
+        assert [rule.action for rule in plan.rules] == ["kill"]
 
     def test_unknown_option_names_backend_and_kwarg(self):
         """A kwarg the backend does not accept must raise MPIError naming
@@ -77,7 +81,7 @@ class TestRegistry:
             get_transport("thread", hosts="a,b")
         with pytest.raises(MPIError, match=r"'inline'.*'port'"):
             get_transport("inline", port=99)
-        with pytest.raises(MPIError, match=r"'shm'.*'hosts'.*ring_bytes"):
+        with pytest.raises(MPIError, match=r"'shm'.*'hosts'.*fault_plan"):
             get_transport("shm", hosts="a")  # names the accepted options
 
     def test_options_rejected_on_instance_passthrough(self):
@@ -139,8 +143,8 @@ class TestSharedSemantics:
     @pytest.mark.parametrize("chunks, chunk_bytes", [(1, 1 << 20), (200, 64 << 10)],
                              ids=["1x1MiB", "200x64KiB"])
     def test_large_bytes_payload(self, transport, chunks, chunk_bytes):
-        # One 1 MiB blob exercises the shm ring path; a long stream of
-        # 64 KiB chunks (the O->A hot path's shape) wraps every ring.
+        # One 1 MiB blob outgrows any socket buffer; a long stream of
+        # 64 KiB chunks is the O->A hot path's shape.
         blob = bytes(range(256)) * (chunk_bytes // 256)
 
         def main(comm):
@@ -162,6 +166,20 @@ class TestSharedSemantics:
                     for _ in range(10)]
 
         assert mpi_run(4, main, transport=transport) == [[True] * 10] * 4
+
+    @pytest.mark.parametrize("chunk_bytes", [2 << 20, 8 << 20],
+                             ids=["2MiB", "8MiB"])
+    def test_alltoall_outgrows_the_pair_buffering(self, transport, chunk_bytes):
+        """Every rank sends each peer a chunk larger than a socket pair
+        buffers: no two ranks may block in sends to each other."""
+
+        def main(comm):
+            received = comm.alltoall([bytes([comm.rank]) * chunk_bytes] * comm.size)
+            return [chunk == bytes([source]) * chunk_bytes
+                    for source, chunk in enumerate(received)]
+
+        assert mpi_run(4, main, transport=transport, timeout=20.0) == \
+            [[True] * 4] * 4
 
     def test_collectives(self, transport):
         def main(comm):
@@ -339,6 +357,43 @@ class TestSharedSemantics:
         ) == [100, 101]
 
 
+@pytest.mark.parametrize("transport", ("shm", "tcp"))
+class TestProcessRanks:
+    """Forked-rank backends: a finished rank still drains its peers, and
+    a dead one fails them at once."""
+
+    def test_finished_rank_drains_what_peers_still_send(self, transport):
+        """A rank that returned still reads its sockets while it waits
+        for the launcher's verdict, so a peer sending it far more than
+        the socket buffers hold never blocks."""
+        blob = b"x" * (1 << 20)
+
+        def main(comm):
+            if comm.rank == 0:
+                for _ in range(32):
+                    comm.send(1, blob, tag=TAG_BULK)
+            return comm.rank
+
+        assert mpi_run(2, main, transport=transport, timeout=20.0) == [0, 1]
+
+    def test_send_to_a_dead_rank_fails_at_once(self, transport):
+        """A hard-killed rank's sockets EOF at its peers: one blocked
+        sending it more than the socket buffers hold fails with the death
+        at once instead of waiting out the world's deadline."""
+        blob = b"x" * (1 << 20)
+
+        def main(comm):
+            if comm.rank == 1:
+                os._exit(3)
+            for _ in range(32):
+                comm.send(1, blob, tag=TAG_BULK)
+
+        started = time.monotonic()
+        with pytest.raises(MPIError, match="rank 1 died"):
+            mpi_run(2, main, transport=transport, timeout=30.0)
+        assert time.monotonic() - started < 10.0
+
+
 class TestShmSpecifics:
     def test_ranks_are_distinct_processes(self):
         def main(comm):
@@ -348,37 +403,6 @@ class TestShmSpecifics:
         assert len(set(pids)) == 4
         assert os.getpid() not in pids
 
-    def test_ring_wraparound(self):
-        """Stream far more bytes than the ring holds to force wrap + reuse."""
-        chunk = b"\xab" * 4000
-        rounds = 50
-
-        def main(comm):
-            if comm.rank == 0:
-                for index in range(rounds):
-                    comm.send(1, chunk + index.to_bytes(2, "big"))
-                return None
-            received = [comm.recv(source=0).payload for _ in range(rounds)]
-            return all(
-                payload[:-2] == chunk and int.from_bytes(payload[-2:], "big") == index
-                for index, payload in enumerate(received)
-            )
-
-        transport = ShmTransport(ring_bytes=16 * 1024)
-        assert mpi_run(2, main, transport=transport)[1] is True
-
-    def test_payload_larger_than_ring_uses_inline_path(self):
-        blob = b"z" * (64 * 1024)
-
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(1, blob)
-                return None
-            return comm.recv(source=0).payload == blob
-
-        transport = ShmTransport(ring_bytes=8 * 1024)
-        assert mpi_run(2, main, transport=transport)[1] is True
-
     def test_recv_timeout_raises(self):
         def main(comm):
             comm.recv(source=0, timeout=0.2)
@@ -386,83 +410,76 @@ class TestShmSpecifics:
         with pytest.raises(MPIError, match="timed out|rank 0"):
             mpi_run(1, main, transport="shm")
 
-    def test_ring_rejects_oversized_single_write(self):
-        ring = ShmRing(__import__("multiprocessing").get_context("fork"), 128)
-        try:
-            with pytest.raises(MPIError, match="exceeds ring capacity"):
-                ring.write(b"x" * 200, timeout=0.1)
-        finally:
-            ring.close()
-            ring.unlink()
 
-
-class TestShmSegmentLeaks:
-    """Every SharedMemory segment must be unlinked on *every* exit path.
-
-    A leaked segment outlives the process (kernel object until reboot)
-    and triggers resource_tracker warnings; the run() cleanup therefore
-    may not depend on the fabric having been fully built, nor on any
-    rank having exited cleanly.
-    """
+class TestShmFdLeaks:
+    """Every socket and pipe the shm fabric opens is closed on *every*
+    exit path: the launcher's open-descriptor count after a run equals
+    the count before it, whether the ranks finished, one failed, or the
+    fabric never finished building."""
 
     @staticmethod
-    def _recording_ring(monkeypatch, fail_at: int | None = None):
-        """Record every segment name ShmTransport creates; optionally
-        blow up on the ``fail_at``-th construction (mid-fabric abort)."""
-        from repro.mpi.transport import shm as shm_module
+    def _open_fds(prefix: str = "") -> int:
+        """This process's open descriptors whose target starts with
+        ``prefix`` (``"socket:"``, or every one), once unreachable objects
+        of earlier tests have released theirs."""
+        gc.collect()
+        count = 0
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                count += os.readlink(f"/proc/self/fd/{fd}").startswith(prefix)
+            except OSError:
+                pass  # the listing's own descriptor, closed by now
+        return count
 
-        real = shm_module.ShmRing
-        created: list[str] = []
-        calls = {"n": 0}
+    @pytest.fixture(autouse=True)
+    def _warm(self):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+        # One run first: whatever the first fork opens for good is not
+        # this fabric's.
+        mpi_run(2, lambda comm: None, transport="shm")
 
-        class Recording(real):
-            def __init__(self, ctx, capacity):
-                calls["n"] += 1
-                if fail_at is not None and calls["n"] == fail_at:
-                    raise MPIError("injected fabric construction failure")
-                super().__init__(ctx, capacity)
-                created.append(self._shm.name)
-
-        monkeypatch.setattr(shm_module, "ShmRing", Recording)
-        return created
-
-    @staticmethod
-    def _assert_all_unlinked(names):
-        from multiprocessing import shared_memory
-
-        assert names, "the run never built any ring"
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                segment = shared_memory.SharedMemory(name=name)
-                segment.close()  # attach succeeded: it leaked
-
-    def test_normal_exit_unlinks_every_segment(self, monkeypatch):
-        created = self._recording_ring(monkeypatch)
+    def test_normal_exit_closes_every_fd(self):
+        before = self._open_fds()
         assert mpi_run(3, lambda comm: comm.rank, transport="shm") == [0, 1, 2]
-        self._assert_all_unlinked(created)
+        assert self._open_fds() == before
 
-    def test_rank_failure_unlinks_every_segment(self, monkeypatch):
-        created = self._recording_ring(monkeypatch)
-
+    def test_rank_failure_closes_every_fd(self):
         def main(comm):
             if comm.rank == 1:
                 raise RuntimeError("mid-run abort")
             comm.barrier()
 
-        with pytest.raises(MPIError):
+        before, sockets = self._open_fds(), self._open_fds("socket:")
+        with pytest.raises(MPIError) as caught:
             mpi_run(3, main, transport="shm")
-        self._assert_all_unlinked(created)
+        # The traceback keeps the launcher's frame alive, so a socket it
+        # did not close itself would still be open here.
+        assert self._open_fds("socket:") == sockets
+        del caught
+        assert self._open_fds() == before
 
-    def test_abort_mid_fabric_construction_unlinks_partial_fabric(
+    def test_abort_mid_fabric_construction_closes_partial_fabric(
         self, monkeypatch
     ):
-        """An exception while the rings are still being built (shm space
-        or descriptors exhausted) must unlink the ones already created —
-        including the partially-built row the failure interrupted."""
-        created = self._recording_ring(monkeypatch, fail_at=4)
-        with pytest.raises(MPIError, match="injected fabric construction"):
+        """A ``socketpair`` failing part way (descriptors exhausted) must
+        close the pairs already made, and fork no rank."""
+        real = socket.socketpair
+        made = []
+
+        def fourth_fails(*args, **kwargs):
+            if len(made) == 3:
+                raise OSError("injected fabric construction failure")
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        before = self._open_fds()
+        monkeypatch.setattr(socket, "socketpair", fourth_fails)
+        with pytest.raises(OSError, match="injected fabric construction"):
             mpi_run(3, lambda comm: None, transport="shm")
-        self._assert_all_unlinked(created)
+        assert len(made) == 3
+        assert all(end.fileno() == -1 for pair in made for end in pair)
+        assert self._open_fds() == before
 
 
 class TestInlineSpecifics:

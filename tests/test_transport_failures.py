@@ -311,13 +311,13 @@ class TestDataPlaneNeverPickles:
         monkeypatch.setattr(pickle, "dumps", guard)
 
     def test_bytes_payloads_skip_pickle(self, backend):
-        """A ring of raw byte chunks (several below and one above the shm
-        batch threshold) must be delivered as ``bytes``, unpickled."""
+        """A ring of ranks passing raw byte chunks (many small, one of
+        64 KiB) must deliver them as ``bytes``, unpickled."""
 
         def main(comm):
             peer = (comm.rank + 1) % comm.size
             chunks = [b"chunk-%03d" % i for i in range(20)]
-            chunks.append(b"x" * (64 * 1024))  # past any batch threshold
+            chunks.append(b"x" * (64 * 1024))
             for chunk in chunks:
                 comm.send(peer, chunk, tag=TAG_CHUNK)
             comm.send(peer, bytearray(b"mutable"), tag=TAG_CHUNK)
