@@ -45,12 +45,15 @@ PINS: list[tuple[str, str, int | str, str]] = [
     # every chunk stays the record stream; the dict of int -> float inside
     # each value packs as a W field (603060 bytes when it shipped as an M
     # field).  A flush boundary that follows the packed bytes moves
-    # buffers.chunks.  The centroids go to the O ranks only, so a control
-    # that widens back to every rank (or a counter that rejoins the outcome
-    # gather) moves modes.control_bytes.
+    # buffers.chunks.  The centroids go to the O ranks only, and a warm
+    # superstep's scatter carries no input (each O rank reads its pinned
+    # splits), so a control that widens back to every rank, an input that
+    # is re-sent, or a counter that rejoins the outcome gather moves
+    # modes.control_bytes (609147 while each warm superstep answered two
+    # input requests with ("cached", None)).
     ("kmeans_iter_shm", "kv.encoded_bytes", 324120, "the record-stream wire moved"),
     ("kmeans_iter_shm", "buffers.chunks", 240, "a flush boundary moved"),
-    ("kmeans_iter_shm", "modes.control_bytes", 609147, "the control plane moved"),
+    ("kmeans_iter_shm", "modes.control_bytes", 606477, "the control plane moved"),
 ]
 
 

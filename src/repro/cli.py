@@ -314,10 +314,10 @@ def _cmd_experiment_list(args) -> int:
 
 
 def _progress_line(result) -> None:
-    state = "cached" if result.resumed else result.status
+    state = "resumed" if result.resumed else result.status
     bytes_moved = ("-" if result.bytes_moved is None
                    else f"{result.bytes_moved:,}B")
-    print(f"  [{state:>6}] {result.spec.cell_id:<40} "
+    print(f"  [{state:>7}] {result.spec.cell_id:<40} "
           f"{result.elapsed_sec:7.3f}s  {bytes_moved}")
 
 

@@ -48,6 +48,10 @@ class KeyValue(NamedTuple):
         return record_size(self.key, self.value)
 
 
+_INT = frozenset({int})
+_FLOAT = frozenset({float})
+
+
 def _field_size(obj: Any) -> int:
     # Exact-type front for the leaves the shuffle carries; everything
     # else (bool, bytes, views, containers, subclasses) takes the chain.
@@ -58,6 +62,11 @@ def _field_size(obj: Any) -> int:
         return 0
     if kind is int or kind is float:
         return 8
+    if kind is dict and set(map(type, obj)) <= _INT and \
+            set(map(type, obj.values())) <= _FLOAT:
+        # A weight dict: the walk below charges it 8 + 8 an entry, plus 4,
+        # but type sets check its entries without a frame per entry.
+        return 16 * len(obj) + 4
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
     if isinstance(obj, memoryview):

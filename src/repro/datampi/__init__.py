@@ -30,8 +30,6 @@ from repro.datampi.checkpoint import (
 from repro.datampi.communicator import (
     TAG_DATA,
     TAG_EOF,
-    TAG_INPUT_REQ,
-    TAG_SPLITS,
     BipartiteComm,
 )
 from repro.datampi.context import AContext, OContext
@@ -87,8 +85,6 @@ __all__ = [
     "write_manifest",
     "TAG_DATA",
     "TAG_EOF",
-    "TAG_INPUT_REQ",
-    "TAG_SPLITS",
     "BipartiteComm",
     "AContext",
     "OContext",

@@ -7,28 +7,24 @@ scheduled implicitly by the library."
 
 The world's first ``num_o`` ranks form the O communicator, the remaining
 ``num_a`` ranks the A communicator.  O ranks push encoded key-value
-chunks (``TAG_DATA``) to A ranks and finish with one ``TAG_EOF`` to each;
-an A rank knows its input is complete when it has an EOF from every O
-rank.  This captures the four communication characteristics the paper
-lists: *dichotomic* (two fixed sides), *dynamic* (chunks flow as they
-fill), *data-centric* (data lands at the consumer and is read locally),
-and *diversified* (hash or range routing via the partitioner).
+chunks (``TAG_DATA``) to A ranks and finish with one ``TAG_EOF`` to each,
+which carries that A rank's last chunk (or ``None`` when there is none
+left); an A rank knows its input is complete when it has an EOF from
+every O rank.  This captures the four communication characteristics the
+paper lists: *dichotomic* (two fixed sides), *dynamic* (chunks flow as
+they fill), *data-centric* (data lands at the consumer and is read
+locally), and *diversified* (hash or range routing via the partitioner).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.common.errors import CommunicatorError
 from repro.mpi.comm import ANY_TAG, Comm, Message
 
 TAG_DATA = 1
 TAG_EOF = 2
-#: Input-split payloads scattered from the root rank to O ranks (iteration
-#: and streaming modes move input through the comm layer so the bytes the
-#: cross-iteration cache saves are *measured*, not asserted).
-TAG_SPLITS = 3
-#: An O rank's per-superstep input request: does it still hold its splits
-#: in cache, or does the root need to (re-)send them?
-TAG_INPUT_REQ = 4
 
 
 class BipartiteComm:
@@ -76,62 +72,23 @@ class BipartiteComm:
             raise CommunicatorError("only O tasks send data chunks")
         self.comm.send(self.world_rank_of_a(a_index), payload, TAG_DATA)
 
-    def send_eof(self) -> None:
-        """Tell every A task this O task is done."""
+    def send_eof(self, last: Sequence[bytes | None]) -> None:
+        """Tell every A task this O task is done; ``last[a_index]`` is the
+        chunk that rides A task ``a_index``'s EOF, or ``None``."""
         if not self.is_o:
             raise CommunicatorError("only O tasks send EOF")
-        for a_index in range(self.num_a):
-            self.comm.send(self.world_rank_of_a(a_index), None, TAG_EOF)
-
-    # -- input distribution (iteration / streaming supersteps) -----------------
-    #
-    # The world's rank 0 (always an O rank) doubles as the input root: at
-    # the top of a superstep every O rank tells it whether its splits are
-    # already cached, and the root answers with either the encoded split
-    # payload or a tiny ack.  Self-sends (rank 0 asking itself) ride the
-    # normal transport loopback, so the protocol is uniform on every
-    # backend and the byte counters mean the same thing everywhere.
-
-    INPUT_ROOT = 0
-
-    def request_input(self, cached: bool) -> None:
-        """Tell the input root whether this O rank still holds its splits."""
-        if not self.is_o:
-            raise CommunicatorError("only O tasks request input")
-        self.comm.send(self.INPUT_ROOT, cached, TAG_INPUT_REQ)
-
-    def recv_input(self) -> Message:
-        """Receive the root's answer: TAG_SPLITS with bytes or a None ack.
-
-        ``buffer=True``: split payloads feed straight into a local decode,
-        so a zero-copy view is fine and saves materialising large splits.
-        """
-        if not self.is_o:
-            raise CommunicatorError("only O tasks receive input")
-        return self.comm.recv(source=self.INPUT_ROOT, tag=TAG_SPLITS,
-                              buffer=True)
-
-    def recv_input_request(self, o_index: int) -> bool:
-        """Root side: receive one O rank's cached/uncached flag."""
-        if self.comm.rank != self.INPUT_ROOT:
-            raise CommunicatorError("only the input root serves input requests")
-        return bool(self.comm.recv(source=o_index, tag=TAG_INPUT_REQ).payload)
-
-    def send_input(self, o_index: int, payload) -> None:
-        """Root side: answer one O rank's input request."""
-        if self.comm.rank != self.INPUT_ROOT:
-            raise CommunicatorError("only the input root serves input requests")
-        self.comm.send(o_index, payload, TAG_SPLITS)
+        for a_index, payload in enumerate(last):
+            self.comm.send(self.world_rank_of_a(a_index), payload, TAG_EOF)
 
     # -- A side ---------------------------------------------------------------
 
     def recv_any(self) -> Message:
         """Receive the next DATA or EOF message (A side only).
 
-        ``buffer=True``: chunk payloads go straight into the
-        :class:`~repro.storage.chunkstore.ChunkStore`, which decodes
-        ``memoryview`` chunks in place — the zero-copy half of the shm
-        batch path.
+        ``buffer=True``: chunk payloads — an EOF's included — go straight
+        into the :class:`~repro.storage.chunkstore.ChunkStore`, which
+        decodes ``memoryview`` chunks in place, so a backend that hands
+        views over (thread, inline) skips a copy.
         """
         if self.is_o:
             raise CommunicatorError("only A tasks receive data")

@@ -21,7 +21,7 @@ from repro.common.errors import CommunicatorError
 from repro.common.kv import KeyValue
 from repro.mpi import faultinject
 from repro.datampi.buffers import PartitionedSendBuffer
-from repro.datampi.communicator import TAG_DATA, BipartiteComm
+from repro.datampi.communicator import TAG_EOF, BipartiteComm
 from repro.datampi.partition import Partitioner, hash_partitioner, validate_partition
 from repro.storage import ChunkStore, KVCache
 
@@ -68,13 +68,20 @@ class OContext:
         # window where a death leaves peers mid-protocol.  Per-chunk (not
         # per-record) keeps the hot send path untouched.
         routes = self._routes  # not ``self``: a combiner-less context stays acyclic
+        #: Per A task, the chunk ``close``'s flush left to ride its EOF;
+        #: empty until ``close`` sizes it, so earlier chunks leave at once.
+        last: list[bytes | None] = []
+        self._last = last
 
         def chunk_sink(a_index: int, payload: bytes) -> None:
             routes.clear()
             faultinject.fire(
                 "shuffle", rank=bcomm.comm.rank, superstep=superstep
             )
-            bcomm.send_chunk(a_index, payload)
+            if last:
+                last[a_index] = payload
+            else:
+                bcomm.send_chunk(a_index, payload)
 
         self._buffer = PartitionedSendBuffer(bcomm.num_a, chunk_sink, **kwargs)
 
@@ -123,20 +130,23 @@ class OContext:
         self._buffer.add(destination, key, value)
 
     def close(self) -> None:
-        """Flush remaining buffers and signal EOF to every A task.
+        """Flush remaining buffers and signal EOF to every A task; each A
+        task's last chunk rides its EOF instead of a message of its own.
 
-        EOF flows even when the final flush raises: A ranks must never
-        block on a failed O task, and iterative supersteps rely on the EOF
-        count staying exact so the failure can propagate through the
-        control channel instead of a receive timeout.
+        EOF flows even when the final flush raises (carrying the chunks
+        flushed before it): A ranks must never block on a failed O task,
+        and iterative supersteps rely on the EOF count staying exact so the
+        failure can propagate through the control channel instead of a
+        receive timeout.
         """
         if self._closed:
             return
+        self._last[:] = [None] * self._num_a
         try:
             self._buffer.flush_all()
         finally:
             self._routes.clear()
-            self._bcomm.send_eof()
+            self._bcomm.send_eof(self._last)
             self._closed = True
 
     @property
@@ -176,7 +186,8 @@ class AContext:
 
     def drain(self) -> None:
         """Receive chunks until every O task has sent EOF (the implicit
-        data-movement phase)."""
+        data-movement phase).  An EOF's payload, when not ``None``, is its
+        O task's last chunk."""
         if self._drained:
             return
         assert self._bcomm is not None
@@ -184,14 +195,14 @@ class AContext:
         sequence_of: dict[int, int] = {}
         while eof_remaining > 0:
             message = self._bcomm.recv_any()
-            if message.tag == TAG_DATA:
+            if message.payload is not None:
                 # Origin-stamp each chunk so downstream merge order is
                 # canonical even when transports deliver out of order.
                 sequence = sequence_of.get(message.source, 0)
                 sequence_of[message.source] = sequence + 1
                 self._store.add(message.payload, origin=(message.source, sequence))
                 self.bytes_received += len(message.payload)
-            else:
+            if message.tag == TAG_EOF:
                 eof_remaining -= 1
         self._drained = True
 

@@ -3,17 +3,22 @@
 Every driver that keeps an O/A world alive — Iteration mode, its Common
 replay, Streaming mode (:mod:`repro.datampi.modes`) and the serving
 :class:`~repro.serving.pool.WorldPool` — runs the same round: the root
-scatters a control tuple, the O ranks ask the input root for their
-splits, the shuffle runs, and every rank's outcome is gathered back at
-the root.  :func:`superstep_loop` is that round, written once; a driver
-supplies only what differs — a per-rank *binder* (control tuple -> conf,
-tasks, superstep number) and a root-only *step source* (what to send
-next, which splits the root serves, what to do with the settled round).
+scatters a control tuple with each O rank's input, the shuffle runs, and
+every rank's outcome is gathered back at the root.
+:func:`superstep_loop` is that round, written once; a driver supplies
+only what differs — a per-rank *binder* (control tuple -> conf, tasks,
+superstep number) and a root-only *step source* (what to send next,
+which splits the root serves, what to do with the settled round).
 
 The control goes out as one :meth:`~repro.mpi.comm.Comm.scatter`, one
 message per non-root rank: a step source names the part of a control
 only O tasks read (Iteration mode's state), and A ranks receive the
-control without it.
+control without it.  An O rank's slot is its pickled control followed
+by its input — its pickled stride of the splits — unless the root knows,
+from the rank's last outcome, that the rank still caches its splits: then
+the slot ends with the control.  A round therefore sends one control
+message per non-root rank, the shuffle's chunks (each O rank's last
+chunk to an A rank rides its EOF) and one outcome per non-root rank.
 
 Task failures ride the outcome gather and are re-sent by the step
 source, so a killed superstep fails every rank in unison on every
@@ -25,6 +30,7 @@ counters (``mode.state_bytes``, ``mode.scatter_bytes``,
 
 from __future__ import annotations
 
+import io
 import pickle
 import time
 from dataclasses import dataclass
@@ -86,20 +92,22 @@ def run_superstep(
     conf: DataMPIConf,
     invoke_o: Callable[[Any, Any], None],
     invoke_a: Callable[[Any], Any],
-    splits: Sequence[Any] | None,
+    my_input: bytes | memoryview,
     store: ChunkStore | None,
     cache: KVCache | None,
     superstep: int,
     *,
     cache_input: bool,
     pin_output: bool,
-) -> tuple[str, str | None, Any, dict[str, int], int]:
+) -> tuple[str, str | None, Any, dict[str, int]]:
     """Input + shuffle + compute for one rank.
 
-    Returns ``(status, error, output, counters, scatter_bytes)`` where
-    ``scatter_bytes`` is non-zero only on the input root.  Task exceptions
-    are caught and reported via ``status`` so the failure can travel the
-    control channel instead of wedging peers in blocking receives.
+    ``my_input`` is what followed the control in an O rank's scatter
+    slot: its pickled splits, or nothing when it reads them from its
+    cache.  Returns ``(status, error, output, counters)``.  Task
+    exceptions are caught and reported via ``status`` so the failure can
+    travel the control channel instead of wedging peers in blocking
+    receives.
 
     ``pin_output`` pins an A rank's output under ``a.output`` for the
     next superstep's A task; a world that is recycled after the round
@@ -114,7 +122,6 @@ def run_superstep(
     error: str | None = None
     output: Any = None
     counters: dict[str, int] = {}
-    scatter_bytes = 0
     cache_before = dict(cache.counters) if cache is not None else {}
 
     # Deliberately *outside* the task try/except blocks below: an injected
@@ -126,21 +133,15 @@ def run_superstep(
         my_splits: Any = _MISSING
         if cache is not None and cache_input:
             my_splits = cache.get(O_SPLITS_KEY, _MISSING)
-        bcomm.request_input(my_splits is not _MISSING)
-        if bcomm.comm.rank == BipartiteComm.INPUT_ROOT:
-            all_splits = list(splits) if splits is not None else []
-            for o_index in range(bcomm.num_o):
-                if bcomm.recv_input_request(o_index):
-                    response = _dumps(("cached", None))
-                else:
-                    response = _dumps(("data", all_splits[o_index::bcomm.num_o]))
-                bcomm.send_input(o_index, response)
-                scatter_bytes += len(response)
-        kind, value = pickle.loads(bcomm.recv_input().payload)
-        if kind == "data":
-            my_splits = value
+        if my_input:
+            my_splits = pickle.loads(my_input)
             if cache is not None and cache_input:
                 cache.put(O_SPLITS_KEY, my_splits)
+        elif my_splits is _MISSING:
+            raise MPIError(
+                f"O rank {bcomm.o_index} got no input at superstep {superstep} "
+                "and holds none in its cache"
+            )
         try:
             counters = run_o_superstep(
                 bcomm, conf, invoke_o, my_splits, cache=cache, superstep=superstep
@@ -171,7 +172,7 @@ def run_superstep(
     # The rank has computed but not yet reported: a death here forces the
     # supervisor to replay the whole superstep from the last checkpoint.
     faultinject.fire("after-superstep", rank=bcomm.comm.rank, superstep=superstep)
-    return status, error, output, counters, scatter_bytes
+    return status, error, output, counters
 
 
 def recycle_world(cache: KVCache | None, store: ChunkStore | None) -> None:
@@ -211,8 +212,8 @@ class RoundOutcome:
     outputs: list[Any]  # per-A-rank outputs, in A-rank order
     counters: dict[str, int]  # every rank's counters, summed
     error: str | None  # the lowest failed rank's cause; None = all ok
-    state_bytes: int  # the control scatter: what the root sent
-    scatter_bytes: int  # the input root's TAG_SPLITS answers
+    state_bytes: int  # the scatter's controls: what the root sent
+    scatter_bytes: int  # the O ranks' inputs after them, the root's own included
     gather_bytes: int  # the outcome gather
     elapsed: float  # root wall-clock seconds, control decoded -> outcomes folded
 
@@ -245,18 +246,19 @@ def superstep_loop(
     """Every rank's main on a kept-alive world: rounds until ``"stop"``.
 
     Each round the root asks ``next_step()`` for ``(control, o_only,
-    splits)``: O ranks receive ``control + o_only``, A ranks ``control``,
-    and the input root serves ``splits``.  ``("stop", ...)`` ends the
-    loop on every rank, ``("error", cause)`` raises ``MPIError(cause)``
-    on every rank, and any other tuple goes to ``bind`` and through
-    :func:`run_superstep`.  The gathered outcomes are folded into a
-    :class:`RoundOutcome` and handed to ``settle`` — on the root only, as
-    is ``next_step``.  Returns, on the root, the bytes the closing
+    splits)``: O ranks receive ``control + o_only`` followed by their
+    stride of ``splits`` (none while they cache it), A ranks ``control``.
+    ``("stop", ...)`` ends the loop on every rank, ``("error", cause)``
+    raises ``MPIError(cause)`` on every rank, and any other tuple goes
+    to ``bind`` and through :func:`run_superstep`.  The gathered outcomes
+    are folded into a :class:`RoundOutcome` and handed to ``settle`` — on
+    the root only, as is ``next_step``.  Returns, on the root, the bytes the closing
     ``"stop"`` moved (0 on every other rank).
 
     The keyword parameters are exactly what differs between the drivers:
-    ``cache_input`` pins the O ranks' splits across rounds (Iteration
-    mode, the pool); ``recycle`` clears every rank's per-job state after
+    ``cache_input`` pins the O ranks' splits across rounds, so a warm
+    round scatters no input (Iteration mode; the pool pins too, but
+    recycles the pin); ``recycle`` clears every rank's per-job state after
     each round, and so skips the ``a.output`` pin nothing could read (the
     pool); ``idle_timeout`` bounds a non-root rank's wait for the next
     control (the pool idles between submissions);
@@ -294,19 +296,30 @@ def superstep_loop(
     bcomm = BipartiteComm(comm, num_o, num_a)
     cache = None if one_round else storage.make_cache()
     store = None if bcomm.is_o else storage.make_store()
-    splits: Sequence[Any] | None = None
+    # Root-only, per O rank: its last outcome said it still caches its
+    # splits, so its slot can end with the control.  A fresh world (and
+    # so an elastic restart) knows of none.
+    holds_splits = [False] * num_o
     try:
         while True:
             payloads: list[bytes] | None = None
-            state_bytes = 0
+            state_bytes = scatter_bytes = 0
             if comm.rank == 0:
                 control, o_only, splits = next_step()
                 full = _dumps(control + o_only)
                 bare = _dumps(control) if o_only else full
                 payloads = [full] * num_o + [bare] * num_a
                 state_bytes = sum(len(payload) for payload in payloads[1:])
-            request = pickle.loads(
-                comm.scatter(payloads, root=0, timeout=idle_timeout))
+                if control[0] not in ("stop", "error"):
+                    served = list(splits) if splits is not None else []
+                    for o_index in range(num_o):
+                        if not holds_splits[o_index]:
+                            my_input = _dumps(served[o_index::num_o])
+                            payloads[o_index] = full + my_input
+                            scatter_bytes += len(my_input)
+            slot = comm.scatter(payloads, root=0, timeout=idle_timeout)
+            reader = io.BytesIO(slot)
+            request = pickle.load(reader)
             if request[0] == "error":
                 raise MPIError(request[1])
             if request[0] == "stop":
@@ -314,11 +327,15 @@ def superstep_loop(
             conf, invoke_o, invoke_a, superstep = bind(request)
             started = time.perf_counter()
 
-            status, error, output, counters, scatter_bytes = run_superstep(
-                bcomm, conf, invoke_o, invoke_a, splits, store, cache, superstep,
+            status, error, output, counters = run_superstep(
+                bcomm, conf, invoke_o, invoke_a,
+                memoryview(slot)[reader.tell():], store, cache, superstep,
                 cache_input=cache_input, pin_output=not recycle,
             )
-            gathered = comm.gather(_dumps((status, error, output, counters)), root=0)
+            holds = (bcomm.is_o and cache is not None and cache_input
+                     and not recycle and O_SPLITS_KEY in cache)
+            gathered = comm.gather(
+                _dumps((status, error, output, counters, holds)), root=0)
             if recycle:
                 # Clear the o.splits pin and task-cached state with the store
                 # reset, *before* the next control can reuse them as its input.
@@ -328,10 +345,11 @@ def superstep_loop(
                 outcomes = [pickle.loads(reported) for reported in gathered]
                 summed: dict[str, int] = {}
                 cause: str | None = None
-                for rank, (rank_status, rank_error, _, rank_counters) in enumerate(outcomes):
+                for rank, (rank_status, rank_error, _, rank_counters, _) in enumerate(outcomes):
                     add_counters(summed, rank_counters)
                     if rank_status != "ok" and cause is None:
                         cause = rank_error or f"rank {rank} failed"
+                holds_splits = [reported[4] for reported in outcomes[:num_o]]
                 outcome = RoundOutcome(
                     superstep=superstep,
                     outputs=[reported[2] for reported in outcomes[num_o:]],

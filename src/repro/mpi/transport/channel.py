@@ -26,8 +26,8 @@ Both birth functions also switch Nagle's algorithm off (the tcp
 no-delay option) before the first byte of the challenge.  Every frame is
 already one vectored ``sendmsg`` (:func:`codec.send_frame`), so Nagle
 has nothing to coalesce — and left on, it holds a rank's second small
-frame (a last chunk, then its EOF) behind the peer's delayed-ACK timer,
-~40 ms per round on Linux.
+frame to one peer (an EOF after a chunk, an outcome after a control)
+behind the peer's delayed-ACK timer, ~40 ms per round on Linux.
 """
 
 from __future__ import annotations

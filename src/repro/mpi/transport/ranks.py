@@ -46,6 +46,8 @@ class ForkedRanks:
     def __init__(self, ctx: Any):
         self._ctx = ctx
         self.processes: list[Any] = []
+        #: Each process's exit code, kept by ``reap`` as it closes them.
+        self.exitcodes: list[int | None] = []
 
     def spawn(self, name: str, target: Callable[[], None],
               plan: "faultinject.FaultPlan | None") -> None:
@@ -65,7 +67,10 @@ class ForkedRanks:
 
     def reap(self) -> None:
         """End every rank still alive: ``terminate``, a grace period, then
-        ``kill`` for one that ignored the signal — no rank outlives its world."""
+        ``kill`` for one that ignored the signal — no rank outlives its world.
+        Each process is then closed, its exit code kept in ``exitcodes``:
+        a closed process holds no descriptors, even while a traceback keeps
+        this object alive."""
         for process in self.processes:
             if process.is_alive():
                 process.terminate()
@@ -73,6 +78,8 @@ class ForkedRanks:
             if process.is_alive():
                 process.kill()
                 process.join()
+            self.exitcodes.append(process.exitcode)
+            process.close()
 
 
 def report_outcome(

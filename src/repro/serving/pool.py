@@ -29,11 +29,11 @@ forked ranks inherit them.  The world runs
 :func:`repro.datampi.world.superstep_loop` — the round Iteration and
 Streaming mode run — with the request pipe as its step source: rank 0
 sends every rank each request's ``("job", seq, name)`` (every rank takes the
-same branch) and keeps the submitted splits to itself, so input crosses
-the wire once — from the input root to the O rank that owns it — the
-world runs one superstep and is recycled, and rank 0 answers the result
-pipe with the settled round.  The pool runs its world itself: a
-``worldpool-world`` thread calls the transport's ``run`` (fork-based
+same branch), with each O rank's stride of the submitted splits riding
+that rank's scatter slot, so input crosses the wire once — to the O rank
+that owns it — the world runs one superstep and is recycled, and rank 0
+answers the result pipe with the settled round.  The pool runs its world
+itself: a ``worldpool-world`` thread calls the transport's ``run`` (fork-based
 backends fork from it) and, once every rank is reaped, records why the
 world ended and writes the result pipe's one goodbye, so the goodbye is
 always the pipe's last message.  A ``worldpool-dispatch`` thread blocks
@@ -237,8 +237,8 @@ class WorldPool:
                 request = request_recv.recv()
                 if request[0] != "job":
                     return request, (), None
-                # The world hears only which job to run; the input goes
-                # once, over TAG_SPLITS, to the O rank that owns it.
+                # The control names only the job to run; each O rank's
+                # stride of the input rides its own scatter slot.
                 return request[:3], (), request[3]
 
             def settle(outcome: RoundOutcome) -> None:

@@ -740,6 +740,25 @@ class TestPackedWeights:
         decoded = kv._decode_field(field)
         assert type(decoded) is dict and _same(decoded, _ref_decode_field(field))
 
+    @given(st.one_of(
+        numeric_maps,
+        st.dictionaries(st.one_of(st.integers(), st.booleans()),
+                        st.one_of(st.floats(), st.integers(), st.booleans()),
+                        max_size=6),
+        st.dictionaries(st.integers(), values, max_size=4),
+        st.dictionaries(st.integers(), st.floats(), max_size=4).map(DictSub),
+        st.dictionaries(st.integers(), st.floats().map(FloatSub), max_size=4),
+    ))
+    @example({})
+    @example({True: 1.0, 2: 2.0})
+    @example({1: 1, 2: 2.0})
+    @example({1: {2: 3.0}})
+    def test_weight_dict_size_equals_the_walk(self, weights):
+        """The exact ``int -> float`` dict's ``16 * len + 4`` is the walk's
+        charge; bool keys, int values, subclasses and nested values take
+        the walk itself."""
+        assert kv._field_size(weights) == _ref_field_size(weights)
+
     @pytest.mark.parametrize("wrap", [bytes, memoryview])
     def test_every_proper_prefix_in_a_record_stream(self, wrap):
         """The field carries no count, like ``M``, ``L`` and ``U``: its

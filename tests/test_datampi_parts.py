@@ -268,14 +268,22 @@ class CountingPartitioner:
 
 class ReferenceOContext:
     """``OContext`` as it was before the route memo: every record goes
-    through the partitioner.  Same buffer, same communicator."""
+    through the partitioner.  Same buffer, same communicator, and the same
+    close: each A task's last chunk rides its EOF."""
 
     def __init__(self, bcomm, *, partitioner, sort, combiner, send_buffer_bytes):
         self._bcomm = bcomm
         self._partitioner = partitioner
+        self._last = None
         self._buffer = PartitionedSendBuffer(
-            bcomm.num_a, bcomm.send_chunk, sort=sort, combiner=combiner,
+            bcomm.num_a, self._sink, sort=sort, combiner=combiner,
             threshold_bytes=send_buffer_bytes)
+
+    def _sink(self, a_index, payload):
+        if self._last is None:
+            self._bcomm.send_chunk(a_index, payload)
+        else:
+            self._last[a_index] = payload
 
     def send(self, key, value):
         num_a = self._bcomm.num_a
@@ -283,8 +291,9 @@ class ReferenceOContext:
                          key, value)
 
     def close(self):
+        self._last = [None] * self._bcomm.num_a
         self._buffer.flush_all()
-        self._bcomm.send_eof()
+        self._bcomm.send_eof(self._last)
 
     counters = OContext.counters  # reads the buffer's counters, nothing else
 

@@ -72,7 +72,7 @@ class TestIterativeJob:
     def test_iteration_mode_scatters_once(self):
         result = make_iterative().run(SPLITS, 0)
         scatters = [r["mode.scatter_bytes"] for r in result.per_iteration]
-        # Iteration 1 moves the input; later iterations only tiny cached acks.
+        # Iteration 1 moves the input; later iterations read it from cache.
         assert scatters[0] > scatters[1]
         assert scatters[1] == scatters[2]
         hits = [r["cache.hits"] for r in result.per_iteration]

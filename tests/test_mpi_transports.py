@@ -459,6 +459,20 @@ class TestShmFdLeaks:
         del caught
         assert self._open_fds() == before
 
+    def test_rank_failure_leaks_no_fd_while_its_exception_lives(self):
+        """The kept exception's traceback keeps the launcher's frame, and
+        so its rank processes, alive: each must already be closed."""
+        def main(comm):
+            if comm.rank == 1:
+                raise RuntimeError("mid-run abort")
+            comm.barrier()
+
+        before = self._open_fds()
+        with pytest.raises(MPIError) as caught:
+            mpi_run(3, main, transport="shm")
+        assert caught.value.__traceback__ is not None
+        assert self._open_fds() == before
+
     def test_abort_mid_fabric_construction_closes_partial_fabric(
         self, monkeypatch
     ):

@@ -300,9 +300,7 @@ class TestForkedRanks:
         family.spawn("stubborn", stubborn, None)
         assert world.readers[0].recv()[0] == "ok"
         family.reap()
-        [process] = family.processes
-        assert not process.is_alive()
-        assert process.exitcode == -signal.SIGKILL
+        assert family.exitcodes == [-signal.SIGKILL]
         assert multiprocessing.active_children() == []
 
     def test_no_fork_no_transport(self, monkeypatch):

@@ -1,14 +1,15 @@
 """The superstep round, pinned for all four drivers in one table.
 
 Iteration mode, its Common replay, Streaming mode and the warm pool all
-run the same round — control scatter, input exchange, shuffle, outcome
-gather.  ``tests/data/superstep_wire.json`` was recorded before the four
-hand-written copies of that round became one loop: for one fixed 2x1 job
-per driver on the ``inline`` transport it holds every ``[dest, payload]``
-the root handed ``Comm.scatter`` each round, every ``TAG_SPLITS`` answer,
-the fault points each rank fired in order, and every per-round counter
-record.  Re-recorded three times since, each time with nothing else in
-the file moving:
+run the same round — control scatter (each O rank's input riding its
+slot), shuffle, outcome gather.  ``tests/data/superstep_wire.json`` was
+recorded before the four hand-written copies of that round became one
+loop: for one fixed 2x1 job per driver on the ``inline`` transport it
+holds, each round, the control part of every ``[dest, payload]`` the
+root handed ``Comm.scatter`` and the input part of every O rank's slot
+(the root's own included), the fault points each rank fired in order,
+and every per-round counter record.  Re-recorded four times since, each
+time with nothing else in the file moving:
 
 * when the pool's two ``("job", ...)`` controls stopped carrying the
   submitted splits;
@@ -20,7 +21,14 @@ the file moving:
   and ``mode.bytes_moved`` shrank by exactly that), and the duplicate
   ``a.spilled_bytes`` counter was dropped (every driver: the key left
   the records and ``mode.gather_bytes`` shrank by its pickled bytes per
-  A rank per round).
+  A rank per round);
+* when each O rank's input moved from a ``TAG_SPLITS`` answer to an
+  input request into its scatter slot — the pickled splits alone, no
+  ``("data", ...)`` / ``("cached", None)`` wrapper, and nothing at all
+  for a rank that caches them — and each outcome gained the rank's
+  holds-its-splits flag: only the traced inputs, ``mode.scatter_bytes``,
+  ``mode.gather_bytes`` (one byte per non-root rank per round) and
+  ``mode.bytes_moved`` moved.
 
 The suite asserts the runtime still reproduces them byte-for-byte, and
 that a failing O task, A task or ``update`` ends every driver with the
@@ -31,22 +39,26 @@ Re-record (only when the wire is *meant* to change)::
     PYTHONPATH=src python tests/test_superstep_loop.py
 """
 
+import io
 import json
 import multiprocessing
 import pathlib
 import pickle
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
 from repro.common.errors import JobError, MPIError
 from repro.datampi import (
-    TAG_SPLITS,
+    BipartiteComm,
     DataMPIConf,
     DataMPIJob,
     IterativeJob,
+    KVCache,
     StreamingJob,
+    run_superstep,
 )
 from repro.mpi import faultinject
 from repro.mpi.comm import Comm
@@ -131,25 +143,30 @@ def run_driver(driver, tmp_path, transport="inline", **tasks):
 # -- recording -------------------------------------------------------------------
 
 
+def split_slot(slot):
+    """A scatter slot as ``(control, input)``: the control pickle and the
+    bytes after it."""
+    reader = io.BytesIO(slot)
+    pickle.load(reader)
+    return slot[:reader.tell()], slot[reader.tell():]
+
+
 def trace(driver, tmp_path, **overrides):
     """Run ``driver``'s fixed job with the wire tapped; returns the pin."""
     lock = threading.Lock()
-    scatters, answers, fires = [], [], {}
-    real_scatter, real_send, real_fire = Comm.scatter, Comm.send, faultinject.fire
+    scatters, inputs, fires = [], [], {}
+    real_scatter, real_fire = Comm.scatter, faultinject.fire
 
     def scatter(self, payloads, root=0, **kwargs):
         if self.rank == root:
+            slots = [split_slot(payload) for payload in payloads]
             with lock:
-                scatters.append([[dest, payload.hex()]
-                                 for dest, payload in enumerate(payloads)
+                scatters.append([[dest, control.hex()]
+                                 for dest, (control, _) in enumerate(slots)
                                  if dest != root])
+                inputs.append([[dest, served.hex()]
+                               for dest, (_, served) in enumerate(slots[:NUM_O])])
         return real_scatter(self, payloads, root, **kwargs)
-
-    def send(self, dest, payload, tag=0):
-        if tag == TAG_SPLITS:
-            with lock:
-                answers.append([dest, bytes(payload).hex()])
-        return real_send(self, dest, payload, tag)
 
     def fire(point, *, rank=None, superstep=None):
         with lock:
@@ -157,12 +174,11 @@ def trace(driver, tmp_path, **overrides):
         return real_fire(point, rank=rank, superstep=superstep)
 
     with (mock.patch.object(Comm, "scatter", scatter),
-          mock.patch.object(Comm, "send", send),
           mock.patch.object(faultinject, "fire", fire)):
         records, totals = run_driver(driver, tmp_path, **overrides)
     return {
         "scatter": scatters,
-        "splits": answers,
+        "splits": inputs,
         "fires": dict(sorted(fires.items())),
         "records": [[[key, value] for key, value in record.items()]
                     for record in records],
@@ -184,12 +200,20 @@ def kinds_of(pin):
     return [kind.pop() for kind in kinds]
 
 
+def inputs_of(pin):
+    """Each round's O-rank inputs, by destination rank (empty: none sent)."""
+    return [{dest: bytes.fromhex(payload) for dest, payload in served}
+            for served in pin["splits"]]
+
+
 def rounds_of(pin):
-    """Pair each data round's control payloads with its counter record."""
-    data_rounds = [sent for sent, kind in zip(controls_of(pin), kinds_of(pin))
+    """Each data round's control payloads and inputs with its counter record."""
+    data_rounds = [(sent, served) for sent, served, kind
+                   in zip(controls_of(pin), inputs_of(pin), kinds_of(pin))
                    if kind not in ("stop", "error")]
     assert len(data_rounds) == len(pin["records"])
-    return list(zip(data_rounds, (dict(record) for record in pin["records"])))
+    return [(sent, served, record) for (sent, served), record
+            in zip(data_rounds, (dict(record) for record in pin["records"]))]
 
 
 @pytest.fixture(scope="module")
@@ -231,19 +255,23 @@ class TestPinnedRound:
         assert kinds == expected
 
     def test_input_exchange_matches_the_drivers_cache_policy(self, driver, traced):
-        kinds = [pickle.loads(bytes.fromhex(payload))[0]
-                 for _dest, payload in traced[driver]["splits"]]
-        rounds = len(traced[driver]["records"])
-        if driver == "iteration":  # scattered once, then served from cache
-            assert kinds == ["data"] * NUM_O + ["cached"] * NUM_O * (rounds - 1)
+        pin = traced[driver]
+        sent = [[bool(served[dest]) for dest in range(NUM_O)]
+                for _, served, _ in rounds_of(pin)]
+        rounds = len(pin["records"])
+        if driver == "iteration":  # scattered once, then read from cache
+            assert sent == [[True] * NUM_O] + [[False] * NUM_O] * (rounds - 1)
         else:  # fresh world, fresh window, or recycled between jobs
-            assert kinds == ["data"] * NUM_O * rounds
+            assert sent == [[True] * NUM_O] * rounds
+        stops = [served for served, kind in zip(inputs_of(pin), kinds_of(pin))
+                 if kind in ("stop", "error")]
+        assert not any(payload for served in stops for payload in served.values())
 
 
 def test_pool_input_travels_once_to_the_rank_that_owns_it(tmp_path):
     """The control names the job and nothing else — its size is the same
-    for a one-word and a 100 KB submission — and each O rank is answered
-    with exactly its stride of the submitted splits."""
+    for a one-word and a 100 KB submission — and each O rank's slot
+    carries exactly its stride of the submitted splits after it."""
     inputs = ([["a"], ["b"], ["c"]],
               [[f"word-{n}" * 40 for n in range(200)] for _split in range(5)])
     pin = trace("pool", tmp_path, inputs=inputs)
@@ -253,25 +281,88 @@ def test_pool_input_travels_once_to_the_rank_that_owns_it(tmp_path):
     assert [pickle.loads(control) for control in controls] == [
         ("job", 1, "wc"), ("job", 2, "wc"), ("stop",)]
     assert len(controls[0]) == len(controls[1])
-    answers = [(dest, pickle.loads(bytes.fromhex(payload)))
-               for dest, payload in pin["splits"]]
-    assert answers == [(o_index, ("data", splits[o_index::NUM_O]))
-                       for splits in inputs for o_index in range(NUM_O)]
+    served = [(dest, pickle.loads(payload))
+              for sent in inputs_of(pin) for dest, payload in sent.items() if payload]
+    assert served == [(o_index, splits[o_index::NUM_O])
+                      for splits in inputs for o_index in range(NUM_O)]
 
 
 # The pool's JobResult.counters carry no mode.* record.
 @pytest.mark.parametrize("driver", ("iteration", "common", "streaming"))
 def test_byte_counters_add_up_per_round(driver, traced):
-    pin = traced[driver]
-    answers = [len(bytes.fromhex(payload)) for _dest, payload in pin["splits"]]
-    for index, (sent, record) in enumerate(rounds_of(pin)):
+    for sent, served, record in rounds_of(traced[driver]):
         assert record["mode.state_bytes"] == sum(map(len, sent.values()))
-        served = answers[index * NUM_O:(index + 1) * NUM_O]
-        assert record["mode.scatter_bytes"] == sum(served)
+        assert record["mode.scatter_bytes"] == sum(map(len, served.values()))
         assert record["mode.bytes_moved"] == (
             record["mode.state_bytes"] + record["mode.scatter_bytes"]
             + record["mode.gather_bytes"] + record["o.bytes_sent"]
         )
+
+
+def test_an_o_rank_sent_no_input_that_holds_none_fails():
+    """An empty slot tail means "read your pin": without one the rank has
+    nothing to run on and says so, instead of running on no splits."""
+    bcomm = BipartiteComm(SimpleNamespace(rank=0, size=2), 1, 1)
+    with pytest.raises(MPIError, match="O rank 0 got no input at superstep 2"):
+        run_superstep(bcomm, conf("iteration"), iter_o, iter_a, b"", None,
+                      KVCache(), 2, cache_input=True, pin_output=True)
+
+
+# -- messages per round ------------------------------------------------------------
+
+
+def sends(run):
+    """How many messages ``run()`` puts through ``Comm._send``."""
+    count = 0
+    real_send = Comm._send
+
+    def counting_send(self, dest, payload, tag):
+        nonlocal count
+        count += 1
+        return real_send(self, dest, payload, tag)
+
+    with mock.patch.object(Comm, "_send", counting_send):
+        run()
+    return count
+
+
+class TestSuperstepMessages:
+    """A round sends only what carries work on a 2x2 world: one control
+    per non-root rank (an O rank's input riding it), one EOF per O->A
+    pair (its last chunk riding it) and one outcome per non-root rank."""
+
+    SHAPE = {"num_o": 2, "num_a": 2, "transport": "inline"}
+    WORDS = ["a b c d e f g h", "b c d e f g h i"]
+
+    def test_a_warm_iteration_superstep_sends_ten(self):
+        def run(iterations):
+            job = IterativeJob(
+                iter_o, iter_a, lambda state, _merged, _iteration: (state, False),
+                DataMPIConf(mode="iteration", **self.SHAPE),
+                max_iterations=iterations)
+            return lambda: job.run([[1, 2, 3], [4, 5, 6, 7]], 0)
+
+        assert sends(run(3)) - sends(run(2)) == 3 + 4 + 3
+
+    def test_a_pooled_job_sends_ten(self):
+        def run(jobs):
+            def serve():
+                job = DataMPIJob(word_o, word_a, DataMPIConf(**self.SHAPE))
+                with WorldPool(num_o=2, num_a=2, transport="inline") as pool:
+                    pool.register("wc", job).start()
+                    for _ in range(jobs):
+                        pool.run_job("wc", [line.split() for line in self.WORDS])
+            return serve
+
+        assert sends(run(2)) - sends(run(1)) == 3 + 4 + 3
+
+    def test_a_cold_wordcount_sends_one_message_per_pair(self):
+        job = DataMPIJob(word_o, word_a, DataMPIConf(
+            combiner=lambda _word, ones: sum(ones), **self.SHAPE))
+        outputs = []
+        assert sends(lambda: outputs.extend(
+            job.run([line.split() for line in self.WORDS]).outputs)) == 2 * 2
+        assert all(outputs)  # every A rank got words: each pair had a chunk
 
 
 # -- failures --------------------------------------------------------------------

@@ -59,15 +59,20 @@ class TestChunkLayoutSelection:
     @pytest.mark.parametrize("name, mode", sorted(SHARE))
     def test_share_of_columnar_chunks(self, name, mode, inputs):
         chunks = []
-        send_chunk = BipartiteComm.send_chunk
+        send_chunk, send_eof = BipartiteComm.send_chunk, BipartiteComm.send_eof
 
         def spy(self, a_index, payload):
             chunks.append(payload)
             return send_chunk(self, a_index, payload)
 
+        def eof_spy(self, last):  # each A task's last chunk rides its EOF
+            chunks.extend(payload for payload in last if payload is not None)
+            return send_eof(self, last)
+
         params = RunParams(mode=mode, parallelism=3, transport="inline",
                            seed=SEED, max_iterations=4)
-        with mock.patch.object(BipartiteComm, "send_chunk", spy):
+        with (mock.patch.object(BipartiteComm, "send_chunk", spy),
+              mock.patch.object(BipartiteComm, "send_eof", eof_spy)):
             run_workload(name, "datampi", inputs[name], params)
         assert chunks
         columnar = [chunk[0] == MARKER for chunk in chunks]
