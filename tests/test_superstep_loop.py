@@ -44,12 +44,15 @@ import json
 import multiprocessing
 import pathlib
 import pickle
+import sys
 import threading
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
+import repro
+from repro.bigdatabench import generate_kmeans_vectors
 from repro.common.errors import JobError, MPIError
 from repro.datampi import (
     BipartiteComm,
@@ -63,6 +66,7 @@ from repro.datampi import (
 from repro.mpi import faultinject
 from repro.mpi.comm import Comm
 from repro.serving import WorldPool
+from repro.workloads import kmeans_iterative_job
 
 PIN_FILE = pathlib.Path(__file__).parent / "data" / "superstep_wire.json"
 NUM_O, NUM_A = 2, 1
@@ -363,6 +367,77 @@ class TestSuperstepMessages:
         assert sends(lambda: outputs.extend(
             job.run([line.split() for line in self.WORDS]).outputs)) == 2 * 2
         assert all(outputs)  # every A rank got words: each pair had a chunk
+
+
+# -- runtime calls per round -----------------------------------------------------
+
+
+RUNTIME = pathlib.Path(repro.__file__).parent
+WORKLOAD_CODE = tuple(str(RUNTIME / name) for name in (
+    "workloads/kmeans.py", "bigdatabench/vectors.py"))
+
+
+def runtime_calls(run):
+    """Python ``call`` events (function entries and generator resumes) in
+    the runtime's own code while ``run()`` runs, on every thread it
+    starts: the workload's modules and the test's tasks do not count."""
+    calls = 0
+    runtime, workload = str(RUNTIME), WORKLOAD_CODE
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename.startswith(runtime) and not filename.startswith(workload):
+                calls += 1  # the inline scheduler runs one rank at a time
+
+    threading.setprofile(profiler)
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return calls
+
+
+class TestSuperstepStaysFlat:
+    """What one more superstep costs the runtime, counted in call events
+    over all four ranks of a 2x2 ``inline`` world: (21 supersteps − 1) / 20.
+    The count is deterministic on ``inline`` to within an event, so it
+    pins the runtime's per-round work without a clock.
+
+    Each budget is the count measured on CPython 3.11 plus 3 % headroom,
+    rounded down; newer interpreters inline comprehensions and count
+    fewer.  A budget only ever tightens."""
+
+    STEPS = 21
+    HEADROOM = 1.03
+
+    def per_superstep(self, run):
+        return (runtime_calls(lambda: run(self.STEPS))
+                - runtime_calls(lambda: run(1))) / (self.STEPS - 1)
+
+    def test_a_kmeans_superstep(self):
+        vectors, _labels = generate_kmeans_vectors(16, seed=229)
+
+        def run(supersteps):
+            kmeans_iterative_job(
+                vectors, 5, max_iterations=supersteps, epsilon=0.0, seed=229,
+                parallelism=2, transport="inline", mode="iteration")
+
+        assert self.per_superstep(run) <= int(738 * self.HEADROOM)
+
+    def test_a_noop_superstep(self):
+        def run(supersteps):
+            IterativeJob(
+                lambda _ctx, _split, _state: None, lambda _ctx: None,
+                lambda state, _merged, _iteration: (state, False),
+                DataMPIConf(num_o=2, num_a=2, mode="iteration", transport="inline"),
+                max_iterations=supersteps,
+            ).run([[1], [2]], 0)
+
+        assert self.per_superstep(run) <= int(311 * self.HEADROOM)
 
 
 # -- failures --------------------------------------------------------------------
