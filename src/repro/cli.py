@@ -13,8 +13,8 @@ Subcommands:
 
 The DataMPI engine's IPC backend is selectable with
 ``workload --transport {thread,shm,inline,tcp}``: threads in one process
-(default), forked processes over shared-memory rings, a deterministic
-inline scheduler, or processes joined by TCP socket pairs
+(default), forked processes over socket pairs made before the fork, a
+deterministic inline scheduler, or processes joined by TCP socket pairs
 (``--hosts``/``--port`` choose the bind addresses).  Its execution mode is selectable with
 ``workload --mode {common,iteration,streaming}``: run-once jobs
 (default), kept-alive ranks with a cross-iteration KV cache (kmeans,

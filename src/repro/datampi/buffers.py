@@ -33,9 +33,7 @@ good.
 
 Encoded chunks leave here as ``bytes`` and stay binary all the way to
 the A task: the transports move them verbatim (``FMT_RAW`` — never
-through pickle), and the shm backend coalesces chunks below its batch
-threshold into a single ring slot, so a small ``threshold_bytes`` here
-does not translate into per-chunk descriptor traffic.
+through pickle), one frame per chunk.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class DataMPIConf:
     checkpoint_dir: str | None = None
     job_name: str = "datampi-job"
     #: IPC backend the job's ranks run over: ``thread`` (default), ``shm``
-    #: (forked processes + shared-memory rings), ``inline``, or ``tcp``
+    #: (forked processes over pre-forked socket pairs), ``inline``, or ``tcp``
     #: (processes/machines over socket pairs).  Also accepts a constructed
     #: :class:`~repro.mpi.transport.Transport` instance — how backend
     #: options like the tcp transport's ``hosts=`` reach a job.  ``None``

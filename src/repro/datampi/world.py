@@ -98,7 +98,6 @@ def run_superstep(
     superstep: int,
     *,
     cache_input: bool,
-    pin_output: bool,
 ) -> tuple[str, str | None, Any, dict[str, int]]:
     """Input + shuffle + compute for one rank.
 
@@ -109,10 +108,10 @@ def run_superstep(
     travel the control channel instead of wedging peers in blocking
     receives.
 
-    ``pin_output`` pins an A rank's output under ``a.output`` for the
-    next superstep's A task; a world that is recycled after the round
-    passes False, because sizing the whole output for a pin that is
-    cleared before anything can read it is pure cost.
+    An A rank pins its output under ``a.output`` for the next superstep's
+    A task.  On an unbounded cache (the default) the pin walks none of
+    the output until something reads it, and a recycled world clears it
+    unread; a bounded cache charges it at ``put``, as eviction needs.
 
     :func:`superstep_loop` is its only caller in the runtime, which is
     what keeps every driver's shuffle byte-identical to a cold
@@ -159,7 +158,7 @@ def run_superstep(
             status = "err"
             error = f"A rank {bcomm.a_index} failed at superstep {superstep}: {exc!r}"
             output = None
-        if cache is not None and pin_output:
+        if cache is not None:
             cache.put(A_OUTPUT_KEY, output)
         store.reset()
 
@@ -185,13 +184,13 @@ def recycle_world(cache: KVCache | None, store: ChunkStore | None) -> None:
     the A-side :class:`ChunkStore` keeps its spill bookkeeping.  Between
     pooled jobs all of that is stale: splits pinned by job N would be
     served as job N+1's input, and job N's entries would be readable
-    from job N+1's ``ctx.cache``.  (The other pin, an A rank's
-    ``a.output``, is never made on a recycled world — see
-    :func:`run_superstep` — so there is none to clear.)
+    from job N+1's ``ctx.cache``, and so would job N's A output, pinned
+    under ``a.output``.
 
-    Recycling clears the whole cache (entry state only — the hit/miss
-    counters survive, they are cumulative measurements) alongside
-    ``ChunkStore.reset()``.  What survives a job boundary: the world
+    Recycling clears the whole cache alongside ``ChunkStore.reset()``:
+    entry state only, both pins included — unread, so an unbounded cache
+    never sized them.  The hit/miss counters survive; they are cumulative
+    measurements.  What survives a job boundary: the world
     itself, the cache's stat counters, and the store's owned spill
     directory.
     """
@@ -259,9 +258,9 @@ def superstep_loop(
     ``cache_input`` pins the O ranks' splits across rounds, so a warm
     round scatters no input (Iteration mode; the pool pins too, but
     recycles the pin); ``recycle`` clears every rank's per-job state after
-    each round, and so skips the ``a.output`` pin nothing could read (the
-    pool); ``idle_timeout`` bounds a non-root rank's wait for the next
-    control (the pool idles between submissions);
+    each round, the ``a.output`` pin included (the pool); ``idle_timeout``
+    bounds a non-root rank's wait for the next control (the pool idles
+    between submissions);
     ``one_round`` is the Common replay — a fresh world per iteration that
     returns 0 after its single round with no ``"stop"`` control, and
     keeps no cache because nothing outlives the round.
@@ -330,7 +329,7 @@ def superstep_loop(
             status, error, output, counters = run_superstep(
                 bcomm, conf, invoke_o, invoke_a,
                 memoryview(slot)[reader.tell():], store, cache, superstep,
-                cache_input=cache_input, pin_output=not recycle,
+                cache_input=cache_input,
             )
             holds = (bcomm.is_o and cache is not None and cache_input
                      and not recycle and O_SPLITS_KEY in cache)

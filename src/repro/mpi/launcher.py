@@ -1,7 +1,7 @@
 """SPMD launcher: run one function on every rank over a chosen transport.
 
 ``mpi_run`` is the moral equivalent of ``mpirun -np N``: it resolves a
-transport backend (threads, forked shared-memory processes, the
+transport backend (threads, processes forked over socket pairs, the
 deterministic inline scheduler, or TCP socket pairs), spawns N ranks,
 hands each a
 :class:`~repro.mpi.comm.Comm`, and collects per-rank return values.  If

@@ -4,7 +4,7 @@ The experiment matrix measures jobs as batch wall-time; this package
 measures them the way BigDataBench frames its service workloads — as
 requests against a warm system.  :class:`WorldPool` keeps one O/A world
 alive and recycles it between submissions, so after warm-up no job pays
-fork/rendezvous/ring/socket construction.
+fork/rendezvous/socket construction.
 """
 
 from repro.serving.pool import (

@@ -4,7 +4,7 @@ The paper's small-jobs result (fig5) is a statement about *startup
 overhead*: DataMPI beats Hadoop exactly where per-job setup dominates
 the work.  This module removes that overhead from our own runtime.  A
 :class:`WorldPool` forms one bipartite O/A world per transport **once**
-— paying fork/rendezvous/ring/socket construction a single time — and
+— paying fork/rendezvous/socket construction a single time — and
 then serves an unbounded stream of job submissions on the live ranks:
 
 * jobs are **registered by name before the world starts** (fork-based
@@ -15,9 +15,9 @@ then serves an unbounded stream of job submissions on the live ranks:
   cold :class:`~repro.datampi.job.DataMPIJob` runs, so pooled outputs
   are byte-identical to cold-world runs on every transport;
 * between jobs every rank is **recycled** with
-  :func:`repro.datampi.world.recycle_world` — the ``o.splits`` pin and
-  whatever a task cached are cleared alongside ``ChunkStore.reset()``
-  (a recycled world never pins ``a.output`` at all) so job N's state can
+  :func:`repro.datampi.world.recycle_world` — the ``o.splits`` and
+  ``a.output`` pins and whatever a task cached are cleared alongside
+  ``ChunkStore.reset()`` (unread, so never sized) so job N's state can
   never leak into job N+1;
 * a failed task fails *its submission's* future, not the pool: the
   failure travels the outcome gather like any mode driver's, and the

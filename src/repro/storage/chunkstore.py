@@ -49,11 +49,10 @@ class ChunkStore:
             origin: Origin | None = None) -> None:
         """Store one encoded chunk (already key-sorted by the sender).
 
-        ``chunk`` is ``bytes`` or a read-only ``memoryview`` — the shm
-        transport's batch path delivers views that slice one shared
-        buffer per ring slot, and the store keeps them as-is (spilling
-        and decoding both work straight from a view, so the zero-copy
-        read path survives end to end).
+        ``chunk`` is ``bytes`` or a read-only ``memoryview`` — the thread
+        and inline backends hand a sender's view over by reference, and
+        the store keeps it as-is (spilling and decoding both work
+        straight from a view, so no copy is made on the way in).
 
         ``origin`` identifies where the chunk came from; when omitted an
         insertion-order origin is assigned, so callers that never pass one

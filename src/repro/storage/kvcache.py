@@ -11,8 +11,13 @@ Sizes are accounted with :func:`repro.common.kv.record_size` — the same
 cost model the send buffers charge to the network — so a cache hit's
 ``hit_bytes`` is directly comparable to the ``o.bytes_sent`` counter it
 saved.  ``record_size`` sizes ``memoryview``/``bytearray`` payloads by
-their byte length, so entries held as views charge the budget exactly.  Eviction is LRU; an entry larger than the whole
-capacity is rejected rather than thrashing the cache empty.
+their byte length, so entries held as views charge the budget exactly.
+A bounded cache charges an entry at ``put``, as eviction needs its size;
+an unbounded one (the default) when its size is first asked — a hit,
+``size_of`` or ``used_bytes`` — so a pin nothing reads, like an A rank's
+``a.output``, costs no walk of its value.  Eviction is LRU; an entry
+larger than the whole capacity is rejected rather than thrashing the
+cache empty.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ class KVCache:
                 f"cache capacity must be positive or None, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[Any, tuple[Any, int]] = OrderedDict()
-        self.used_bytes = 0
+        # (value, size); size is None until an unbounded cache charges it.
+        self._entries: OrderedDict[Any, tuple[Any, int | None]] = OrderedDict()
+        self._used_bytes = 0
         self.hits = 0
         self.misses = 0
         self.hit_bytes = 0
@@ -65,25 +71,27 @@ class KVCache:
     def put(self, key: Any, value: Any) -> bool:
         """Store ``value`` under ``key``; returns False if it cannot fit.
 
-        Replacing an existing key re-accounts its size.  When a capacity is
-        set, least-recently-used entries are evicted until the new entry
-        fits; an entry bigger than the whole capacity is rejected (storing
-        it would merely empty the cache and still overflow).
+        Replacing an existing key re-accounts its size.  With a capacity,
+        the entry is charged now: least-recently-used entries are evicted
+        until it fits, and one bigger than the whole capacity is rejected
+        (storing it would merely empty the cache and still overflow).
+        Without one, it is charged when its size is first asked, as the
+        value is then: a value mutated in place after ``put`` included.
         """
+        if self.capacity_bytes is None:
+            self.discard(key)
+            self._entries[key] = (value, None)
+            return True
         size = record_size(key, value)
-        if self.capacity_bytes is not None and size > self.capacity_bytes:
+        if size > self.capacity_bytes:
             self.discard(key)  # a stale smaller value must not linger
             self.rejected += 1
             return False
         self.discard(key)
-        while (
-            self.capacity_bytes is not None
-            and self._entries
-            and self.used_bytes + size > self.capacity_bytes
-        ):
+        while self._entries and self._used_bytes + size > self.capacity_bytes:
             self._evict_lru()
         self._entries[key] = (value, size)
-        self.used_bytes += size
+        self._used_bytes += size
         return True
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -93,17 +101,16 @@ class KVCache:
             self.misses += 1
             return default
         self._entries.move_to_end(key)
-        value, size = entry
         self.hits += 1
-        self.hit_bytes += size
-        return value
+        self.hit_bytes += self._charge(key, entry)
+        return entry[0]
 
     def discard(self, key: Any) -> bool:
         """Remove ``key`` if present (no eviction counted); True if removed."""
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self.used_bytes -= entry[1]
+        self._used_bytes -= entry[1] or 0
         return True
 
     def evict(self, key: Any) -> bool:
@@ -115,12 +122,21 @@ class KVCache:
 
     def _evict_lru(self) -> None:
         _key, (_value, size) = self._entries.popitem(last=False)
-        self.used_bytes -= size
+        self._used_bytes -= size or 0
         self.evictions += 1
+
+    def _charge(self, key: Any, entry: tuple[Any, int | None]) -> int:
+        """``entry``'s size, sized and charged the first time it is asked."""
+        value, size = entry
+        if size is None:
+            size = record_size(key, value)
+            self._entries[key] = (value, size)
+            self._used_bytes += size
+        return size
 
     def clear(self) -> None:
         self._entries.clear()
-        self.used_bytes = 0
+        self._used_bytes = 0
 
     # -- introspection ---------------------------------------------------------
 
@@ -136,7 +152,14 @@ class KVCache:
     def size_of(self, key: Any) -> int | None:
         """Accounted byte size of one entry, or None if absent."""
         entry = self._entries.get(key)
-        return None if entry is None else entry[1]
+        return None if entry is None else self._charge(key, entry)
+
+    @property
+    def used_bytes(self) -> int:
+        """Bytes charged for every live entry, charging any not yet sized."""
+        for key, entry in list(self._entries.items()):
+            self._charge(key, entry)
+        return self._used_bytes
 
     @property
     def counters(self) -> dict[str, int]:

@@ -309,7 +309,7 @@ def test_an_o_rank_sent_no_input_that_holds_none_fails():
     bcomm = BipartiteComm(SimpleNamespace(rank=0, size=2), 1, 1)
     with pytest.raises(MPIError, match="O rank 0 got no input at superstep 2"):
         run_superstep(bcomm, conf("iteration"), iter_o, iter_a, b"", None,
-                      KVCache(), 2, cache_input=True, pin_output=True)
+                      KVCache(), 2, cache_input=True)
 
 
 # -- messages per round ------------------------------------------------------------
@@ -407,9 +407,11 @@ class TestSuperstepStaysFlat:
     The count is deterministic on ``inline`` to within an event, so it
     pins the runtime's per-round work without a clock.
 
-    Each budget is the count measured on CPython 3.11 plus 3 % headroom,
-    rounded down; newer interpreters inline comprehensions and count
-    fewer.  A budget only ever tightens."""
+    Each budget is the count measured on CPython 3.11, rounded up, plus
+    3 % headroom, rounded down; newer interpreters inline comprehensions
+    and count fewer.  A budget only ever tightens: the K-means one was
+    738 and the no-op one 311 while an A rank sized its ``a.output`` pin
+    at every ``put``."""
 
     STEPS = 21
     HEADROOM = 1.03
@@ -426,7 +428,7 @@ class TestSuperstepStaysFlat:
                 vectors, 5, max_iterations=supersteps, epsilon=0.0, seed=229,
                 parallelism=2, transport="inline", mode="iteration")
 
-        assert self.per_superstep(run) <= int(738 * self.HEADROOM)
+        assert self.per_superstep(run) <= int(675 * self.HEADROOM)
 
     def test_a_noop_superstep(self):
         def run(supersteps):
@@ -437,7 +439,7 @@ class TestSuperstepStaysFlat:
                 max_iterations=supersteps,
             ).run([[1], [2]], 0)
 
-        assert self.per_superstep(run) <= int(311 * self.HEADROOM)
+        assert self.per_superstep(run) <= int(306 * self.HEADROOM)
 
 
 # -- failures --------------------------------------------------------------------

@@ -155,9 +155,9 @@ class TestWorldRecycling:
         assert dict(second.merged_outputs())["c"] == 2
 
     def test_task_cached_state_does_not_cross_job_boundary(self, backend):
-        """A recycled world skips the ``a.output`` pin, not the clearing:
-        what a task of job N put in ``ctx.cache`` is gone in job N+1 on
-        both sides of the world."""
+        """A recycled world clears more than the runtime's pins: what a
+        task of job N put in ``ctx.cache`` is gone in job N+1 on both
+        sides of the world."""
 
         def o_task(ctx, split):
             ctx.send("o-saw", ctx.cache.get("mine"))
