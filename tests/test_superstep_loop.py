@@ -409,9 +409,7 @@ class TestSuperstepStaysFlat:
 
     Each budget is the count measured on CPython 3.11, rounded up, plus
     3 % headroom, rounded down; newer interpreters inline comprehensions
-    and count fewer.  A budget only ever tightens: the K-means one was
-    738 and the no-op one 311 while an A rank sized its ``a.output`` pin
-    at every ``put``."""
+    and count fewer.  A budget only ever tightens."""
 
     STEPS = 21
     HEADROOM = 1.03
