@@ -8,8 +8,6 @@ Subcommands:
 * ``workload <engine> <name>``  — run a functional workload on generated data
 * ``experiment run|report|list``— drive the workload × engine × scale matrix
   end-to-end and render the paper's figures into ``reports/``
-* ``experiment worker --join``  — execute matrix cells for a run serving
-  on another process or machine (``experiment run --serve``)
 
 The DataMPI engine's IPC backend is selectable with
 ``workload --transport {thread,shm,inline,tcp}``: threads in one process
@@ -322,7 +320,6 @@ def _progress_line(result) -> None:
 
 
 def _cmd_experiment_run(args) -> int:
-    from repro.common.errors import ConfigError, ReproError
     from repro.experiments.matrix import MatrixRunner, verify_cross_engine
     from repro.experiments.spec import get_spec
 
@@ -335,29 +332,16 @@ def _cmd_experiment_run(args) -> int:
             spec, spill_budget_bytes=parse_size(args.spill_budget)
         )
 
-    try:
-        runner = MatrixRunner(spec, args.out, progress=_progress_line,
-                              workers=args.parallel, serve=args.serve)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.serve is not None:
-        how = f"serving workers on {runner.serve}"
-    elif runner.workers <= 1:
-        how = "serially"
-    else:
-        how = f"on {runner.workers} workers"
+    runner = MatrixRunner(spec, args.out, progress=_progress_line,
+                          workers=args.parallel)
+    how = "serially" if runner.workers <= 1 else f"on {runner.workers} workers"
     print(f"running experiment {spec.name!r} "
           f"({len(spec.cells)} cells, {how}) -> {args.out}")
     try:
         result = runner.run(resume=not args.no_resume)
-    except ReproError as exc:  # e.g. a stalled distributed run
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
-        # The runner's cleanup (listener closed, workers told goodbye)
-        # has already run on the way out; finished cells are
-        # checkpointed, so the run is resumable exactly where it stopped.
+        # Every finished cell was checkpointed as it finished, so the
+        # run is resumable exactly where it stopped.
         print(f"interrupted: finished cells are checkpointed under "
               f"{args.out!r}; re-run 'experiment run' to resume",
               file=sys.stderr)
@@ -370,21 +354,6 @@ def _cmd_experiment_run(args) -> int:
     for cell in failed:
         print(f"  FAILED {cell.spec.cell_id}: {cell.error}", file=sys.stderr)
     return 1 if failed else 0
-
-
-def _cmd_experiment_worker(args) -> int:
-    from repro.common.errors import ReproError
-    from repro.experiments.matrix import run_matrix_worker
-
-    print(f"joining matrix parent at {args.join}")
-    try:
-        executed = run_matrix_worker(args.join, progress=_progress_line,
-                                     connect_timeout=args.connect_timeout)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"worker done: {executed} cell(s) executed")
-    return 0
 
 
 def _cmd_experiment_report(args) -> int:
@@ -532,32 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-rank receive-store memory budget for the "
                               "datampi cells (e.g. 4KB); over-budget chunks "
                               "spill to disk and cells report bytes_spilled")
-    exp_run.add_argument("--serve", default=None, metavar="HOST:PORT",
-                         help="also admit distributed workers ('repro "
-                              "experiment worker --join TOKEN') and hand "
-                              "them cells over their connections; port 0 "
-                              "binds an ephemeral port.  "
-                              "Workers must authenticate: the printed join "
-                              "token (HOST:PORT/KEY) carries a generated "
-                              "key, or set REPRO_MATRIX_AUTHKEY on both "
-                              "sides.  Mutually exclusive with --parallel")
     exp_run.set_defaults(func=_cmd_experiment_run)
-
-    exp_worker = exp_sub.add_parser(
-        "worker",
-        help="join a serving matrix run and execute the cells it hands "
-             "out (needs a route to the parent's HOST:PORT, no filesystem "
-             "in common)",
-    )
-    exp_worker.add_argument("--join", required=True, metavar="TOKEN",
-                            help="join token the serving parent printed "
-                                 "(HOST:PORT/KEY), or a bare HOST:PORT with "
-                                 "REPRO_MATRIX_AUTHKEY set to the parent's "
-                                 "key")
-    exp_worker.add_argument("--connect-timeout", type=float, default=30.0,
-                            help="seconds to keep retrying the first connect "
-                                 "(the parent may still be starting)")
-    exp_worker.set_defaults(func=_cmd_experiment_worker)
 
     exp_report = exp_sub.add_parser(
         "report", help="render the recorded matrix into reports/"

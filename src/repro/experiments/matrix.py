@@ -20,46 +20,40 @@ process) plus the analytical model — and streams the result back to the
 parent, which writes the same spec-hash-guarded atomic checkpoint files.
 A parallel run killed mid-flight therefore resumes exactly like a serial
 one: surviving cell files are reused, missing and failed cells re-run.
-
-Cells can also be executed by **distributed workers** on other processes
-or machines (``MatrixRunner(..., serve="host:port")`` plus
-``repro experiment worker --join host:port``).  The parent owns the queue
-of pending cells and hands them to joined workers over the authenticated
-connection each one holds (:mod:`repro.experiments.workers` — every
-socket of the matrix lives there); a worker runs the exact per-cell
-pipeline :func:`_run_cell_worker` runs on the process pool and streams
-the result back.  The parent is the only writer of checkpoints and
-reports, so serial, pooled, and distributed runs are byte-identical, and
-serial and served runs are one loop: take the next pending cell, execute
-it, checkpoint, record whatever the workers sent meanwhile.  A worker
-that dies mid-cell costs that cell a re-run, nothing more.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.common.errors import ConfigError, JobError
+from repro.common.errors import ConfigError
 from repro.datampi.checkpoint import atomic_write_json, read_json
 from repro.experiments.profiler import ResourceProfiler
 from repro.experiments.spec import MODEL_FRAMEWORKS, CellSpec, ExperimentSpec
-from repro.experiments.workers import (
-    MATRIX_AUTHKEY_ENV_VAR,
-    _MatrixServer,
-    run_matrix_worker,
-)
 from repro.perfmodels import iterative_kmeans, simulate
 from repro.storage import StorageConfig
 from repro.workloads.base import WORKLOADS, RunParams, run_workload
+
 SPEC_FILE = "spec.json"
 MANIFEST_FILE = "manifest.json"
 CELLS_DIR = "cells"
+
+
+def cell_path(out_dir: str, cell: CellSpec) -> str:
+    """Where ``cell``'s checkpoint lives under the matrix directory ``out_dir``.
+
+    Examples:
+        >>> from repro.experiments.spec import CellSpec
+        >>> cell_path("matrix", CellSpec("kmeans", "iteration", "datampi",
+        ...                              "tiny", "inline"))
+        'matrix/cells/kmeans.iteration.datampi.tiny.inline.json'
+    """
+    return os.path.join(out_dir, CELLS_DIR, f"{cell.cell_id}.json")
 
 
 def checksum(obj: Any) -> str:
@@ -235,7 +229,7 @@ def execute_cell(cell: CellSpec, spec: ExperimentSpec) -> CellResult:
 def _recorded(run: Callable[..., CellResult], cell: CellSpec,
               *args: Any) -> CellResult:
     """``run(cell, *args)``, with a crashing workload recorded as a ``failed``
-    result rather than raised: the matrix (or pool, or worker) continues."""
+    result rather than raised: the matrix (or pool) continues."""
     try:
         return run(cell, *args)
     except Exception as exc:  # noqa: BLE001 - recorded, matrix continues
@@ -245,8 +239,8 @@ def _recorded(run: Callable[..., CellResult], cell: CellSpec,
 
 def _profiled_cell(cell: CellSpec, spec: ExperimentSpec,
                    interval_sec: float) -> CellResult:
-    """The per-cell pipeline every strategy runs: the functional run,
-    profiled inside the executing process, plus the analytical model."""
+    """The per-cell pipeline serial and pooled runs share: the functional
+    run, profiled inside the executing process, plus the analytical model."""
     profiler = ResourceProfiler(interval_sec=interval_sec)
     result, usage = profiler.profile(execute_cell, cell, spec)
     result.elapsed_sec = usage.wall_sec
@@ -279,12 +273,6 @@ class MatrixRunner:
     :class:`~repro.experiments.reportbuilder.ReportBuilder` is
     order-independent and byte counters are exact, render byte-identical
     reports (``tests/test_parallel_matrix.py`` asserts this).
-
-    ``serve="host:port"`` instead runs the *distributed* strategy: the
-    serial loop, with remote workers (:func:`run_matrix_worker`) admitted
-    beside it that are handed cells from the same queue and stream results
-    back; the parent stays the only checkpoint writer, so reports remain
-    byte-identical to a serial run.
     """
 
     def __init__(
@@ -294,15 +282,11 @@ class MatrixRunner:
         profile_interval_sec: float = 0.02,
         progress: Callable[[CellResult], None] | None = None,
         workers: int | None = None,
-        serve: str | None = None,
-        worker_timeout: float = 600.0,
     ):
         self.spec = spec
         self.out_dir = out_dir
         self.profile_interval_sec = profile_interval_sec
         self.progress = progress or (lambda result: None)
-        self.serve = serve
-        self.worker_timeout = worker_timeout
         if workers is None:
             workers = 1
         if isinstance(workers, bool) or not isinstance(workers, int):
@@ -316,20 +300,9 @@ class MatrixRunner:
                 f"got {workers}"
             )
         self.workers = workers if workers >= 1 else (os.cpu_count() or 1)
-        if serve is not None and self.workers > 1:
-            raise ConfigError(
-                "serve (distributed workers) and workers (process pool) "
-                "are mutually exclusive; pick one parallelism strategy"
-            )
-        self._server: _MatrixServer | None = None
-        if serve is not None:
-            # Bind eagerly so the resolved address (an ephemeral port is
-            # legal) is known before run() — workers need it to join.
-            self._server = _MatrixServer(spec, serve, profile_interval_sec)
-            self.serve = self._server.address
 
     def cell_path(self, cell: CellSpec) -> str:
-        return os.path.join(self.out_dir, CELLS_DIR, f"{cell.cell_id}.json")
+        return cell_path(self.out_dir, cell)
 
     # -- execution ---------------------------------------------------------------
 
@@ -349,41 +322,12 @@ class MatrixRunner:
 
     def _run_in_process(self, pending: list[CellSpec],
                         by_id: dict[str, CellResult]) -> int:
-        """The loop serial and served runs share: take the next pending
-        cell, execute it here, checkpoint, then record whatever joined
-        workers streamed back meanwhile.
-
-        Without a server every cell is taken here, in spec order.  With
-        one, the server owns the queue and hands cells to this loop and to
-        its workers alike; when nothing is left to take, the loop waits
-        for the workers, and ``worker_timeout`` seconds in which no result
-        arrives and no cell comes back from a dead worker is a stall.
-        """
-        server = self._server
-        remaining = {cell.cell_id: cell for cell in pending}
-        if server is not None:
-            server.offer(pending)
-        while remaining:
-            cell = (server.take() if server is not None
-                    else next(iter(remaining.values())))
-            if cell is not None:
-                arrived = [(cell.cell_id, _recorded(self.execute_cell, cell))]
-            elif server.wait(self.worker_timeout):  # only a server's take() is None
-                arrived = []
-            else:
-                raise JobError(
-                    f"distributed matrix stalled: cells "
-                    f"{sorted(remaining)} still in flight after "
-                    f"{self.worker_timeout}s without progress"
-                )
-            if server is not None:
-                arrived += server.drain()
-            for cell_id, result in arrived:
-                cell = remaining.pop(cell_id, None)
-                if cell is not None:  # else a duplicate: first result wins
-                    self._checkpoint(cell, result)
-                    by_id[cell_id] = result
-                    self.progress(result)
+        """Execute pending cells here, in spec order, checkpointing each."""
+        for cell in pending:
+            result = _recorded(self.execute_cell, cell)
+            self._checkpoint(cell, result)
+            by_id[cell.cell_id] = result
+            self.progress(result)
         return len(pending)
 
     def _run_parallel(self, pending: list[CellSpec],
@@ -421,37 +365,34 @@ class MatrixRunner:
         checkpointed (so the report can show the hole), but failed cells
         are always re-executed on resume.
         """
-        # The listener is bound since __init__: entered here, around the
-        # whole body, every way out of run() closes it.
-        with self._server or contextlib.nullcontext():
-            os.makedirs(os.path.join(self.out_dir, CELLS_DIR), exist_ok=True)
-            atomic_write_json(os.path.join(self.out_dir, SPEC_FILE),
-                              {"spec_hash": self.spec.spec_hash,
-                               **self.spec.to_dict()})
-            if not resume:
-                # Delete the stale checkpoints rather than merely ignoring
-                # them: were this run interrupted, the next (resuming) one
-                # would take a lingering "done" checkpoint for its own.
-                for cell in self.spec.cells:
-                    try:
-                        os.unlink(self.cell_path(cell))
-                    except FileNotFoundError:
-                        pass
-            by_id: dict[str, CellResult] = {}
-            pending: list[CellSpec] = []
-            resumed = 0
+        os.makedirs(os.path.join(self.out_dir, CELLS_DIR), exist_ok=True)
+        atomic_write_json(os.path.join(self.out_dir, SPEC_FILE),
+                          {"spec_hash": self.spec.spec_hash,
+                           **self.spec.to_dict()})
+        if not resume:
+            # Delete the stale checkpoints rather than merely ignoring
+            # them: were this run interrupted, the next (resuming) one
+            # would take a lingering "done" checkpoint for its own.
             for cell in self.spec.cells:
-                loaded = self._load_cell(cell) if resume else None
-                if loaded is not None:
-                    by_id[cell.cell_id] = loaded
-                    resumed += 1
-                    self.progress(loaded)
-                else:
-                    pending.append(cell)
-            if self.workers > 1 and len(pending) > 1:
-                executed = self._run_parallel(pending, by_id)
+                try:
+                    os.unlink(self.cell_path(cell))
+                except FileNotFoundError:
+                    pass
+        by_id: dict[str, CellResult] = {}
+        pending: list[CellSpec] = []
+        resumed = 0
+        for cell in self.spec.cells:
+            loaded = self._load_cell(cell) if resume else None
+            if loaded is not None:
+                by_id[cell.cell_id] = loaded
+                resumed += 1
+                self.progress(loaded)
             else:
-                executed = self._run_in_process(pending, by_id)
+                pending.append(cell)
+        if self.workers > 1 and len(pending) > 1:
+            executed = self._run_parallel(pending, by_id)
+        else:
+            executed = self._run_in_process(pending, by_id)
         results = [by_id[cell.cell_id] for cell in self.spec.cells]
         atomic_write_json(os.path.join(self.out_dir, MANIFEST_FILE), {
             "complete": True,
@@ -515,8 +456,8 @@ def load_matrix(out_dir: str) -> MatrixResult:
     spec = ExperimentSpec.from_dict(spec_doc)
     results: list[CellResult] = []
     for cell in spec.cells:
-        path = os.path.join(out_dir, CELLS_DIR, f"{cell.cell_id}.json")
-        state, record = _classify_checkpoint(path, spec.spec_hash)
+        state, record = _classify_checkpoint(cell_path(out_dir, cell),
+                                             spec.spec_hash)
         if state in ("done", "failed"):  # reports show failed cells as holes
             results.append(CellResult.from_dict(record["result"], resumed=True))
     if not results:
@@ -551,8 +492,8 @@ def checkpoint_status(spec: ExperimentSpec, out_dir: str) -> dict[str, str]:
     """
     status: dict[str, str] = {}
     for cell in spec.cells:
-        path = os.path.join(out_dir, CELLS_DIR, f"{cell.cell_id}.json")
-        state, _record = _classify_checkpoint(path, spec.spec_hash)
+        state, _record = _classify_checkpoint(cell_path(out_dir, cell),
+                                              spec.spec_hash)
         status[cell.cell_id] = state
     return status
 
@@ -584,14 +525,13 @@ def verify_cross_engine(result: MatrixResult) -> dict[str, bool]:
 
 
 __all__: Sequence[str] = (
-    "MATRIX_AUTHKEY_ENV_VAR",
     "CellResult",
     "MatrixResult",
     "MatrixRunner",
+    "cell_path",
     "checkpoint_status",
     "checksum",
     "execute_cell",
     "load_matrix",
-    "run_matrix_worker",
     "verify_cross_engine",
 )

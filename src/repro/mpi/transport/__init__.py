@@ -29,8 +29,6 @@ from repro.mpi.transport.base import (
 )
 from repro.mpi.transport.channel import (
     AUTHKEY_ENV_VAR,
-    answer_challenge,
-    deliver_challenge,
     parse_address,
     parse_authkey,
     resolve_authkey,
@@ -94,12 +92,10 @@ __all__ = [
     "ThreadTransport",
     "Transport",
     "World",
-    "answer_challenge",
     "available_transports",
     "decode_batch",
     "decode_payload",
     "default_transport_name",
-    "deliver_challenge",
     "encode_batch",
     "encode_payload",
     "get_transport",

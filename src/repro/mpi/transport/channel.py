@@ -5,9 +5,8 @@ Control-plane frames unpickle (:mod:`repro.mpi.transport.codec`), and
 unpickling attacker-controlled bytes is arbitrary code execution — so
 **no socket reaches the frame layer unauthenticated**.  This module
 enforces that by being the only place a listener is opened, a connection
-accepted or dialled, and the challenge spoken: the tcp rendezvous, the
-rank-pair fabric and the experiment matrix's worker protocol all get
-their sockets from :func:`accept_authenticated` /
+accepted or dialled, and the challenge spoken: the tcp rendezvous and
+the rank-pair fabric get their sockets from :func:`accept_authenticated` /
 :func:`connect_authenticated` and from nowhere else.  (The shm
 transport's ``socket.socketpair()`` fabric needs no handshake: it is made
 before the fork and has no address, so only the run's own processes hold
@@ -20,7 +19,7 @@ wire is not encrypted — treat an address token as a credential and run
 on networks where eavesdropping is acceptable.  The secret comes from (in
 priority order) an explicit ``authkey=`` argument, the key segment of an
 address token (``HOST:PORT/KEY`` — what a server prints when it generated
-the key itself), or an environment variable.
+the key itself), or the ``REPRO_TCP_AUTHKEY`` environment variable.
 
 Both birth functions also switch Nagle's algorithm off (the tcp
 no-delay option) before the first byte of the challenge.  Every frame is
@@ -55,7 +54,16 @@ AUTH_NONCE_BYTES = 32
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
     """``"host:port"`` or ``"host:port/key"`` (or an already-split tuple)
     -> ``(host, port)``.  The key segment, if any, is read separately by
-    :func:`parse_authkey`."""
+    :func:`parse_authkey`.
+
+    Examples:
+        >>> parse_address("10.0.0.1:9997/s3cret")
+        ('10.0.0.1', 9997)
+        >>> parse_authkey("10.0.0.1:9997/s3cret")
+        's3cret'
+        >>> format_address(("10.0.0.1", 9997), "s3cret")
+        '10.0.0.1:9997/s3cret'
+    """
     host: str
     raw_port: Any
     if isinstance(address, (tuple, list)):
@@ -97,20 +105,18 @@ def _coerce_authkey(authkey: str | bytes) -> bytes:
 
 
 def supplied_authkey(
-    explicit: str | bytes | None, address: str | tuple[str, int], env_var: str
+    explicit: str | bytes | None, address: str | tuple[str, int]
 ) -> bytes | None:
     """The secret this process was *given*: the explicit argument, then
     the ``/KEY`` segment of ``address``, then the environment.  ``None``
     when none supplies one — a joiner must then refuse to dial."""
     key = explicit if explicit is not None else (
-        parse_authkey(address) or os.environ.get(env_var) or None
+        parse_authkey(address) or os.environ.get(AUTHKEY_ENV_VAR) or None
     )
     return None if key is None else _coerce_authkey(key)
 
 
-def resolve_authkey(
-    explicit: str | bytes | None, env_var: str = AUTHKEY_ENV_VAR
-) -> tuple[bytes, str | None]:
+def resolve_authkey(explicit: str | bytes | None) -> tuple[bytes, str | None]:
     """Pick a serving side's shared secret: explicit argument, then the
     environment, then a fresh random key.
 
@@ -119,7 +125,7 @@ def resolve_authkey(
     secret the operator supplied out-of-band is never echoed back into
     printed addresses or logs.
     """
-    key = supplied_authkey(explicit, "", env_var)
+    key = supplied_authkey(explicit, "")
     if key is not None:
         return key, None
     token = secrets.token_hex(16)

@@ -89,8 +89,7 @@ from repro.mpi.transport.ranks import (
 #: Peer-connection preamble: the connecting rank announces itself.
 _HELLO = struct.Struct(">I")
 
-# -- frame kinds (one byte; 16+ is reserved for higher-level protocols
-#    that reuse this framing, e.g. the distributed matrix workers) -------------
+# -- frame kinds (one byte) -----------------------------------------------------
 KIND_DATA = 1      #: point-to-point payload (tag = message tag)
 KIND_ABORT = 2     #: poison: a peer rank failed, blocked receives must raise
 KIND_REGISTER = 3  #: rank -> rendezvous: (rank | None, host, port)
@@ -103,10 +102,11 @@ KIND_RESTART = 7   #: launcher -> rank: world restarting, re-register
 #: tearing down unilaterally.
 SHUTDOWN_GRACE = 30.0
 
-#: Seconds the rendezvous waits for an accepted connection's handshake and
-#: registration frame.  Real ranks register immediately after connecting;
-#: this bounds how long one silent stray connection can stall the (serial)
-#: accept loop without letting it eat the whole world-formation deadline.
+#: Seconds a listener (the rendezvous, or a rank's pair listener) waits for
+#: an accepted connection's handshake and first frame.  Real ranks speak
+#: immediately after connecting; this bounds how long one silent stray
+#: connection can stall the (serial) accept loop without letting it eat
+#: the whole world-formation deadline.
 _REGISTER_TIMEOUT = 2.0
 
 _CONTROL = -1  # an endpoint's selector key for the control channel
@@ -517,10 +517,12 @@ def _build_endpoint(
                                 )
                             continue  # stray control frame; keep accepting
                         # The peer listener is just as reachable by strays
-                        # as the rendezvous is: dropped, deadline governs.
+                        # as the rendezvous is: each gets the same bound,
+                        # is dropped, and the deadline governs.
                         conn = channel.accept_authenticated(
                             listener, authkey,
-                            max(0.1, deadline - time.monotonic()),
+                            max(0.1, min(_REGISTER_TIMEOUT,
+                                         deadline - time.monotonic())),
                         )
                         if conn is None:
                             continue
@@ -865,7 +867,7 @@ def join_world(
     # A joiner is a dedicated rank process: a fault plan (usually from
     # REPRO_FAULT_PLAN in its environment) may hard-kill it.
     faultinject.mark_killable()
-    key = channel.supplied_authkey(authkey, address, channel.AUTHKEY_ENV_VAR)
+    key = channel.supplied_authkey(authkey, address)
     if key is None:
         raise MPIError(
             "joining a tcp world requires its authkey: use the full "

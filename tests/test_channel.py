@@ -5,35 +5,35 @@ Frames unpickle, so the property each listener must hold is the same:
 a peer that cannot clear the HMAC challenge is dropped within the
 listener's bound with nothing deserialised, and the listener then still
 admits a correctly keyed peer.  The suite crosses every hostile
-behaviour with every listener — ``accept_authenticated`` itself, the tcp
-rendezvous at generation 0 and during an elastic restart, and the
-experiment matrix's worker server.
+behaviour with every listener — ``accept_authenticated`` itself, the
+tcp rendezvous at generation 0 and during an elastic restart, and a
+rank's pair listener that its higher-numbered peers dial.
 """
 
 import hmac
 import os
+import secrets
 import socket
 import threading
 
 import pytest
 
-import repro.experiments.workers as workers_module
+import repro.mpi.transport.channel as channel_module
 import repro.mpi.transport.tcp as tcp_module
 from repro.common.errors import MPIError
-from repro.experiments.workers import (
-    _MatrixServer,
-    _WK_HELLO,
-    _WK_WELCOME,
-    _WORKER_PROTO,
-)
-from repro.experiments.spec import CellSpec, ExperimentSpec
 from repro.mpi.transport import TcpWorldServer, join_world, parse_address
 from repro.mpi.transport.channel import (
     AUTH_NONCE_BYTES,
+    AUTHKEY_ENV_VAR,
     accept_authenticated,
+    close_quietly,
     connect_authenticated,
+    format_address,
     listen_on,
+    parse_authkey,
+    resolve_authkey,
     supplied_authkey,
+    try_send_frame,
 )
 from repro.mpi.transport.codec import (
     WIRE_HEADER,
@@ -58,9 +58,7 @@ DROP_DEADLINE = 10.0
 @pytest.fixture(autouse=True)
 def _short_stray_bounds(monkeypatch):
     monkeypatch.delenv("REPRO_TCP_AUTHKEY", raising=False)
-    monkeypatch.delenv("REPRO_MATRIX_AUTHKEY", raising=False)
     monkeypatch.setattr(tcp_module, "_REGISTER_TIMEOUT", STRAY_BOUND)
-    monkeypatch.setattr(workers_module, "_WK_HELLO_TIMEOUT", STRAY_BOUND)
 
 
 class _EvilPayload:
@@ -83,28 +81,53 @@ def _crafted_frame(kind: int, flag: str) -> bytes:
 
 
 # -- the hostile peers: what each does with its freshly dialled socket ---------
+#    (``key`` is the listener's real secret, which only a replay may use)
 
 
-def _silent(sock, kind, flag):
+def _silent(sock, kind, flag, key):
     pass  # port scan / health check: connects and says nothing
 
 
-def _wrong_key(sock, kind, flag):
+def _wrong_key(sock, kind, flag, key):
     nonce = recv_exact(sock, AUTH_NONCE_BYTES)
     sock.sendall(hmac.new(b"not-the-key", b"client:" + nonce, "sha256").digest())
 
 
-def _garbage(sock, kind, flag):
+def _garbage(sock, kind, flag, key):
     sock.sendall(b"GET / HTTP/1.1\r\nHost: probe\r\n\r\n" + bytes(range(64)))
 
 
-def _eof_mid_challenge(sock, kind, flag):
+def _eof_mid_challenge(sock, kind, flag, key):
     sock.sendall(b"half-a-digest")
     sock.shutdown(socket.SHUT_WR)
 
 
-def _crafted_pickle(sock, kind, flag):
+def _crafted_pickle(sock, kind, flag, key):
     sock.sendall(_crafted_frame(kind, flag))
+
+
+def _digest_then_canary(sock, digest, kind, flag):
+    """Answer the challenge with ``digest`` and follow it straight up
+    with the crafted frame, as a peer expecting to be let in would."""
+    try:
+        sock.sendall(digest + _crafted_frame(kind, flag))
+    except OSError:
+        pass  # already hung up on: the outcome the suite asserts
+
+
+def _reflected_nonce(sock, kind, flag, key):
+    """Hands the listener its own nonce back as the digest."""
+    _digest_then_canary(sock, recv_exact(sock, AUTH_NONCE_BYTES), kind, flag)
+
+
+def _replayed_digest(sock, kind, flag, key):
+    """A digest captured from an earlier, genuine handshake: right key,
+    another nonce.  Only a fresh nonce per accept stops the replay."""
+    recv_exact(sock, AUTH_NONCE_BYTES)
+    captured = secrets.token_bytes(AUTH_NONCE_BYTES)
+    _digest_then_canary(
+        sock, hmac.new(key, b"client:" + captured, "sha256").digest(),
+        kind, flag)
 
 
 ATTACKS = {
@@ -113,6 +136,8 @@ ATTACKS = {
     "garbage": _garbage,
     "eof-mid-challenge": _eof_mid_challenge,
     "crafted-pickle": _crafted_pickle,
+    "reflected-nonce": _reflected_nonce,
+    "replayed-digest": _replayed_digest,
 }
 
 
@@ -130,15 +155,15 @@ def _was_dropped(sock: socket.socket) -> bool:
     return True
 
 
-# -- the listeners: each lets `attack(address, kind)` strike, then proves a
-#    correctly keyed peer is still admitted -------------------------------------
+# -- the listeners: each lets `attack(address, kind, key)` strike, then proves
+#    a correctly keyed peer is still admitted -----------------------------------
 
 
 def _direct(attack, tmp_path, spawn_doomed_rank):
     listener = listen_on("127.0.0.1", 0, 8)
     try:
         address = listener.getsockname()[:2]
-        hostile = attack(address, KIND_REGISTER)
+        hostile = attack(address, KIND_REGISTER, KEY)
         dialled: list[socket.socket | None] = []
         dialler = threading.Thread(target=lambda: dialled.append(
             connect_authenticated(address, KEY, DROP_DEADLINE)))
@@ -161,7 +186,8 @@ def _direct(attack, tmp_path, spawn_doomed_rank):
 
 def _rendezvous(attack, tmp_path, spawn_doomed_rank):
     server = TcpWorldServer(world_size=1)
-    hostile = attack(parse_address(server.address), KIND_REGISTER)
+    hostile = attack(parse_address(server.address), KIND_REGISTER,
+                     supplied_authkey(None, server.address))
     joiner = threading.Thread(
         target=join_world, args=(server.address, lambda comm: comm.rank),
         kwargs={"timeout": 30.0},
@@ -189,7 +215,8 @@ def _rendezvous_restart(attack, tmp_path, spawn_doomed_rank):
         threads[-1].start()
 
     def respawn(rank: int) -> None:
-        struck.append(attack(parse_address(server.address), KIND_REGISTER))
+        struck.append(attack(parse_address(server.address), KIND_REGISTER,
+                             supplied_authkey(None, server.address)))
         join(rank)
 
     server = TcpWorldServer(world_size=2, restarts=1, respawn=respawn)
@@ -204,30 +231,45 @@ def _rendezvous_restart(attack, tmp_path, spawn_doomed_rank):
     return struck[0]
 
 
-def _matrix_server(attack, tmp_path, spawn_doomed_rank):
-    spec = ExperimentSpec("hostile-peers", (
-        CellSpec("wordcount", "common", "hadoop-model", "tiny"),
-    ))
-    with _MatrixServer(spec, "127.0.0.1:0", 0.02, authkey=KEY) as server:
-        address = parse_address(server.address)
-        hostile = attack(address, _WK_HELLO)
-        worker = connect_authenticated(address, KEY, DROP_DEADLINE)
-        assert worker is not None
+def _pair_fabric(attack, tmp_path, spawn_doomed_rank):
+    """Rank 0's pair listener: the hostile peer is queued on it the moment
+    it is bound, ahead of rank 1, which can only dial once rank 0 has
+    registered and the address map is out."""
+    server = TcpWorldServer(world_size=2)
+    key = supplied_authkey(None, server.address)
+    struck: list[socket.socket] = []
+    ranks = [threading.Thread(
+        target=join_world,
+        args=(server.address, lambda comm: comm.allreduce(1)),
+        kwargs={"rank": rank, "timeout": 30.0},
+    ) for rank in (0, 1)]
+    listen = channel_module.listen_on
+
+    def listen_then_strike(host, port, backlog):
+        listener = listen(host, port, backlog)
+        if threading.current_thread() is ranks[0]:
+            struck.append(attack(listener.getsockname()[:2], KIND_REGISTER,
+                                 key))
+        return listener
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel_module, "listen_on", listen_then_strike)
+        for thread in ranks:
+            thread.start()
         try:
-            worker.settimeout(DROP_DEADLINE)
-            send_frame(worker, _WK_HELLO, obj={"proto": _WORKER_PROTO})
-            frame = recv_frame(worker)
-            assert frame is not None and frame[0] == _WK_WELCOME
+            assert server.run(timeout=30.0) == [2, 2]
         finally:
-            worker.close()
-    return hostile
+            for thread in ranks:
+                thread.join(10.0)
+    assert len(struck) == 1
+    return struck[0]
 
 
 LISTENERS = {
     "accept_authenticated": _direct,
     "rendezvous-generation-0": _rendezvous,
     "rendezvous-restart": _rendezvous_restart,
-    "matrix-server": _matrix_server,
+    "pair-fabric": _pair_fabric,
 }
 
 
@@ -240,13 +282,13 @@ class TestHostilePeers:
         flag = str(tmp_path / "pwned")
         misbehaving: list[threading.Thread] = []
 
-        def strike(address, kind):
+        def strike(address, kind, key):
             # The connect completes through the backlog; the misbehaviour
             # runs beside the listener (a challenge only arrives once the
             # listener gets round to accepting).
             sock = socket.create_connection(address, timeout=DROP_DEADLINE)
             misbehaving.append(threading.Thread(
-                target=ATTACKS[attack], args=(sock, kind, flag)))
+                target=ATTACKS[attack], args=(sock, kind, flag, key)))
             misbehaving[-1].start()
             return sock
 
@@ -277,12 +319,86 @@ class TestChannelContract:
     ):
         monkeypatch.setenv("REPRO_TCP_AUTHKEY", "from-env")
         token = "10.0.0.1:9997/from-token"
-        env_var = "REPRO_TCP_AUTHKEY"
-        assert supplied_authkey("explicit", token, env_var) == b"explicit"
-        assert supplied_authkey(None, token, env_var) == b"from-token"
-        assert supplied_authkey(None, "10.0.0.1:9997", env_var) == b"from-env"
-        monkeypatch.delenv(env_var)
-        assert supplied_authkey(None, "10.0.0.1:9997", env_var) is None
+        assert supplied_authkey("explicit", token) == b"explicit"
+        assert supplied_authkey(None, token) == b"from-token"
+        assert supplied_authkey(None, "10.0.0.1:9997") == b"from-env"
+        monkeypatch.delenv("REPRO_TCP_AUTHKEY")
+        assert supplied_authkey(None, "10.0.0.1:9997") is None
+
+    def test_an_empty_env_var_supplies_no_key(self, monkeypatch):
+        """``REPRO_TCP_AUTHKEY=`` (set but empty) must not become the
+        empty-string secret every keyless peer also holds."""
+        monkeypatch.setenv(AUTHKEY_ENV_VAR, "")
+        assert supplied_authkey(None, "10.0.0.1:9997") is None
+        key, token = resolve_authkey(None)
+        assert token is not None and key == token.encode()
+
+    @pytest.mark.parametrize("explicit, env, printed", [
+        ("explicit", None, False),
+        (None, "from-env", False),
+        (None, None, True),
+    ], ids=["explicit", "env", "generated"])
+    def test_a_served_key_is_printed_only_when_generated(
+        self, monkeypatch, explicit, env, printed
+    ):
+        """A secret the operator supplied never comes back as a token to
+        embed in printed addresses; a generated one must, or nobody could
+        join."""
+        if env is not None:
+            monkeypatch.setenv(AUTHKEY_ENV_VAR, env)
+        key, token = resolve_authkey(explicit)
+        if printed:
+            assert token is not None and len(token) == 32
+            assert key == token.encode()
+            assert resolve_authkey(None)[1] != token  # fresh per server
+        else:
+            assert token is None
+            assert key == (explicit or env).encode()
+
+    @pytest.mark.parametrize("token, address, key", [
+        ("10.0.0.1:9997", ("10.0.0.1", 9997), None),
+        ("10.0.0.1:9997/s3cret", ("10.0.0.1", 9997), "s3cret"),
+        ("10.0.0.1:9997/", ("10.0.0.1", 9997), None),
+        (("10.0.0.1", 9997), ("10.0.0.1", 9997), None),
+    ], ids=["bare", "keyed", "empty-key", "tuple"])
+    def test_address_tokens_split_into_address_and_key(
+        self, token, address, key
+    ):
+        assert parse_address(token) == address
+        assert parse_authkey(token) == key
+        assert parse_address(format_address(address, key)) == address
+        assert parse_authkey(format_address(address, key)) == key
+
+    def test_accepted_socket_keeps_its_bound_and_dialled_one_blocks(self):
+        """The accepted side still carries the handshake bound, so the
+        peer's first message is bounded too; the dialled side is handed
+        back blocking."""
+        listener = listen_on("127.0.0.1", 0, 1)
+        dialled: list[socket.socket | None] = []
+        try:
+            address = listener.getsockname()[:2]
+            dialler = threading.Thread(target=lambda: dialled.append(
+                connect_authenticated(address, KEY, DROP_DEADLINE)))
+            dialler.start()
+            accepted = accept_authenticated(listener, KEY, 1.5)
+            dialler.join(DROP_DEADLINE)
+            try:
+                assert accepted is not None and dialled[0] is not None
+                assert accepted.gettimeout() == 1.5
+                assert dialled[0].gettimeout() is None
+            finally:
+                close_quietly(accepted, *dialled)
+        finally:
+            listener.close()
+
+    def test_teardown_helpers_tolerate_torn_and_missing_sockets(self):
+        left, right = socket.socketpair()
+        right.close()
+        sent = [try_send_frame(left, KIND_REGISTER, obj=bytes(1 << 20))
+                for _ in range(2)]
+        assert sent[-1] is False  # the peer is gone: no exception
+        close_quietly(None, left, left)
+        assert left.fileno() == -1
 
     def test_connect_reports_a_vanished_server_as_none(self):
         """A server that accepts and hangs up before challenging is gone,

@@ -294,39 +294,45 @@ class TestExperimentCommand:
         assert "32 done" in after and "pending" not in after.split("\n")[-2]
 
 
-class TestDistributedExperimentCommands:
+class TestParallelExperimentCommands:
     def test_non_integer_parallel_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["experiment", "run", "--quick", "--parallel", "many"])
         assert "expected an integer worker count" in capsys.readouterr().err
 
-    def test_serve_and_parallel_conflict_is_one_line(self, capsys, tmp_path):
-        assert main(["experiment", "run", "--quick",
-                     "--out", str(tmp_path / "m"),
-                     "--parallel", "4", "--serve", "127.0.0.1:0"]) == 2
-        err = capsys.readouterr().err
-        assert "mutually exclusive" in err
-        assert "Traceback" not in err
-
-    def test_worker_requires_join(self, capsys):
+    @pytest.mark.parametrize("value, message", [
+        ("1.5", "expected an integer worker count"),
+        ("", "expected an integer worker count"),
+        ("-1", "must be >= 0"),
+    ], ids=["float", "empty", "minus-one"])
+    def test_bad_parallel_value_is_a_one_line_usage_error(
+            self, capsys, value, message):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "worker"])
-
-    def test_worker_without_parent_is_one_line_error(self, capsys):
-        assert main(["experiment", "worker", "--join", "127.0.0.1:9",
-                     "--connect-timeout", "0.3"]) == 2
+            build_parser().parse_args(
+                ["experiment", "run", "--quick", "--parallel", value])
         err = capsys.readouterr().err
-        assert "no matrix parent serving" in err
-        assert "Traceback" not in err
+        assert message in err and "Traceback" not in err
 
-    def test_serve_run_completes_without_workers(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, workers", [
+        (["--parallel", "3"], 3),
+        (["--parallel"], 0),
+        ([], 1),
+    ], ids=["count", "bare", "absent"])
+    def test_parallel_parses_to_a_worker_count(self, argv, workers):
+        """Bare ``--parallel`` is 0 (one worker per core); without the
+        flag the run is serial."""
+        args = build_parser().parse_args(
+            ["experiment", "run", "--quick", *argv])
+        assert args.parallel == workers
+
+    def test_no_resume_reruns_every_cell_on_the_pool(self, capsys, tmp_path):
         out = str(tmp_path / "matrix")
+        assert main(["experiment", "run", "--quick", "--out", out]) == 0
+        capsys.readouterr()
         assert main(["experiment", "run", "--quick", "--out", out,
-                     "--serve", "127.0.0.1:0"]) == 0
-        output = capsys.readouterr().out
-        assert "serving workers on 127.0.0.1:" in output
-        assert "32 executed" in output
+                     "--parallel", "2", "--no-resume"]) == 0
+        assert "32 executed, 0 resumed" in capsys.readouterr().out
 
 
 class TestWorkloadTransportOptions:

@@ -13,9 +13,11 @@ import repro.datampi.checkpoint
 import repro.datampi.job
 import repro.datampi.modes
 import repro.datampi.world
+import repro.experiments.matrix
 import repro.experiments.spec
 import repro.mpi.launcher
 import repro.mpi.transport.base
+import repro.mpi.transport.channel
 import repro.serving.pool
 import repro.storage.config
 import repro.storage.kvcache
@@ -27,9 +29,11 @@ DOCTESTED_MODULES = [
     repro.datampi.job,
     repro.datampi.modes,
     repro.datampi.world,
+    repro.experiments.matrix,
     repro.experiments.spec,
     repro.mpi.launcher,
     repro.mpi.transport.base,
+    repro.mpi.transport.channel,
     repro.serving.pool,
     repro.storage.config,
     repro.storage.kvcache,

@@ -1,11 +1,14 @@
 """Experiment matrix: spec validation, runner checkpointing, resume-after-kill."""
 
+import os
+
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.experiments.matrix import (
     CellResult,
     MatrixRunner,
+    cell_path,
     checkpoint_status,
     execute_cell,
     load_matrix,
@@ -340,6 +343,21 @@ class TestMatrixRunner:
         MatrixRunner(spec, str(tmp_path)).run()
         result = MatrixRunner(spec, str(tmp_path)).run(resume=False)
         assert result.executed == len(spec.cells) and result.resumed == 0
+
+    def test_runner_status_and_loader_share_one_cell_path(self, tmp_path):
+        spec = tiny_spec()
+        runner = MatrixRunner(spec, str(tmp_path))
+        runner.run()
+        moved = spec.cells[1]
+        assert runner.cell_path(moved) == cell_path(str(tmp_path), moved)
+        os.rename(cell_path(str(tmp_path), moved),
+                  str(tmp_path / "elsewhere.json"))
+        assert checkpoint_status(spec, str(tmp_path)) == {
+            cell.cell_id: "pending" if cell == moved else "done"
+            for cell in spec.cells
+        }
+        assert [r.spec.cell_id for r in load_matrix(str(tmp_path)).results] \
+            == [cell.cell_id for cell in spec.cells if cell != moved]
 
     def test_load_matrix_round_trips(self, tmp_path):
         spec = tiny_spec()

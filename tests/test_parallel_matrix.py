@@ -9,6 +9,7 @@ resume-after-kill contract — which this suite exercises with a real
 """
 
 import importlib.util
+import json
 import multiprocessing
 import os
 import pathlib
@@ -19,7 +20,12 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.experiments import matrix as matrix_module
-from repro.experiments.matrix import MatrixRunner, load_matrix
+from repro.experiments.matrix import (
+    MatrixRunner,
+    cell_path,
+    checkpoint_status,
+    load_matrix,
+)
 from repro.experiments.reportbuilder import ReportBuilder, VOLATILE_ARTIFACTS
 from repro.experiments.spec import CellSpec, ExperimentSpec, quick_spec
 
@@ -59,9 +65,17 @@ class TestWorkersKnob:
         runner = MatrixRunner(tiny_spec(), str(tmp_path), workers=0)
         assert runner.workers == (os.cpu_count() or 1)
 
-    def test_negative_workers_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            MatrixRunner(tiny_spec(), str(tmp_path), workers=-2)
+    @pytest.mark.parametrize("workers, message", [
+        (-2, "must be >= 0"),
+        (2.5, "must be an integer"),
+        (True, "must be an integer"),
+        ("2", "must be an integer"),
+    ], ids=["negative", "float", "bool", "string"])
+    def test_negative_workers_rejected(self, tmp_path, workers, message):
+        """Anything but an integer >= 0 is a one-line ConfigError, never
+        a pool traceback."""
+        with pytest.raises(ConfigError, match=message):
+            MatrixRunner(tiny_spec(), str(tmp_path), workers=workers)
 
     def test_workers_is_not_part_of_the_spec_hash(self, tmp_path):
         """Parallelism is a runner property: it must never invalidate
@@ -161,6 +175,121 @@ class TestParallelFailureHandling:
         assert not retry.failed_cells()
         assert retry.executed == 1
         assert retry.resumed == len(spec.cells) - 1
+
+
+#: The two execution strategies, as ``MatrixRunner(workers=...)`` values.
+STRATEGIES = {"serial": 1, "pool": 2}
+
+
+def _interrupt_after(count: int, reported: list):
+    """A progress callback that notes each executed cell and raises
+    ``KeyboardInterrupt`` (a Ctrl-C between two cells) at the
+    ``count``-th."""
+    def progress(result):
+        if not result.resumed:
+            reported.append(result.spec.cell_id)
+            if len(reported) == count:
+                raise KeyboardInterrupt
+    return progress
+
+
+def _checkpoint_files(out) -> list:
+    return sorted(path.name for path in (out / "cells").iterdir())
+
+
+@pytest.mark.parametrize("workers", STRATEGIES.values(), ids=STRATEGIES)
+class TestEveryStrategyKeepsTheCheckpointContract:
+    """The parent is the only checkpoint writer whichever strategy runs the
+    cells: each finished cell is written once, as it finishes, and nothing
+    else ever lands in the matrix directory."""
+
+    def test_every_cell_is_recorded_exactly_once(self, tmp_path, workers):
+        spec = tiny_spec()
+        reported: list = []
+        result = MatrixRunner(
+            spec, str(tmp_path), workers=workers,
+            progress=lambda r: reported.append(r.spec.cell_id)).run()
+        ids = [cell.cell_id for cell in spec.cells]
+        assert sorted(reported) == sorted(ids)
+        assert [r.spec.cell_id for r in result.results] == ids
+        assert _checkpoint_files(tmp_path) == sorted(f"{i}.json" for i in ids)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["num_cells"], manifest["executed"],
+                manifest["resumed"], manifest["failed"]) == (len(ids),
+                                                             len(ids), 0, 0)
+
+    def test_interrupt_leaves_only_finished_cell_checkpoints(
+            self, tmp_path, workers):
+        spec = tiny_spec()
+        reported: list = []
+        before = set(multiprocessing.active_children())
+        with pytest.raises(KeyboardInterrupt):
+            MatrixRunner(spec, str(tmp_path), workers=workers,
+                         progress=_interrupt_after(2, reported)).run()
+        # no pool process outlives the interrupted run
+        assert set(multiprocessing.active_children()) <= before
+        assert _checkpoint_files(tmp_path) == \
+            sorted(f"{i}.json" for i in reported)
+        assert not (tmp_path / "manifest.json").exists()
+        status = checkpoint_status(spec, str(tmp_path))
+        assert {i for i, state in status.items() if state == "done"} == \
+            set(reported)
+
+        rerun = MatrixRunner(spec, str(tmp_path), workers=workers).run()
+        assert rerun.resumed == 2
+        assert rerun.executed == len(spec.cells) - 2
+        assert load_matrix(str(tmp_path)).complete is True
+
+    def test_no_resume_clears_stale_checkpoints_before_running(
+            self, tmp_path, workers):
+        """An interrupted ``resume=False`` run must not leave the previous
+        run's checkpoints for the next resuming run to take as its own."""
+        spec = tiny_spec()
+        MatrixRunner(spec, str(tmp_path), workers=workers).run()
+        reported: list = []
+        with pytest.raises(KeyboardInterrupt):
+            MatrixRunner(spec, str(tmp_path), workers=workers,
+                         progress=_interrupt_after(1, reported)).run(
+                             resume=False)
+        assert _checkpoint_files(tmp_path) == [f"{reported[0]}.json"]
+        rerun = MatrixRunner(spec, str(tmp_path), workers=workers).run()
+        assert rerun.resumed == 1
+        assert rerun.executed == len(spec.cells) - 1
+
+    def test_resumed_cells_are_reported_first_in_spec_order(
+            self, tmp_path, workers):
+        spec = tiny_spec()
+        finished: list = []
+        with pytest.raises(KeyboardInterrupt):
+            MatrixRunner(spec, str(tmp_path), workers=workers,
+                         progress=_interrupt_after(3, finished)).run()
+        seen: list = []
+        MatrixRunner(spec, str(tmp_path), workers=workers,
+                     progress=lambda r: seen.append(
+                         (r.resumed, r.spec.cell_id))).run()
+        assert [resumed for resumed, _ in seen] == \
+            [True] * 3 + [False] * (len(spec.cells) - 3)
+        assert [i for resumed, i in seen if resumed] == \
+            [c.cell_id for c in spec.cells if c.cell_id in finished]
+        assert sorted(i for _, i in seen) == \
+            sorted(c.cell_id for c in spec.cells)
+
+    def test_damaged_checkpoints_are_re_executed(self, tmp_path, workers):
+        """A torn checkpoint is stale, not done: the rerun executes exactly
+        the damaged cells and records what the first run did."""
+        spec = tiny_spec()
+        first = MatrixRunner(spec, str(tmp_path), workers=workers).run()
+        victims = [spec.cells[1], spec.cells[3]]
+        for cell in victims:
+            path = pathlib.Path(cell_path(str(tmp_path), cell))
+            path.write_text(path.read_text()[:40])
+        assert {i for i, state in checkpoint_status(
+            spec, str(tmp_path)).items() if state == "stale"} == \
+            {cell.cell_id for cell in victims}
+        rerun = MatrixRunner(spec, str(tmp_path), workers=workers).run()
+        assert rerun.executed == len(victims)
+        assert rerun.resumed == len(spec.cells) - len(victims)
+        assert deterministic_record(rerun) == deterministic_record(first)
 
 
 def _run_matrix_child(spec_dict: dict, out_dir: str) -> None:

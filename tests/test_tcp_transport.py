@@ -44,10 +44,9 @@ TAG_REPLY = 12
 
 @pytest.fixture(autouse=True)
 def _no_ambient_authkeys(monkeypatch):
-    """An operator's exported authkeys must not leak into the key
+    """An operator's exported authkey must not leak into the key
     generation / token-embedding assertions."""
     monkeypatch.delenv("REPRO_TCP_AUTHKEY", raising=False)
-    monkeypatch.delenv("REPRO_MATRIX_AUTHKEY", raising=False)
 
 
 class TestSpecs:
@@ -441,6 +440,47 @@ class TestExternalJoin:
             for thread in (survivor, *replacements):
                 thread.join(30.0)
         assert len(replacements) == 1
+
+    def test_join_without_a_server_fails_at_once(self):
+        """Nothing listening: the refused connect surfaces right away,
+        not after the join deadline."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        started = time.monotonic()
+        with pytest.raises(OSError):
+            join_world(f"127.0.0.1:{port}/key", lambda comm: comm.rank,
+                       timeout=30.0)
+        assert time.monotonic() - started < 10.0
+
+    def test_join_against_a_mute_listener_times_out_instead_of_hanging(self):
+        """A listener that completes the connect (through its backlog) but
+        never challenges holds the joiner for its timeout, no longer."""
+        mute = socket.create_server(("127.0.0.1", 0))
+        try:
+            host, port = mute.getsockname()[:2]
+            started = time.monotonic()
+            with pytest.raises(socket.timeout):
+                join_world(f"{host}:{port}/key", lambda comm: comm.rank,
+                           timeout=0.5)
+            assert time.monotonic() - started < 10.0
+        finally:
+            mute.close()
+
+    def test_server_hanging_up_before_the_challenge_is_one_error(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            host, port = listener.getsockname()[:2]
+            closer = threading.Thread(
+                target=lambda: listener.accept()[0].close())
+            closer.start()
+            with pytest.raises(MPIError, match="hung up before the handshake"):
+                join_world(f"{host}:{port}/key", lambda comm: comm.rank,
+                           timeout=10.0)
+            closer.join(10.0)
+        finally:
+            listener.close()
 
     def test_rendezvous_times_out_when_ranks_never_join(self):
         server = TcpWorldServer(world_size=2)
