@@ -30,7 +30,7 @@ from repro.common.units import format_size, parse_size
 from repro import experiments
 from repro.datampi import EXECUTION_MODES
 from repro.experiments import report
-from repro.mpi.transport import available_transports
+from repro.mpi.transport import available_transports, default_transport_name
 from repro.perfmodels import simulate
 
 EXPERIMENTS = {
@@ -245,7 +245,8 @@ def _run_pooled_workload(args, workload, data, params, reference) -> int:
     ordered = sorted(latencies)
     p50 = statistics.median(ordered)
     p99 = ordered[min(len(ordered) - 1, max(0, -(-99 * len(ordered) // 100) - 1))]
-    transport = getattr(args.transport, "name", args.transport) or "thread"
+    transport = (getattr(args.transport, "name", args.transport)
+                 or default_transport_name())
     print(f"pooled {args.name}: {args.pool} jobs in {elapsed:.3f}s on one "
           f"warm {job.conf.num_o}x{job.conf.num_a} {transport} world — "
           f"{args.pool / elapsed:.1f} jobs/s, p50 {p50 * 1e3:.1f}ms, "

@@ -2,7 +2,8 @@
 
 The paper runs DataMPI over MVAPICH2-2.0b.  This module provides the MPI
 subset DataMPI needs — point-to-point send/receive with source and tag
-matching, barrier, and a handful of collectives.  *How* ranks execute and
+matching, and the collectives the runtime and the transport probe call:
+scatter, gather, bcast and barrier.  *How* ranks execute and
 how bytes cross between them is delegated to a pluggable transport
 endpoint (see :mod:`repro.mpi.transport`): threads in one process, forked
 processes over sockets, or a deterministic inline scheduler.
@@ -12,10 +13,7 @@ pair, matching MPI's non-overtaking guarantee.
 
 from __future__ import annotations
 
-import functools
-import itertools
-import operator
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import MPIError
 from repro.mpi.transport.base import (
@@ -167,41 +165,6 @@ class Comm:
         self._send(root, payload, tag)
         return None
 
-    def allgather(self, payload: Any) -> list[Any]:
-        """Gather at rank 0 then broadcast: every rank gets the full list."""
-        gathered = self.gather(payload, root=0)
-        return self.bcast(gathered, root=0)
-
-    def alltoall(self, chunks: list[Any]) -> list[Any]:
-        """Exchange ``chunks[i]`` with rank ``i``; returns received chunks
-        indexed by source rank."""
-        if len(chunks) != self.size:
-            raise MPIError(
-                f"alltoall needs {self.size} chunks, got {len(chunks)}"
-            )
-        tag = self._collective_tag(3)
-        received: list[Any] = [None] * self.size
-        received[self.rank] = chunks[self.rank]
-        # Pairs exchange in one global order, the lower rank sending
-        # first: a chunk larger than the pair's send buffering then always
-        # meets a rank receiving it, never one blocked in a send of its own.
-        for low, high in itertools.combinations(range(self.size), 2):
-            if self.rank == low:
-                self._send(high, chunks[high], tag)
-                received[high] = self.recv(high, tag).payload
-            elif self.rank == high:
-                received[low] = self.recv(low, tag).payload
-                self._send(low, chunks[low], tag)
-        return received
-
-    def allreduce(self, value: Any,
-                  op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Reduce a value across ranks (default: sum) and share the result.
-
-        A left fold in rank order, so every rank computes the same result.
-        """
-        return functools.reduce(op or operator.add, self.allgather(value))
-
     def barrier(self, timeout: float = RECV_TIMEOUT) -> None:
         """Wait until every rank in the world reaches the barrier.
 
@@ -209,7 +172,7 @@ class Comm:
         ``timeout`` bounds each receive.  A peer's death wakes the waiting
         ranks through their backend's receive poison.
         """
-        tag = self._collective_tag(4)
+        tag = self._collective_tag(4)  # kind 3 is retired; tags stay put
         if self.rank == 0:
             for source in range(1, self.size):
                 self.recv(source, tag, timeout)

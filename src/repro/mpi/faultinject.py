@@ -31,10 +31,11 @@ Action semantics depend on where the rank runs:
   (thread / inline transports) cannot be hard-killed without taking the
   whole interpreter down, so the action degrades to raising
   :class:`FaultInjected` — the transports' fail-fast abort path.
-- ``drop`` — severs the rank's registered connections (tcp endpoints
-  register a dropper that closes their control + peer sockets, so peers
-  observe EOF mid-protocol) and then behaves like ``kill``.  Without a
-  registered dropper it degrades to ``kill`` directly.
+- ``drop`` — severs the rank's registered connections (a shm or tcp
+  rank's endpoint registers a dropper that shuts its control + peer
+  sockets down, so peers and the launcher observe EOF mid-protocol) and
+  then behaves like ``kill``.  Without a registered dropper (thread and
+  inline ranks) it degrades to ``kill`` directly.
 - ``delay`` — sleeps ``delay`` seconds inside the rank, then continues.
 - ``raise`` — raises :class:`FaultInjected` (a deterministic task-style
   failure that every transport must fail fast on).

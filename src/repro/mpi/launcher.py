@@ -32,7 +32,7 @@ def mpi_run(
     overridable via the ``REPRO_TRANSPORT`` environment variable).
 
     Examples:
-        Every rank contributes to an allreduce-style sum via gather:
+        Every rank contributes to a sum gathered at rank 0:
 
         >>> from repro.mpi import mpi_run
         >>> def main(comm):

@@ -1,30 +1,41 @@
 """Rank supervision for the process transports: fork, collect, poison, reap.
 
 ``shm`` and ``tcp`` run each rank as a forked process that reports one
-outcome — ``("ok", result)`` or ``("err", exception)`` — to the launcher.
-The lifecycle around that is written once, here; a transport supplies
-only what differs: how to ``read`` an outcome off a rank's channel and how
-to ``poison`` the ranks still running.  Which error the run finally
-raises is :func:`~repro.mpi.transport.base.raise_rank_errors`' decision,
-shared with the in-process transports.
+outcome — ``("ok", result)`` or ``("err", exception)`` — to the launcher
+as a ``KIND_OUTCOME`` frame on its control socket, the socket the
+launcher answers on with ``KIND_ABORT`` poison and the final
+``KIND_SHUTDOWN``.  The lifecycle around that is written once, here, for
+both; the transports differ only in how the sockets are made.  Which
+error the run finally raises is
+:func:`~repro.mpi.transport.base.raise_rank_errors`' decision, shared
+with the in-process transports.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import socket
 import time
 from multiprocessing import connection
 from typing import Any, Callable, Sequence
 
 from repro.common.errors import MPIError
 from repro.mpi import faultinject
+from repro.mpi.transport import channel
 from repro.mpi.transport.base import raise_rank_errors
+from repro.mpi.transport.codec import recv_frame
+
+# -- frame kinds (one byte) -----------------------------------------------------
+KIND_DATA = 1      #: point-to-point payload (tag = message tag)
+KIND_ABORT = 2     #: poison: a peer rank failed, blocked receives must raise
+KIND_REGISTER = 3  #: rank -> rendezvous: (rank | None, host, port)
+KIND_ADDRS = 4     #: rendezvous -> rank: {"rank": r, "addrs": [(host, port)]}
+KIND_OUTCOME = 5   #: rank -> launcher: (rank, "ok" | "err", value)
+KIND_SHUTDOWN = 6  #: launcher -> rank: world complete, tear down
+KIND_RESTART = 7   #: launcher -> rank: world restarting, re-register
 
 #: Seconds a terminated rank gets to exit before it is killed outright.
 REAP_GRACE = 5.0
-
-#: What ``read`` returns for a message that is not an outcome (a stray).
-KEEP_WAITING: Any = object()
 
 Outcome = tuple[str, Any]
 
@@ -82,45 +93,41 @@ class ForkedRanks:
             process.close()
 
 
-def report_outcome(
-    send: Callable[[Outcome], Any], rank: int, outcome: Outcome
-) -> None:
-    """Rank side: hand ``outcome`` to ``send``; one that cannot be encoded
-    (an unpicklable result or exception attribute) degrades to an
-    ``MPIError`` carrying its repr and the encode failure.  ``send`` must
-    encode before it writes a byte, so the retry finds the channel aligned.
-    """
+def report_outcome(control: socket.socket, rank: int, outcome: Outcome) -> None:
+    """Rank side: send ``outcome`` as a ``KIND_OUTCOME`` frame on
+    ``control``.  One that cannot be encoded (an unpicklable result or
+    exception attribute, a frame over the cap) degrades to an ``MPIError``
+    carrying its repr and the encode failure; the codec encodes before it
+    writes a byte, so the retry finds the socket aligned.  A torn socket
+    is left to the launcher, which reads its EOF as a death."""
     try:
-        send(outcome)
+        channel.try_send_frame(control, KIND_OUTCOME, obj=(rank, *outcome))
     except Exception as exc:  # noqa: BLE001 - unpicklable closures, sockets, ...
-        send(("err", MPIError(
-            f"rank {rank}: {outcome[1]!r} could not be sent "
-            f"({type(exc).__name__}: {exc})"
-        )))
+        unsent = MPIError(f"rank {rank}: {outcome[1]!r} could not be sent "
+                          f"({type(exc).__name__}: {exc})")
+        channel.try_send_frame(control, KIND_OUTCOME, obj=(rank, "err", unsent))
 
 
 def collect_outcomes(
-    channels: Sequence[Any],
-    read: Callable[[int], "Outcome | None"],
-    poison: Callable[[list[int]], None],
+    channels: Sequence[socket.socket],
     timeout: float,
     processes: Sequence[Any] = (),
     deadline: float | None = None,
 ) -> tuple[list[Any], list[tuple[int, BaseException]], set[int]]:
     """Launcher side: one outcome per rank → ``(results, errors, dead)``.
 
-    ``channels[rank]`` is anything ``multiprocessing.connection.wait``
-    accepts (a pipe end, a socket).  ``read(rank)`` is called once it is
-    readable and returns the outcome, ``None`` for a closed or torn
-    channel, or :data:`KEEP_WAITING`.  The first failure calls ``poison``,
-    once, with the ranks still running.  ``dead`` holds the ranks that
-    ended without an outcome (each also has its entry in ``errors``).
+    ``channels[rank]`` is the launcher's end of rank ``rank``'s control
+    socket.  A frame other than an outcome is skipped; a closed or torn
+    socket is a death.  The first failure sends ``KIND_ABORT``, once, to
+    every rank still running.  ``dead`` holds the ranks that ended without
+    an outcome (each also has its entry in ``errors``).
 
-    With ``processes`` each child's sentinel is watched too: forked ranks
-    inherit every pipe's write end, so a killed rank never EOFs its own
-    pipe — only the sentinel reveals the death — and an outcome the child
-    left behind before exiting is still taken.  Without (externally
-    joined ranks) a closed channel alone is death.
+    With ``processes`` each child's sentinel is watched too: a process
+    forked at the same moment by another thread can inherit a rank's
+    control end before the launcher closes it, so a killed rank's socket
+    need not EOF — only the sentinel reveals the death — and an outcome
+    the child left behind before exiting is still taken.  Without
+    (externally joined ranks) a closed socket alone is death.
 
     Past the deadline — ``timeout`` from now, unless the caller's run
     already has one — the lowest-rank *cause* reported so far is raised,
@@ -130,7 +137,7 @@ def collect_outcomes(
     errors: list[tuple[int, BaseException]] = []
     dead: set[int] = set()
     pending = set(range(len(channels)))
-    owner = {channel: rank for rank, channel in enumerate(channels)}
+    owner: dict[Any, int] = {sock: rank for rank, sock in enumerate(channels)}
     owner.update((process.sentinel, rank) for rank, process in enumerate(processes))
     if deadline is None:
         deadline = time.monotonic() + timeout
@@ -144,13 +151,19 @@ def collect_outcomes(
         for item in connection.wait(watched, remaining):
             rank = owner[item]
             if rank not in pending:
-                continue  # channel and sentinel woke together; handled
+                continue  # socket and sentinel woke together; handled
             gone = item is not channels[rank]  # the sentinel: the child exited
             outcome = None
             if not gone or connection.wait([channels[rank]], 0):
-                outcome = read(rank)
-                if outcome is KEEP_WAITING:
-                    continue
+                try:
+                    frame = recv_frame(channels[rank])
+                except (MPIError, OSError):
+                    frame = None  # a torn socket is a death
+                if frame is not None:
+                    kind, _tag, obj = frame
+                    if kind != KIND_OUTCOME:
+                        continue  # a stray frame
+                    outcome = obj[1:]
             pending.discard(rank)
             if outcome is None:
                 dead.add(rank)
@@ -166,6 +179,7 @@ def collect_outcomes(
                 results[rank] = value
                 continue
             if not errors:
-                poison(sorted(pending))
+                for running in sorted(pending):
+                    channel.try_send_frame(channels[running], KIND_ABORT)
             errors.append((rank, value))
     return results, errors, dead

@@ -15,20 +15,20 @@ the run's own processes can reach them.
 
 Each rank closes every end it does not own, and the launcher closes its
 copies of the ranks' ends once they are forked, so a rank's death EOFs
-its peers' sockets at once.  The launcher keeps the control ends: it
-poisons the ranks still running with a ``KIND_ABORT`` frame when one
-fails, and once every outcome is in it sends each rank ``KIND_SHUTDOWN``.
-Until then a finished rank keeps reading its sockets
-(:meth:`~repro.mpi.transport.tcp.TcpEndpoint.await_verdict`), so a peer
-still sending to it never blocks.  Outcomes travel over result pipes
-under the shared rank supervisor (:mod:`repro.mpi.transport.ranks`).
+its peers' sockets at once.  The launcher keeps the control ends, and a
+rank lives exactly as a tcp rank does
+(:func:`~repro.mpi.transport.tcp.serve_rank`): it reports its outcome as
+a frame on its control socket, poisons its peers when it fails, and
+keeps reading until the launcher's ``KIND_SHUTDOWN``, so a peer still
+sending to it never blocks.  Collection, poison and reaping are the
+shared rank supervisor's (:mod:`repro.mpi.transport.ranks`).
 """
 
 from __future__ import annotations
 
 import socket
+import time
 from functools import partial
-from multiprocessing.connection import Connection
 from typing import Any, Callable
 
 from repro.common.errors import MPIError
@@ -41,17 +41,12 @@ from repro.mpi.transport.base import (
     register_transport,
 )
 from repro.mpi.transport.ranks import (
+    KIND_SHUTDOWN,
     ForkedRanks,
     collect_outcomes,
     fork_context,
-    report_outcome,
 )
-from repro.mpi.transport.tcp import (
-    KIND_ABORT,
-    KIND_SHUTDOWN,
-    SHUTDOWN_GRACE,
-    TcpEndpoint,
-)
+from repro.mpi.transport.tcp import TcpEndpoint, serve_rank
 
 
 @register_transport
@@ -62,9 +57,9 @@ class ShmTransport(Transport):
 
     def __init__(self, fault_plan=None):
         self._ctx = fork_context("shm transport", "use the thread transport instead")
-        # Ranks are real processes: kill rules hard-exit the child and
-        # the parent reports "died without reporting a result" (fail
-        # fast — only the tcp transport rebuilds worlds).
+        # Ranks are real processes: kill and drop rules hard-exit the
+        # child and the parent reports "died without reporting a result"
+        # (fail fast — only the tcp transport rebuilds worlds).
         self.fault_plan = faultinject.parse_fault_plan(fault_plan)
 
     def run(
@@ -74,11 +69,9 @@ class ShmTransport(Transport):
         args: tuple = (),
         timeout: float = JOIN_TIMEOUT,
     ) -> list[Any]:
-        from repro.mpi.comm import Comm  # local import: comm builds on this package
-
         if world_size < 1:
             raise MPIError(f"world size must be >= 1, got {world_size}")
-        ctx = self._ctx
+        deadline = time.monotonic() + timeout
 
         # links[r][p] is rank r's end of the (r, p) pair; controls[r] is
         # (the launcher's end, rank r's end).  Every pair joins ``pairs``
@@ -89,35 +82,20 @@ class ShmTransport(Transport):
             [None] * world_size for _ in range(world_size)
         ]
         controls: list[tuple[socket.socket, socket.socket]] = []
-        result_pipes: list[tuple[Connection, Connection]] = []
-        ranks = ForkedRanks(ctx)
+        ranks = ForkedRanks(self._ctx)
 
         def child(rank: int) -> None:
             control = controls[rank][1]
             mine = {control, *links[rank]}
             channel.close_quietly(
                 *(end for pair in pairs for end in pair if end not in mine))
-            endpoint = TcpEndpoint(rank, world_size, links[rank], control)
-            try:
+
+            def rank_main(comm: Any) -> Any:
                 faultinject.fire("rendezvous", rank=rank)
-                outcome = ("ok", main(Comm(endpoint), *args))
-            except BaseException as exc:  # noqa: BLE001 - reported to parent
-                outcome = ("err", exc)
-            report_outcome(result_pipes[rank][1].send, rank, outcome)
-            # Peers may still be sending: keep reading until the launcher
-            # says the whole world is done.
-            endpoint.await_verdict(SHUTDOWN_GRACE)
-            endpoint.close()
+                return main(comm, *args)
 
-        def read(rank: int) -> tuple[str, Any] | None:
-            try:
-                return result_pipes[rank][0].recv()
-            except EOFError:
-                return None
-
-        def poison(still_running: list[int]) -> None:
-            for rank in still_running:
-                channel.try_send_frame(controls[rank][0], KIND_ABORT)
+            serve_rank(TcpEndpoint(rank, world_size, links[rank], control),
+                       rank_main, deadline)
 
         try:
             for low in range(world_size):
@@ -129,15 +107,14 @@ class ShmTransport(Transport):
                 sock, peer = socket.socketpair()
                 pairs.append((sock, peer))
                 controls.append((sock, peer))
-            result_pipes.extend(ctx.Pipe(duplex=False) for _ in range(world_size))
             for rank in range(world_size):
                 ranks.spawn(f"mpi-rank-{rank}", partial(child, rank),
                             self.fault_plan)
             channel.close_quietly(*(end for row in links for end in row),
                                   *(end for _, end in controls))
             results, errors, _dead = collect_outcomes(
-                [reader for reader, _ in result_pipes], read, poison, timeout,
-                ranks.processes,
+                [launcher_end for launcher_end, _ in controls], timeout,
+                ranks.processes, deadline,
             )
         finally:
             for launcher_end, _ in controls:
@@ -146,8 +123,5 @@ class ShmTransport(Transport):
             for sock, peer in pairs:
                 sock.close()
                 peer.close()
-            for reader, writer in result_pipes:
-                reader.close()
-                writer.close()
         raise_rank_errors(errors)
         return results

@@ -62,6 +62,7 @@ import selectors
 import socket
 import struct
 import time
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.common.errors import MPIError
@@ -79,8 +80,15 @@ from repro.mpi.transport.base import (
 from repro.mpi.transport import channel
 from repro.mpi.transport.codec import recv_exact, recv_frame, send_frame
 from repro.mpi.transport.ranks import (
-    KEEP_WAITING,
+    KIND_ABORT,
+    KIND_ADDRS,
+    KIND_DATA,
+    KIND_OUTCOME,
+    KIND_REGISTER,
+    KIND_RESTART,
+    KIND_SHUTDOWN,
     ForkedRanks,
+    Outcome,
     collect_outcomes,
     fork_context,
     report_outcome,
@@ -88,15 +96,6 @@ from repro.mpi.transport.ranks import (
 
 #: Peer-connection preamble: the connecting rank announces itself.
 _HELLO = struct.Struct(">I")
-
-# -- frame kinds (one byte) -----------------------------------------------------
-KIND_DATA = 1      #: point-to-point payload (tag = message tag)
-KIND_ABORT = 2     #: poison: a peer rank failed, blocked receives must raise
-KIND_REGISTER = 3  #: rank -> rendezvous: (rank | None, host, port)
-KIND_ADDRS = 4     #: rendezvous -> rank: {"rank": r, "addrs": [(host, port)]}
-KIND_OUTCOME = 5   #: rank -> launcher: (rank, "ok" | "err", value)
-KIND_SHUTDOWN = 6  #: launcher -> rank: world complete, tear down
-KIND_RESTART = 7   #: launcher -> rank: world restarting, re-register
 
 #: Seconds a finished rank waits for the launcher's shutdown frame before
 #: tearing down unilaterally.
@@ -556,6 +555,41 @@ def _build_endpoint(
     return TcpEndpoint(rank, world_size, peers, control, generation)
 
 
+def serve_rank(
+    endpoint: TcpEndpoint, main: Callable[[Any], Any], deadline: float
+) -> tuple[Outcome, bool]:
+    """One generation of one rank, under both process transports: run
+    ``main`` on a :class:`Comm` over ``endpoint``, report the outcome on
+    the control socket, then keep reading until the launcher's verdict —
+    peers may still be receiving, and an early close would read as a
+    death.  Returns the outcome and whether the launcher restarts the world.
+
+    A ``drop`` rule fired meanwhile severs this endpoint's sockets, and a
+    failing ``main`` poisons the peers before the launcher hears of it.
+    The verdict is awaited up to ``SHUTDOWN_GRACE``, never past
+    ``deadline``.
+    """
+    from repro.mpi.comm import Comm  # local import: comm builds on this module
+
+    undrop = faultinject.register_dropper(endpoint.sever)
+    try:
+        outcome: Outcome = ("ok", main(Comm(endpoint)))
+    except BaseException as exc:  # noqa: BLE001 - reported to the launcher
+        endpoint.poison_peers()
+        outcome = ("err", exc)
+    finally:
+        undrop()
+    report_outcome(endpoint._control, endpoint.rank, outcome)
+    restart = endpoint.await_verdict(
+        min(SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic())))
+    endpoint.close()
+    return outcome, restart
+
+
+def _reraise(exc: BaseException, _comm: Any) -> Any:
+    raise exc
+
+
 def _run_rank(
     address: tuple[str, int],
     bind_host: str,
@@ -564,10 +598,10 @@ def _run_rank(
     args: tuple,
     timeout: float,
     authkey: str | bytes,
-) -> tuple[str, Any] | None:
-    """One rank's full lifecycle: control connection, fabric, ``main``,
-    outcome, shutdown.  ``None`` when the rendezvous at ``address`` hung
-    up before the handshake.
+) -> Outcome | None:
+    """One rank's full lifecycle: control connection, then fabric and
+    :func:`serve_rank` per generation.  ``None`` when the rendezvous at
+    ``address`` hung up before the handshake.
 
     When the launcher answers an outcome with ``KIND_RESTART`` (elastic
     recovery after a peer died), the rank loops: it re-registers over the
@@ -575,78 +609,36 @@ def _run_rank(
     runs ``main`` again — deterministic mains resume from whatever
     checkpoints they wrote, replaying the interrupted work.
     """
-    from repro.mpi.comm import Comm  # local import: comm builds on this module
-
     control = channel.connect_authenticated(address, authkey, timeout)
     if control is None:
         return None
     deadline = time.monotonic() + timeout
     generation = 0
+
+    def run_main(comm: Any) -> Any:
+        return main(comm, *args)
+
     with control:
         while True:
-            endpoint = None
-            undrop = None
+            body: Callable[[Any], Any] = run_main
             try:
                 endpoint = _build_endpoint(control, bind_host, rank, deadline,
                                            authkey, generation)
                 rank = endpoint.rank
-                # A drop rule severs precisely this generation's sockets.
-                undrop = faultinject.register_dropper(endpoint.sever)
-                outcome = ("ok", main(Comm(endpoint), *args))
             except BaseException as exc:  # noqa: BLE001 - reported to the launcher
-                if endpoint is not None:
-                    endpoint.poison_peers()
-                outcome = ("err", exc)
-            finally:
-                if undrop is not None:
-                    undrop()
-            reporter = rank if rank is not None else -1
-            report_outcome(lambda sent: channel.try_send_frame(
-                control, KIND_OUTCOME, obj=(reporter, *sent)), reporter, outcome)
-            if endpoint is None:
                 # Formation failed, but the launcher may still restart the
-                # world: a peerless endpoint reads its verdict off the
-                # control channel exactly as a formed one would.
-                endpoint = TcpEndpoint(-1, 0, [], control, generation)
-            # Keep the fabric alive until the launcher says the whole world is
-            # done: peers may still be receiving, and an early close would
-            # read as a death.
-            restart = endpoint.await_verdict(
-                min(SHUTDOWN_GRACE, max(0.1, deadline - time.monotonic()))
-            )
-            endpoint.close()
+                # world: a peerless endpoint reports the failure and reads
+                # its verdict exactly as a formed one would.
+                endpoint = TcpEndpoint(-1 if rank is None else rank, 0, [],
+                                       control, generation)
+                body = partial(_reraise, exc)
+            outcome, restart = serve_rank(endpoint, body, deadline)
             if not restart:
                 return outcome
             generation += 1
 
 
 # -- launcher side -------------------------------------------------------------
-
-
-def _collect_outcomes(
-    controls: list[socket.socket], timeout: float, deadline: float
-) -> tuple[list[Any], list[tuple[int, BaseException]], set[int]]:
-    """One generation's outcomes off the control sockets.  A control EOF
-    before an outcome is a hard death (the kernel closes a killed
-    process's sockets); those ranks come back as ``dead`` so the server
-    can tell a recoverable rank loss (respawn its slot) from a rank that
-    failed and said so (a real error — abort)."""
-
-    def read(rank: int) -> Any:
-        try:
-            frame = recv_frame(controls[rank])
-        except (MPIError, OSError):
-            return None  # a torn connection is a death
-        if frame is None:
-            return None
-        kind, _tag, obj = frame
-        return obj[1:] if kind == KIND_OUTCOME else KEEP_WAITING
-
-    def poison(still_running: list[int]) -> None:
-        for rank in still_running:
-            channel.try_send_frame(controls[rank], KIND_ABORT)
-
-    return collect_outcomes(controls, read, poison, timeout, deadline=deadline)
 
 
 @register_transport
@@ -807,8 +799,8 @@ class TcpWorldServer:
         try:
             while True:
                 controls = self._rendezvous.form(survivors, deadline)
-                results, errors, dead = _collect_outcomes(
-                    controls, timeout, deadline)
+                results, errors, dead = collect_outcomes(
+                    controls, timeout, deadline=deadline)
                 reported = [exc for rank, exc in errors if rank not in dead]
                 recoverable = (
                     bool(dead)

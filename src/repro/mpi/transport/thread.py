@@ -48,7 +48,7 @@ class Mailbox:
 
         Called when a peer dies: a rank blocked on a message that can now
         never arrive must raise right away instead of waiting out the
-        receive timeout (the shm backend's control pipe and the inline
+        receive timeout (the process backends' ABORT frames and the inline
         scheduler's deadlock poisoning already behave this way; this
         brings the thread backend's rank lifecycle in line).
         """

@@ -209,7 +209,7 @@ def _rendezvous_restart(attack, tmp_path, spawn_doomed_rank):
     def join(rank: int) -> None:
         threads.append(threading.Thread(
             target=join_world,
-            args=(server.address, lambda comm: comm.allreduce(1)),
+            args=(server.address, lambda comm: comm.gather(1)),
             kwargs={"rank": rank, "timeout": 30.0},
         ))
         threads[-1].start()
@@ -223,7 +223,7 @@ def _rendezvous_restart(attack, tmp_path, spawn_doomed_rank):
     join(0)
     spawn_doomed_rank(server.address, rank=1)
     try:
-        assert server.run(timeout=30.0) == [2, 2]
+        assert server.run(timeout=30.0) == [[1, 1], None]
     finally:
         for thread in threads:
             thread.join(10.0)
@@ -240,7 +240,7 @@ def _pair_fabric(attack, tmp_path, spawn_doomed_rank):
     struck: list[socket.socket] = []
     ranks = [threading.Thread(
         target=join_world,
-        args=(server.address, lambda comm: comm.allreduce(1)),
+        args=(server.address, lambda comm: comm.gather(1)),
         kwargs={"rank": rank, "timeout": 30.0},
     ) for rank in (0, 1)]
     listen = channel_module.listen_on
@@ -257,7 +257,7 @@ def _pair_fabric(attack, tmp_path, spawn_doomed_rank):
         for thread in ranks:
             thread.start()
         try:
-            assert server.run(timeout=30.0) == [2, 2]
+            assert server.run(timeout=30.0) == [[1, 1], None]
         finally:
             for thread in ranks:
                 thread.join(10.0)

@@ -119,6 +119,14 @@ class TestWorkloadPool:
         assert "jobs/s" in out and "p50" in out and "p99" in out
         assert "verified=True" in out
 
+    def test_pooled_run_names_the_transport_the_environment_chose(
+            self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TRANSPORT", "inline")
+        assert main(["workload", "datampi", "wordcount", "--pool", "2",
+                     "--lines", "50"]) == 0
+        out = capsys.readouterr().out
+        assert " inline world " in out and "thread" not in out
+
     def test_pooled_sort_and_grep(self, capsys):
         for name in ("sort", "grep"):
             assert main(["workload", "datampi", name, "--pool", "2",

@@ -65,13 +65,16 @@ def make_job(transport, checkpoint_dir=None, fault_plan=None,
                         max_iterations=max_iterations)
 
 
-def plan_for(action: str, point: str) -> str:
+def target_rank(point: str) -> int:
     # The checkpoint-write point only fires on the root rank, and a-phase
     # only on A ranks (global ranks 2-3 in this 2x2 world); everything
     # else targets O rank 1 so the root's driver duties stay in the blast
     # radius of *recovery*, not of the injection itself.
-    rank = {"checkpoint-write": 0, "a-phase": 2}.get(point, 1)
-    clause = f"{action}@{point}:rank={rank}"
+    return {"checkpoint-write": 0, "a-phase": 2}.get(point, 1)
+
+
+def plan_for(action: str, point: str) -> str:
+    clause = f"{action}@{point}:rank={target_rank(point)}"
     if point != "rendezvous":  # rendezvous fires before supersteps exist
         clause += ":superstep=2"
     if action == "delay":
@@ -182,6 +185,10 @@ class TestFailFastTransports:
         if backend in ("thread", "inline"):
             # In-process ranks degrade kill/drop to the injected abort.
             assert "fault plan" in str(excinfo.value)
+        else:
+            # The lost rank is the cause, not a peer it poisoned.
+            assert (f"rank {target_rank(point)} died without reporting a "
+                    f"result") in str(excinfo.value)
 
     def test_tcp_without_respawn_budget_aborts(self, tmp_path):
         transport = get_transport(

@@ -112,40 +112,6 @@ class TestCollectives:
         assert results[0] == [0, 10, 20, 30]
         assert results[1] is None
 
-    def test_allgather(self):
-        def main(comm):
-            return comm.allgather(comm.rank)
-
-        assert mpi_run(3, main) == [[0, 1, 2]] * 3
-
-    def test_alltoall(self):
-        def main(comm):
-            chunks = [f"{comm.rank}->{dest}" for dest in range(comm.size)]
-            return comm.alltoall(chunks)
-
-        results = mpi_run(3, main)
-        for dest in range(3):
-            assert results[dest] == [f"{src}->{dest}" for src in range(3)]
-
-    def test_alltoall_wrong_length(self):
-        def main(comm):
-            comm.alltoall(["only-one"])
-
-        with pytest.raises(MPIError):
-            mpi_run(2, main)
-
-    def test_allreduce_sum(self):
-        def main(comm):
-            return comm.allreduce(comm.rank + 1)
-
-        assert mpi_run(4, main) == [10] * 4
-
-    def test_allreduce_custom_op(self):
-        def main(comm):
-            return comm.allreduce(comm.rank + 1, op=lambda a, b: a * b)
-
-        assert mpi_run(4, main) == [24] * 4
-
 
 class TestLauncher:
     def test_results_by_rank(self):

@@ -169,36 +169,40 @@ class TestSharedSemantics:
 
     @pytest.mark.parametrize("chunk_bytes", [2 << 20, 8 << 20],
                              ids=["2MiB", "8MiB"])
-    def test_alltoall_outgrows_the_pair_buffering(self, transport, chunk_bytes):
-        """Every rank sends each peer a chunk larger than a socket pair
-        buffers: no two ranks may block in sends to each other."""
+    def test_scatter_and_gather_outgrow_the_pair_buffering(
+            self, transport, chunk_bytes):
+        """A scatter then a gather of slots larger than a socket pair
+        buffers — what a superstep's control scatter and outcome gather
+        carry: no rank may block in a send the other side never reads."""
 
         def main(comm):
-            received = comm.alltoall([bytes([comm.rank]) * chunk_bytes] * comm.size)
-            return [chunk == bytes([source]) * chunk_bytes
-                    for source, chunk in enumerate(received)]
+            slots = None
+            if comm.rank == 0:
+                slots = [bytes([dest]) * chunk_bytes for dest in range(comm.size)]
+            mine = comm.scatter(slots)
+            gathered = comm.gather(mine + bytes([comm.rank]))
+            if gathered is None:
+                return mine == bytes([comm.rank]) * chunk_bytes
+            return [slot == bytes([source]) * (chunk_bytes + 1)
+                    for source, slot in enumerate(gathered)]
 
         assert mpi_run(4, main, transport=transport, timeout=20.0) == \
-            [[True] * 4] * 4
+            [[True] * 4, True, True, True]
 
     def test_collectives(self, transport):
         def main(comm):
             broadcast = comm.bcast("root" if comm.rank == 0 else None, root=0)
             gathered = comm.gather(comm.rank * 10, root=0)
-            everyone = comm.allgather(comm.rank)
-            total = comm.allreduce(comm.rank + 1)
-            exchanged = comm.alltoall(
-                [f"{comm.rank}->{dest}" for dest in range(comm.size)]
-            )
-            return (broadcast, gathered, everyone, total, exchanged)
+            scattered = comm.scatter(
+                [f"2->{dest}" for dest in range(comm.size)]
+                if comm.rank == 2 else None, root=2)
+            return (broadcast, gathered, scattered)
 
         results = mpi_run(3, main, transport=transport)
-        for rank, (broadcast, gathered, everyone, total, exchanged) in enumerate(results):
+        for rank, (broadcast, gathered, scattered) in enumerate(results):
             assert broadcast == "root"
             assert gathered == ([0, 10, 20] if rank == 0 else None)
-            assert everyone == [0, 1, 2]
-            assert total == 6
-            assert exchanged == [f"{src}->{rank}" for src in range(3)]
+            assert scattered == f"2->{rank}"
 
     def test_scatter_gives_each_rank_its_own_slot(self, transport):
         def main(comm):
@@ -234,6 +238,20 @@ class TestSharedSemantics:
             assert gathered == ([("g", 0), ("g", 1), ("g", 2)] if rank == 0 else None)
             assert second == ("s2", rank)
 
+    def test_gather_to_a_nonzero_root(self, transport):
+        def main(comm):
+            return comm.gather(("from", comm.rank), root=2)
+
+        assert mpi_run(3, main, transport=transport) == \
+            [None, None, [("from", 0), ("from", 1), ("from", 2)]]
+
+    def test_bcast_from_a_nonzero_root(self, transport):
+        def main(comm):
+            return comm.bcast(f"told by {comm.rank}" if comm.rank == 1 else None,
+                              root=1)
+
+        assert mpi_run(3, main, transport=transport) == ["told by 1"] * 3
+
     def test_scatter_wrong_length_raises(self, transport):
         def main(comm):
             comm.scatter(["only-one"] if comm.rank == 0 else None)
@@ -257,7 +275,7 @@ class TestSharedSemantics:
     def test_barrier_interleaved_with_collectives_keeps_rounds_apart(
             self, transport):
         """Barrier draws from the collectives' tag sequence: ten rounds of
-        barrier mixed with gather, bcast and alltoall never cross rounds."""
+        barrier mixed with gather, bcast and scatter never cross rounds."""
         rounds = 10
 
         def main(comm):
@@ -268,20 +286,21 @@ class TestSharedSemantics:
                 comm.barrier()
                 told = comm.bcast(("b", round_) if comm.rank == 1 else None,
                                   root=1)
-                exchanged = comm.alltoall(
-                    [(round_, comm.rank, dest) for dest in range(comm.size)]
-                )
+                root = round_ % comm.size
+                scattered = comm.scatter(
+                    [(round_, root, dest) for dest in range(comm.size)]
+                    if comm.rank == root else None, root=root)
                 comm.barrier()
-                seen.append((gathered, told, exchanged))
+                seen.append((gathered, told, scattered))
             return seen
 
         results = mpi_run(3, main, transport=transport)
         for rank, seen in enumerate(results):
-            for round_, (gathered, told, exchanged) in enumerate(seen):
+            for round_, (gathered, told, scattered) in enumerate(seen):
                 expected = [(round_, r) for r in range(3)] if rank == 0 else None
                 assert gathered == expected
                 assert told == ("b", round_)
-                assert exchanged == [(round_, src, rank) for src in range(3)]
+                assert scattered == (round_, round_ % 3, rank)
 
     def test_writable_memoryview_is_snapshotted_at_send(self, transport):
         """The bytes delivered are the bytes at send time on every backend,
@@ -376,6 +395,24 @@ class TestProcessRanks:
 
         assert mpi_run(2, main, transport=transport, timeout=20.0) == [0, 1]
 
+    def test_large_bytes_outcome_comes_back_intact(self, transport):
+        """An outcome rides one frame on the rank's control socket."""
+        blob = bytes(range(256)) * (1 << 16)  # 16 MiB
+
+        def main(comm):
+            return blob[comm.rank:]
+
+        assert mpi_run(2, main, transport=transport, timeout=30.0) == \
+            [blob, blob[1:]]
+
+    def test_outcome_of_many_tuples_comes_back_intact(self, transport):
+        def main(comm):
+            return [(comm.rank, index, str(index)) for index in range(200_000)]
+
+        results = mpi_run(2, main, transport=transport, timeout=30.0)
+        assert results == [[(rank, index, str(index)) for index in range(200_000)]
+                           for rank in range(2)]
+
     def test_send_to_a_dead_rank_fails_at_once(self, transport):
         """A hard-killed rank's sockets EOF at its peers: one blocked
         sending it more than the socket buffers hold fails with the death
@@ -397,7 +434,7 @@ class TestProcessRanks:
 class TestShmSpecifics:
     def test_ranks_are_distinct_processes(self):
         def main(comm):
-            return comm.allgather(os.getpid())
+            return comm.gather(os.getpid())
 
         pids = mpi_run(4, main, transport="shm")[0]
         assert len(set(pids)) == 4
@@ -412,7 +449,7 @@ class TestShmSpecifics:
 
 
 class TestShmFdLeaks:
-    """Every socket and pipe the shm fabric opens is closed on *every*
+    """Every socket the shm fabric opens is closed on *every*
     exit path: the launcher's open-descriptor count after a run equals
     the count before it, whether the ranks finished, one failed, or the
     fabric never finished building."""

@@ -180,11 +180,11 @@ class TestAuthentication:
         server = TcpWorldServer(world_size=1)
         joiner = threading.Thread(
             target=join_world,
-            args=(server.address, lambda comm: comm.allreduce(7)),
+            args=(server.address, lambda comm: comm.gather(7)),
             kwargs={"timeout": 30.0},
         )
         joiner.start()
-        assert server.run(timeout=30.0) == [7]
+        assert server.run(timeout=30.0) == [[7]]
         joiner.join(10.0)
 
     def test_wrong_authkey_is_rejected(self):
@@ -248,7 +248,7 @@ class TestAuthentication:
 class TestProcessWorld:
     def test_ranks_are_distinct_processes(self):
         def main(comm):
-            return comm.allgather(os.getpid())
+            return comm.gather(os.getpid())
 
         pids = mpi_run(4, main, transport="tcp")[0]
         assert len(set(pids)) == 4
@@ -330,7 +330,7 @@ sys.path.insert(0, {src!r})
 from repro.mpi.transport import join_world
 
 def main(comm, base):
-    return comm.allreduce(base + comm.rank)
+    return comm.gather(base + comm.rank)
 
 print("result", join_world({address!r}, main, args=(10,)))
 """
@@ -355,12 +355,14 @@ class TestExternalJoin:
         joiners = [self._spawn_joiner(server.address)
                    for _ in range(world_size)]
         results = server.run(timeout=60.0)
-        expected = sum(10 + rank for rank in range(world_size))
-        assert results == [expected] * world_size
+        expected = [10 + rank for rank in range(world_size)]
+        assert results == [expected] + [None] * (world_size - 1)
+        printed = []
         for process in joiners:
             output, _ = process.communicate(timeout=30)
             assert process.returncode == 0, output
-            assert f"result {expected}" in output
+            printed.append(output.split("result ", 1)[1].strip())
+        assert sorted(printed) == ["None", "None", repr(expected)]
 
     def test_mixed_local_thread_and_external_rank(self):
         """join_world from a plain thread of this process (what a worker
@@ -370,17 +372,17 @@ class TestExternalJoin:
 
         def joiner(slot: int) -> None:
             joined[slot] = join_world(
-                server.address, lambda comm: comm.allreduce(1), timeout=30.0
+                server.address, lambda comm: comm.gather(1), timeout=30.0
             )
 
         threads = [threading.Thread(target=joiner, args=(slot,))
                    for slot in range(2)]
         for thread in threads:
             thread.start()
-        assert server.run(timeout=30.0) == [2, 2]
+        assert server.run(timeout=30.0) == [[1, 1], None]
         for thread in threads:
             thread.join(10.0)
-        assert joined == {0: 2, 1: 2}
+        assert sorted(joined.values(), key=repr) == [None, [1, 1]]
 
     def test_joined_rank_failure_propagates_to_server(self):
         server = TcpWorldServer(world_size=2)
@@ -417,7 +419,7 @@ class TestExternalJoin:
 
         def quiet_join(**kwargs) -> None:
             try:
-                join_world(server.address, lambda comm: comm.allreduce(1),
+                join_world(server.address, lambda comm: comm.gather(1),
                            timeout=LONG_RECV, **kwargs)
             except MPIError:
                 pass  # asserted via the server below
