@@ -245,13 +245,6 @@ class TestSharedSemantics:
         assert mpi_run(3, main, transport=transport) == \
             [None, None, [("from", 0), ("from", 1), ("from", 2)]]
 
-    def test_bcast_from_a_nonzero_root(self, transport):
-        def main(comm):
-            return comm.bcast(f"told by {comm.rank}" if comm.rank == 1 else None,
-                              root=1)
-
-        assert mpi_run(3, main, transport=transport) == ["told by 1"] * 3
-
     def test_scatter_wrong_length_raises(self, transport):
         def main(comm):
             comm.scatter(["only-one"] if comm.rank == 0 else None)

@@ -201,9 +201,15 @@ class TestCollectWithProcesses:
 
     def test_exited_child_is_named_with_its_exit_code(self, controls, forked):
         """A process forked meanwhile still holds the vanished rank's
-        end, so its socket never EOFs: only the sentinel tells."""
+        end, so its socket never EOFs: only the sentinel tells.  The
+        death poisons rank 0, still pending: it reports the kind of the
+        first frame it receives, so it reports only once poisoned."""
         world = controls(2)
-        forked.spawn("reports", lambda: world.report(0, "ok", "in"), None)
+
+        def reports_once_poisoned():
+            world.report(0, "ok", recv_frame(world.ranks[0])[0])
+
+        forked.spawn("reports", reports_once_poisoned, None)
         forked.spawn("vanishes", lambda: os._exit(7), None)
         holder = ForkedRanks(fork_context("this test", "skip it"))
         holder.spawn("holds", lambda: threading.Event().wait(TIMEOUT), None)
@@ -214,9 +220,10 @@ class TestCollectWithProcesses:
             assert holder.processes[0].is_alive()
         finally:
             holder.reap()
-        assert results == ["in", None] and dead == {1}
+        assert results == [KIND_ABORT, None] and dead == {1}
         assert str(errors[0][1]) == (
             "rank 1 died without reporting a result (exit code 7)")
+        assert kinds_waiting(world.ranks[0]) == []  # one ABORT, not two
 
 
 class TestDeadline:
