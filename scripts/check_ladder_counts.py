@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Check the seed-1 ladders' wire counts against one table of pins.
 
-CI runs the layer ladder of three workloads on seed 1, tees each into a
-file, then checks all three in one call:
+CI runs the layer ladder of four workloads on seed 1, tees each into a
+file, then checks all four in one call:
 
     python3 -m bench run --workload sort_shm --seed 1 --seconds 10 --trace 1 | tee sort_shm_ladder.txt
     ...
-    python scripts/check_ladder_counts.py sort_shm_ladder.txt wordcount_shm_ladder.txt kmeans_iter_shm_ladder.txt
+    python scripts/check_ladder_counts.py sort_shm_ladder.txt wordcount_shm_ladder.txt \
+        kmeans_iter_shm_ladder.txt sort_spill_shm_ladder.txt
+
+Sort under a 256 KiB spill budget (``sort_spill_shm``) is the one ladder
+whose A ranks hold resident and spilled chunks at once, so its pins guard
+the mixed merge: what spills, and how often the merge reads it back.
 
 The pins are counts, not times, so the gate is runner-independent.  Each
 ladder names its workload on its first line (``workload=<name> seed=<n>``)
@@ -54,6 +59,14 @@ PINS: list[tuple[str, str, int | str, str]] = [
     ("kmeans_iter_shm", "kv.encoded_bytes", 324120, "the record-stream wire moved"),
     ("kmeans_iter_shm", "buffers.chunks", 240, "a flush boundary moved"),
     ("kmeans_iter_shm", "modes.control_bytes", 606477, "the control plane moved"),
+    # Sort under a 256 KiB spill budget: the same input and wire as
+    # sort_shm, so the same 27 chunks and 6068180 bytes; the store spills
+    # the oldest chunks past the budget and the merge reads each spilled
+    # chunk back once, lazily, beside the resident ones.
+    ("sort_spill_shm", "kv.encoded_bytes", 6068180, "the wire moved"),
+    ("sort_spill_shm", "buffers.chunks", 27, "a flush boundary moved"),
+    ("sort_spill_shm", "spill.bytes_spilled", 5614796, "what spills moved"),
+    ("sort_spill_shm", "spill.spill_reads", 24, "the mixed merge's reads moved"),
 ]
 
 

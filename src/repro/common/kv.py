@@ -18,15 +18,20 @@ at the narrowest of 1/2/4/8 signed bytes, then the values as ``>d``, in
 insertion order.  Every other dict is the ``M`` field of length-prefixed
 items.  ``record_size`` charges both the same.
 
-A *chunk* (:func:`encode_stream`) is those records back to back — unless
-every key is exactly ``str`` and the values are all ``None`` or all exact
-64-bit ``int``.  Such a chunk ships as columns: a 7-byte header, the key
-lengths, the joined UTF-8 keys and the values, each column at the
-narrowest fixed width that holds it.  Only the data selects the layout,
-only this module knows it; both decoders read it off the first byte.
-:func:`decode_stream` is lazy in either layout, for chunks the reader
-must not make resident (a spilled chunk in its mapped segment);
-:func:`decode_chunk` decodes a resident columnar chunk in one pass.
+A *chunk* (:func:`encode_columns`, or :func:`encode_stream` over pairs) is
+those records back to back — unless every key is exactly ``str`` and the
+values are all ``None`` or all exact 64-bit ``int``.  Such a chunk ships
+as columns: a 7-byte header, the key lengths, the joined UTF-8 keys and
+the values, each column at the narrowest fixed width that holds it.
+Only the data selects the layout, only this module knows it; every
+decoder reads it off the first byte.  :func:`decode_stream` is lazy in
+either layout, for chunks the reader must not make resident (a spilled
+chunk in its mapped segment); :func:`decode_columns` turns a resident
+chunk into a key list and a value list, in one pass for a columnar one,
+and :func:`decode_chunk` builds its records from those lists.  The send
+buffers and the A-side merge hold records as such column pairs and put
+them in key order with :func:`sort_columns`: no tuple per record exists
+until the A task takes one.
 """
 
 from __future__ import annotations
@@ -281,48 +286,49 @@ def _pack_column(numbers: list[int],
     return None
 
 
-def _encode_columns(records: list[tuple[Any, Any]]) -> bytes | None:
-    """``records`` as a columnar chunk, or ``None`` unless they are all
-    ``(str, None)`` or all ``(str, 64-bit int)`` pairs.
-
-    Exact types only: a ``str`` subclass, ``bool`` or ``float`` that ``==``
-    a plain key or value may encode differently, so it keeps the record
-    stream.  C-level passes over the whole chunk, no per-record bytecode.
-    """
-    if set(map(len, records)) != {2}:
-        return None  # the record stream's unpacking names the bad record
-    keys = list(map(itemgetter(0), records))
-    values = list(map(itemgetter(1), records))
-    kinds = set(map(type, values))
-    if set(map(type, keys)) != {str} or kinds not in ({int}, {type(None)}):
-        return None
-    text = "".join(keys)
-    # An ASCII body has one byte per character; otherwise encode per key.
-    lengths = _pack_column(
-        list(map(len, keys if text.isascii() else map(str.encode, keys))),
-        _LENGTH_COLUMNS)
-    column = _pack_column(values, _VALUE_COLUMNS) if kinds == {int} else (0, b"")
-    if lengths is None or column is None:  # a 4 GiB key, an int past 64 bits
-        return None
-    return b"".join((_HEAD.pack(_MARKER, lengths[0], column[0], len(keys)),
-                     lengths[1], text.encode("utf-8"), column[1]))
-
-
 def encode_stream(records: Iterable[tuple[Any, Any]]) -> bytes:
-    """Encode an iterable of ``(key, value)`` pairs into one chunk.
-
-    A homogeneous chunk (see :func:`_encode_columns`) ships as columns.
-    Any other is the record stream, the O side's per-record kernel: exact
-    ``str`` / ``None`` / ``int`` fields are encoded inline, all others
-    through :func:`_encode_field`.
+    """Encode an iterable of ``(key, value)`` pairs into one chunk: the
+    pairs split into a key and a value column for :func:`encode_columns`.
     """
     if not isinstance(records, list):
         records = list(records)
-    if not records:
+    if set(map(len, records)) - {2}:
+        return _encode_records(records)  # its unpacking names the bad record
+    return encode_columns(list(map(itemgetter(0), records)),
+                          list(map(itemgetter(1), records)))
+
+
+def encode_columns(keys: list[Any], values: list[Any]) -> bytes:
+    """Encode the records ``(keys[i], values[i])`` into one chunk.
+
+    Columns ship as columns when every key is an exact ``str`` and every
+    value ``None``, or every value an exact 64-bit ``int``: a ``str``
+    subclass, ``bool`` or ``float`` that ``==`` a plain key or value may
+    encode differently, so it keeps the record stream.  The choice and
+    the packing are C-level passes over the whole chunk, no per-record
+    bytecode.  Any other chunk is the record stream.
+    """
+    if not keys:
         return b""
-    columnar = _encode_columns(records)
-    if columnar is not None:
-        return columnar
+    kinds = set(map(type, values))
+    if set(map(type, keys)) == {str} and kinds in ({int}, {type(None)}):
+        text = "".join(keys)
+        # An ASCII body has one byte per character; otherwise encode per key.
+        lengths = _pack_column(
+            list(map(len, keys if text.isascii() else map(str.encode, keys))),
+            _LENGTH_COLUMNS)
+        column = _pack_column(values, _VALUE_COLUMNS) if kinds == {int} else (0, b"")
+        # No column holds a 4 GiB key or an int past 64 bits: the record stream does.
+        if lengths is not None and column is not None:
+            return b"".join((_HEAD.pack(_MARKER, lengths[0], column[0], len(keys)),
+                             lengths[1], text.encode("utf-8"), column[1]))
+    return _encode_records(zip(keys, values))
+
+
+def _encode_records(records: Iterable[tuple[Any, Any]]) -> bytes:
+    """The record stream, the O side's per-record kernel: exact ``str`` /
+    ``None`` / ``int`` fields are encoded inline, all others through
+    :func:`_encode_field`."""
     parts: list[bytes] = []
     pack, general = _LEN.pack, _encode_field
     for key, value in records:
@@ -345,6 +351,22 @@ def encode_stream(records: Iterable[tuple[Any, Any]]) -> bytes:
     return b"".join(parts)
 
 
+def sort_columns(keys: list[Any], values: list[Any]) -> tuple[list[Any], list[Any]]:
+    """``keys`` and ``values`` in stable key order: the permutation that
+    ``sorted(zip(keys, values), key=itemgetter(0))`` applies, with no
+    pair built.
+
+    All-``None`` values need no permutation, so ``keys`` is sorted in
+    place and both lists come back; otherwise one index sort reorders
+    two new lists.  Either way ``values[i]`` stays with ``keys[i]``.
+    """
+    if values.count(None) == len(values):
+        keys.sort()
+        return keys, values
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return list(map(keys.__getitem__, order)), list(map(values.__getitem__, order))
+
+
 def decode_stream(data: bytes | memoryview) -> Iterator[KeyValue]:
     """Decode all records from :func:`encode_stream` output (``bytes`` or
     ``memoryview`` — views decode in place), whichever layout it chose.
@@ -357,28 +379,41 @@ def decode_stream(data: bytes | memoryview) -> Iterator[KeyValue]:
     return _decode_records(data)
 
 
-def decode_chunk(data: bytes | memoryview) -> list[KeyValue] | Iterator[KeyValue]:
-    """The records of one chunk that is already in memory, as
-    :func:`decode_stream` yields them.
+def decode_columns(data: bytes | memoryview) -> tuple[list[Any], list[Any]]:
+    """The keys and the values of one chunk that is already in memory, as
+    two lists in :func:`decode_stream`'s record order.
 
     A columnar chunk decodes at once, after the same checks: its whole key
     body is one UTF-8 decode, and an ASCII body (as many characters as
     bytes) is sliced into keys as text; any other body falls back to one
-    decode per key.  A record stream is :func:`decode_stream`'s lazy
-    generator, so a torn one still yields its whole records first.  Only
-    for resident chunks: the list holds every record of the chunk.
+    decode per key.  A record stream is decoded whole, then split.  Only
+    for resident chunks: the lists hold every record of the chunk.
     """
     if not (len(data) and data[0] == _MARKER):
-        return _decode_records(data)
+        records = list(_decode_records(data))
+        return list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
     view = memoryview(data)
     lengths, values, body, stop = _columns(view, resident=True)
     text = str(view[body:stop], "utf-8")
     spans = starmap(slice, pairwise(accumulate(lengths, initial=0)))
     if len(text) == stop - body:
-        keys: Iterator[str] = map(text.__getitem__, spans)
+        keys = list(map(text.__getitem__, spans))
     else:
-        keys = map(str, map(view[body:stop].__getitem__, spans), repeat("utf-8"))
-    return list(map(tuple.__new__, repeat(KeyValue), zip(keys, values)))
+        keys = list(map(str, map(view[body:stop].__getitem__, spans), repeat("utf-8")))
+    return keys, list(values)
+
+
+def decode_chunk(data: bytes | memoryview) -> list[KeyValue] | Iterator[KeyValue]:
+    """The records of one chunk that is already in memory, as
+    :func:`decode_stream` yields them.
+
+    A columnar chunk is :func:`decode_columns`' two lists, paired.  A
+    record stream is :func:`decode_stream`'s lazy generator, so a torn one
+    still yields its whole records first.
+    """
+    if not (len(data) and data[0] == _MARKER):
+        return _decode_records(data)
+    return list(map(tuple.__new__, repeat(KeyValue), zip(*decode_columns(data))))
 
 
 def _torn(promised: int, present: int) -> ValueError:
@@ -390,12 +425,13 @@ def _columns(view: memoryview, resident: bool) -> tuple[
     """``(key lengths, values, body, stop)`` of a columnar chunk whose keys
     are ``view[body:stop]``.
 
-    Every check either decoder makes is here, before the first record:
-    known codes, and header + columns + the sum of the key lengths ==
+    Every check a decoder makes is here, before the first record: known
+    codes, and header + columns + the sum of the key lengths ==
     ``len(view)`` — a torn, padded or inconsistent chunk raises
-    ``ValueError`` and yields nothing.  A ``resident`` chunk's columns come
+    ``ValueError`` and yields nothing.  A ``resident`` chunk's numbers come
     back unpacked, as tuples; otherwise as iterators that read ``view`` as
-    they advance, so checking a spilled chunk allocates no column.
+    they advance, so checking a spilled chunk allocates no column.  No
+    value column is ``count`` ``None`` values either way.
     """
     total = len(view)
     if total < _HEAD.size:
@@ -420,7 +456,7 @@ def _columns(view: memoryview, resident: bool) -> tuple[
         lengths = chain.from_iterable(struct.iter_unpack(">" + letter, column))
     if body + keys_size != stop:
         raise _torn(body + keys_size + total - stop, total)
-    values: Iterable[int | None] = repeat(None)
+    values: Iterable[int | None] = repeat(None, count)
     if value_width:
         letter = _VALUE_COLUMNS[value_width]
         values = (struct.unpack_from(f">{count}{letter}", view, stop) if resident

@@ -9,9 +9,13 @@ computation overlapped in O tasks" design of Section 2.3, and it is why
 DataMPI's shuffle is largely complete by the time the O phase ends
 (Section 4.4's network analysis).
 
-The *tuple path* (``sort=False``, or no combiner) holds ``(key, value)``
-tuples and charges each its ``record_size`` — the record-stream size;
-``encode_stream`` may still pack the chunk as columns.
+The *tuple path* (``sort=False``, or no combiner) holds each
+destination's records as two columns, a key list and a value list — no
+tuple per record — and charges each record its ``record_size``, the
+record-stream size.  A flush puts both lists in stable key order with
+``sort_columns`` (the keys alone when every value is ``None``, else one
+index sort) and hands them to ``encode_columns``, which may still pack
+the chunk as columns.
 
 With ``sort`` and a combiner the buffer *groups on arrival*: a
 destination holds ``{key: [values]}``, and is charged what it holds and
@@ -38,12 +42,11 @@ through pickle), one frame per chunk.
 
 from __future__ import annotations
 
-from itertools import starmap
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.common.errors import DataMPIError
-from repro.common.kv import encode_stream, record_size
+from repro.common.kv import encode_columns, encode_stream, record_size, sort_columns
 
 #: Default flush threshold per destination buffer: bytes held, and under a
 #: combiner bytes to ship — a WordCount window of a few thousand distinct
@@ -80,7 +83,9 @@ class PartitionedSendBuffer:
         self._sort = sort
         self._combiner = combiner
         self._threshold = threshold_bytes
-        self._records: list[list[tuple[Any, Any]]] = [[] for _ in range(num_destinations)]
+        #: Per destination, the held records' keys and values, in arrival order.
+        self._keys: list[list[Any]] = [[] for _ in range(num_destinations)]
+        self._values: list[list[Any]] = [[] for _ in range(num_destinations)]
         self._bytes: list[int] = [0] * num_destinations
         self.records_buffered = 0
         self.records_sent = 0
@@ -98,7 +103,8 @@ class PartitionedSendBuffer:
 
     def add(self, destination: int, key: Any, value: Any) -> None:
         """Buffer one record; flush the destination if over threshold."""
-        self._records[destination].append((key, value))
+        self._keys[destination].append(key)
+        self._values[destination].append(value)
         buffered = self._bytes[destination] + record_size(key, value)
         self._bytes[destination] = buffered
         self.records_buffered += 1
@@ -107,22 +113,28 @@ class PartitionedSendBuffer:
 
     def flush(self, destination: int) -> None:
         """Sort/combine/encode and send one destination's buffer."""
-        records = self._records[destination]
-        if not records:
+        keys = self._keys[destination]
+        if not keys:
             return
+        values = self._values[destination]
         if self._sort:
-            records.sort(key=itemgetter(0))
-        shipped = records if self._combiner is None else self._combine(records)
-        self._ship(destination, shipped, len(records) - len(shipped))
-        self._records[destination] = []
+            keys, values = sort_columns(keys, values)
+        if self._combiner is None:
+            self._ship(destination, encode_columns(keys, values), len(keys), 0)
+        else:
+            records = self._combine(zip(keys, values))
+            self._ship(destination, encode_stream(records), len(records),
+                       len(keys) - len(records))
+        self._keys[destination] = []
+        self._values[destination] = []
 
-    def _ship(self, destination: int, records: list[tuple[Any, Any]],
+    def _ship(self, destination: int, payload: bytes, shipped: int,
               combined_away: int) -> None:
-        """The tail of every flush.  Nothing is counted or released unless
-        the send returns: a failed flush can be retried."""
-        payload = encode_stream(records)
+        """The tail of every flush: ``payload`` encodes ``shipped`` records.
+        Nothing is counted or released unless the send returns: a failed
+        flush can be retried."""
         self._send(destination, payload)
-        self.records_sent += len(records)
+        self.records_sent += shipped
         self.records_combined_away += combined_away
         self.bytes_sent += len(payload)
         self.chunks_sent += 1
@@ -189,7 +201,7 @@ class PartitionedSendBuffer:
             (key, values[0] if len(values) == 1 else combiner(key, values))
             for key, values in sorted(table.items(), key=itemgetter(0))
         ]
-        self._ship(destination, records,
+        self._ship(destination, encode_stream(records), len(records),
                    sum(map(len, table.values())) - len(records))
         self._tables[destination] = {}
         self._shipping[destination] = 0
@@ -198,17 +210,22 @@ class PartitionedSendBuffer:
         """Hand every table to the tuple path, for good, each held record
         charged its ``record_size`` again.  Each key's arrival order
         survives, which is all the flush's stable sort keeps."""
-        self._records = [
-            [(key, value) for key, values in table.items() for value in values]
+        self._keys = [
+            [key for key, values in table.items() for _ in values]
             for table in self._tables
         ]
-        self._bytes = [sum(starmap(record_size, records)) for records in self._records]
+        self._values = [
+            [value for values in table.values() for value in values]
+            for table in self._tables
+        ]
+        self._bytes = [sum(map(record_size, keys, values))
+                       for keys, values in zip(self._keys, self._values)]
         del self._tables, self._shipping, self.add, self.flush  # the class's own pair
         for destination, buffered in enumerate(self._bytes):
             if buffered >= self._threshold:
                 self.flush(destination)
 
-    def _combine(self, records: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
+    def _combine(self, records: Iterable[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
         """Apply the combiner to runs of equal keys: ``sort=False`` or an
         unhashable key (records must be sorted, or at least grouped; without
         sorting the combiner still reduces any adjacent duplicates)."""
@@ -234,7 +251,7 @@ class PartitionedSendBuffer:
 
     def flush_all(self) -> None:
         """Flush every destination (called when the O task finishes)."""
-        for destination in range(len(self._records)):
+        for destination in range(len(self._keys)):
             self.flush(destination)
 
     @property

@@ -7,11 +7,14 @@ sent by O tasks; payloads live in a :class:`~repro.storage.spill.SpillStore`
 whose budget is the spill threshold, so when the buffered total exceeds
 it the least-recently-received chunks move to mmap-backed segment files
 and stream back lazily during the merge.  The merged iterator yields
-records in global key order when sorting is enabled: one stable sort of
-the concatenated chunks when nothing spilled, a lazy k-way merge
-(``heapq.merge``) as soon as any chunk did.  A chunk still in memory
-decodes in one pass (``decode_chunk``); a spilled chunk streams out of
-its segment (``decode_stream``) and never becomes resident as records.
+records in global key order when sorting is enabled.  When nothing
+spilled, every chunk decodes to a key list and a value list
+(``decode_columns``), the lists are concatenated and put in stable key
+order once (``sort_columns``), and each ``KeyValue`` is built only as
+the A task takes it.  As soon as any chunk spilled the merge is a lazy
+k-way merge (``heapq.merge``): a chunk still in memory decodes in one
+pass (``decode_chunk``), a spilled chunk streams out of its segment
+(``decode_stream``) and never becomes resident as records.
 
 Chunks carry an *origin* — ``(source O rank, per-source sequence)`` — and
 both paths visit chunks in origin order.  A stable sort and
@@ -27,9 +30,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from operator import itemgetter
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.common.kv import KeyValue, decode_chunk, decode_stream
+from repro.common.kv import (
+    KeyValue,
+    decode_chunk,
+    decode_columns,
+    decode_stream,
+    sort_columns,
+)
 from repro.storage.spill import DEFAULT_SPILL_BYTES, SpillStore
 
 #: Chunk origin: (source O rank, per-source sequence number).
@@ -69,26 +78,36 @@ class ChunkStore:
         Key ties break by chunk origin, so the stream is identical no
         matter in which order chunks arrived (or which of them spilled).
         A store that never spilled sorts the origin-ordered concatenation
-        of its chunks once: Timsort finds the presorted runs, and a stable
-        sort breaks ties exactly as ``heapq.merge`` does by iterator
-        position; without ``sort`` it hands out that concatenation as it
-        is, each chunk opened when the previous one is exhausted.  With
-        any chunk spilled the merge stays lazy — ``decode_stream`` reads a
-        spilled chunk out of its mapped segment as the merge advances, in
-        either chunk layout, so a dataset that spilled because it outgrew
-        memory is never materialized as records.  A chunk that is still
-        resident decodes in one pass through ``decode_chunk``, in all
-        three paths.
+        of its chunks' key and value columns once: Timsort finds the
+        presorted runs, and a stable sort breaks ties exactly as
+        ``heapq.merge`` does by iterator position.  Without ``sort`` it
+        hands out that concatenation as it is, each chunk opened when the
+        previous one is exhausted.  With any chunk spilled the merge stays
+        lazy — ``decode_stream`` reads a spilled chunk out of its mapped
+        segment as the merge advances, in either chunk layout, so a
+        dataset that spilled because it outgrew memory is never
+        materialized as records.  A chunk that is still resident decodes
+        in one pass: to columns through ``decode_columns`` for the sort of
+        a never-spilled store, to records through ``decode_chunk`` in the
+        other paths.
         """
         spill = self._spill
         origins = sorted(spill.keys())
         spilled = [spill.is_spilled(origin) for origin in origins]
+        if sort and not any(spilled):
+            keys: list[Any] = []
+            values: list[Any] = []
+            for origin in origins:
+                chunk_keys, chunk_values = decode_columns(spill.get(origin))
+                keys += chunk_keys
+                values += chunk_values
+            keys, values = sort_columns(keys, values)
+            return map(tuple.__new__, itertools.repeat(KeyValue), zip(keys, values))
         chunks = (decode_stream(spill.get(origin)) if lazy
                   else decode_chunk(spill.get(origin))
                   for origin, lazy in zip(origins, spilled))
         if not any(spilled):
-            records = itertools.chain.from_iterable(chunks)
-            return iter(sorted(records, key=itemgetter(0))) if sort else records
+            return itertools.chain.from_iterable(chunks)
         iterators = list(map(iter, chunks))
         if sort:
             return heapq.merge(*iterators, key=itemgetter(0))

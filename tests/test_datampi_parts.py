@@ -1,6 +1,9 @@
 """Unit tests for DataMPI building blocks: partitioners, buffers, store."""
 
+import collections
+import gc
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.bigdatabench import TextGenerator
 from repro.common import CommunicatorError, DataMPIError
-from repro.common.kv import KeyValue, decode_stream
+from repro.common.kv import KeyValue, decode_stream, encode_stream
 from test_common_kv import _python_calls
 from repro.datampi import (
     BipartiteComm,
@@ -189,6 +192,136 @@ class TestPartitionedSendBuffer:
             buffer.add(hash(key) % num_dest, key, value)
         buffer.flush_all()
         assert sorted((kv.key, kv.value) for kv in sink.records()) == sorted(records)
+
+
+def _collections(function):
+    """Collections per generation while ``function`` runs, at thresholds
+    ``(700, 10, 10)`` from empty young generations — a count, not a time,
+    so it is the same on every machine."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    threshold, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(700, 10, 10)
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        function()
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+        if not enabled:
+            gc.disable()
+    return counts
+
+
+class TestShuffleWakesNoCollector:
+    """Records cross the send buffer and the store's merge as key and value
+    columns: no tuple per record is held, so nothing the shuffle allocates
+    sets off CPython's cyclic collector.  A buffer holding ``(key, value)``
+    tuples, and a merge sorting ``KeyValue`` records, each ran 26 gen-0
+    and 2 gen-1 collections here."""
+
+    N = 20_000
+
+    def test_send_and_merge_run_no_young_collection(self):
+        keys = ["key %06d" % ((index * 7919) % self.N) for index in range(self.N)]
+        sink = RecordingSink()
+        buffer = PartitionedSendBuffer(2, sink)
+
+        def send(value_of):
+            def sends():
+                for index, key in enumerate(keys):
+                    buffer.add(index % 2, key, value_of(index))
+                buffer.flush_all()
+            return sends
+
+        assert _collections(send(lambda index: None))[:2] == [0, 0]
+        assert _collections(send(int))[:2] == [0, 0]
+        store = ChunkStore()
+        for destination, payload in sink.chunks:
+            if destination == 0:
+                store.add(payload)
+        drained = []
+
+        def drain():
+            drained.append(len(collections.deque(store.merged(), maxlen=1)))
+            drained.append(sum(1 for _record in store.merged()))
+
+        assert _collections(drain)[:2] == [0, 0]
+        assert drained == [1, self.N]
+
+
+#: Keys a flush must order as a stable sort by key would: text (the
+#: columnar layout when every value is None or every value an int), and
+#: keys no column holds — ints, bytes, tuples, and numbers equal across
+#: types (1, 1.0, True), which only a stable sort keeps in arrival order.
+flush_keys = st.one_of(
+    st.lists(st.text(alphabet="ab\u00e9", max_size=3), min_size=1, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.lists(st.binary(max_size=2), min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from("xy"), st.integers(0, 2)), min_size=1, max_size=4),
+    st.lists(st.sampled_from([1, 1.0, True, 0, 0.0, False]), min_size=1, max_size=6),
+)
+#: Values: all None, all int, or a mix — each value distinct per record
+#: in the int and mixed draws, so a tie put in the wrong order shows.
+flush_values = st.sampled_from(["none", "int", "mixed"])
+
+
+@st.composite
+def flush_streams(draw):
+    pool = draw(flush_keys)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    kind = draw(flush_values)
+    records = []
+    for serial, pick in enumerate(picks):
+        value = {"none": None, "int": serial,
+                 "mixed": (None, serial, str(serial), serial / 2)[serial % 4]}[kind]
+        records.append((draw(st.integers(0, 2)), pool[pick], value))
+    return records
+
+
+class TestColumnFlush:
+    """A flush of the column buffer ships, per destination, what one stable
+    sort of that destination's ``(key, value)`` tuples encodes to."""
+
+    @given(flush_streams(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example([(0, True, None), (0, 1, None), (0, 1.0, None), (0, 0, None)], False)
+    @example([(1, "b", 2), (1, "a", 1), (1, "b", 0), (1, "a", 3)], True)
+    def test_ships_the_stable_tuple_sort(self, records, fail_once):
+        sent = []
+        failures = [ConnectionError("send failed")] if fail_once else []
+
+        def send(destination, payload):
+            if failures:
+                raise failures.pop()
+            sent.append((destination, payload))
+
+        buffer = PartitionedSendBuffer(3, send, threshold_bytes=1 << 30)
+        for destination, key, value in records:
+            buffer.add(destination, key, value)
+        expected = [
+            (destination, encode_stream(sorted(
+                [(key, value) for dest, key, value in records if dest == destination],
+                key=itemgetter(0))))
+            for destination in range(3)
+            if any(dest == destination for dest, _key, _value in records)]
+        if fail_once and expected:
+            with pytest.raises(ConnectionError):
+                buffer.flush_all()
+            assert (buffer.records_sent, buffer.chunks_sent, buffer.bytes_sent) == (0, 0, 0)
+            assert sent == []
+        buffer.flush_all()
+        assert sent == expected
+        assert buffer.records_sent == len(records)
+        assert buffer.chunks_sent == len(expected)
+        assert buffer.bytes_sent == sum(len(payload) for _dest, payload in expected)
+        assert buffer.buffered_bytes == 0
 
 
 class TestChunkStore:

@@ -406,6 +406,20 @@ class TestProcessRanks:
         assert results == [[(rank, index, str(index)) for index in range(200_000)]
                            for rank in range(2)]
 
+    def test_shared_and_cyclic_outcome_keeps_its_identity(self, transport):
+        """An outcome that shares a list, or holds a cycle, is not a tree
+        of atoms: its frame keeps the pickle memo, and with it identity."""
+        def main(comm):
+            shared = [comm.rank, "x"]
+            cyclic = [comm.rank]
+            cyclic.append(cyclic)
+            return (shared, shared, cyclic)
+
+        for rank, (first, second, cyclic) in enumerate(
+                mpi_run(2, main, transport=transport, timeout=20.0)):
+            assert first is second and first == [rank, "x"]
+            assert cyclic[0] == rank and cyclic[1] is cyclic
+
     def test_send_to_a_dead_rank_fails_at_once(self, transport):
         """A hard-killed rank's sockets EOF at its peers: one blocked
         sending it more than the socket buffers hold fails with the death

@@ -316,9 +316,11 @@ class TestResidentUnsortedMerge:
 
 
 class TestDecoderChoice:
-    """Which decoder ``merged()`` hands each chunk: ``decode_chunk`` for a
-    resident one, ``decode_stream`` for a spilled one — the one that keeps
-    a dataset bigger than memory from becoming resident as records."""
+    """Which decoder ``merged()`` hands each chunk: a one-pass decoder
+    (``decode_chunk``, or ``decode_columns`` for the sort of a store that
+    never spilled) for a resident one, ``decode_stream`` for a spilled one
+    — the one that keeps a dataset bigger than memory from becoming
+    resident as records."""
 
     CHUNKS, KEYS = 4, 10_000
 
@@ -364,8 +366,13 @@ class TestDecoderChoice:
                 return decoder(data)
             return decode
 
+        # A never-spilled sorted store decodes resident chunks to columns:
+        # decode_columns is the resident decoder there, as decode_chunk is
+        # in the other paths, so both count as "chunk".
         monkeypatch.setattr(chunkstore, "decode_chunk",
                             spy("chunk", chunkstore.decode_chunk))
+        monkeypatch.setattr(chunkstore, "decode_columns",
+                            spy("chunk", chunkstore.decode_columns))
         monkeypatch.setattr(chunkstore, "decode_stream",
                             spy("stream", chunkstore.decode_stream))
         store = ChunkStore(spill_threshold=budget or DEFAULT_SPILL_BYTES,

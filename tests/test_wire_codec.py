@@ -16,6 +16,7 @@ and batched small chunks.  These tests pin the format down two ways:
 from __future__ import annotations
 
 import pickle
+import pickletools
 import socket
 import struct
 import threading
@@ -94,6 +95,74 @@ class TestPayloadRoundTrip:
         fmt, parts, _ = encode_payload(evil)
         out = _decode_parts(fmt, parts)
         assert out == evil and isinstance(out, bytes)
+
+
+def _pickle_body(parts: list) -> bytes:
+    """The pickle body of an encoded :data:`FMT_PICKLE` payload."""
+    return bytes(parts[2])
+
+
+MEMO_OPCODES = {"PUT", "BINPUT", "LONG_BINPUT", "MEMOIZE"}
+
+
+class Text(str):
+    """A ``str`` subclass: not an atom."""
+
+
+class Leaf:
+    """A plain object: not an atom."""
+
+
+class TestMemoFreeFrames:
+    """A tree of atoms — lists, tuples and dicts over exact atoms, no list
+    or dict reached twice — is pickled without the memo; anything that
+    shares an object or closes a cycle keeps it, identity and all."""
+
+    @given(payload=PAYLOAD_OBJECTS)
+    def test_a_tree_of_atoms_writes_no_memo_opcode(self, payload):
+        fmt, parts, _ = encode_payload(payload)
+        if fmt == FMT_RAW:
+            return
+        opcodes = {op.name for op, _arg, _pos in pickletools.genops(_pickle_body(parts))}
+        assert not opcodes & MEMO_OPCODES
+        assert _decode_parts(fmt, parts) == payload
+
+    def test_a_rank_outcome_of_many_strings(self):
+        outcome = (1, "ok", ("a", ["line %06d" % i for i in range(50_000)],
+                             {"a.records": 50_000, "a.seconds": 0.25}))
+        fmt, parts, _ = encode_payload(outcome)
+        opcodes = {op.name for op, _arg, _pos in pickletools.genops(_pickle_body(parts))}
+        assert fmt == FMT_PICKLE and not opcodes & MEMO_OPCODES
+        assert _decode_parts(fmt, parts) == outcome
+
+    def test_shared_and_cyclic_payloads_keep_their_identity(self):
+        shared = ["x", 1]
+        cyclic: list = []
+        cyclic.append(cyclic)
+        table = {"k": 1}
+        for payload in ([shared, shared], (shared, (shared,)), cyclic,
+                        {"a": table, "b": [table]}):
+            fmt, parts, _ = encode_payload(payload)
+            opcodes = {op.name for op, _arg, _pos in pickletools.genops(_pickle_body(parts))}
+            assert opcodes & MEMO_OPCODES
+            decoded = _decode_parts(fmt, parts)
+            if payload is cyclic:
+                assert decoded[0] is decoded
+            elif isinstance(payload, dict):
+                assert decoded["a"] is decoded["b"][0] and decoded["a"] == table
+            else:
+                first, second = decoded[0], decoded[1]
+                assert (first is second) if isinstance(payload, list) else \
+                    (first is second[0])
+                assert first == shared
+
+    @pytest.mark.parametrize("payload", [
+        [Text("subclass")], {1, 2}, ("x", frozenset({1})), [1, Leaf()],
+    ], ids=["str-subclass", "set", "frozenset", "object"])
+    def test_anything_else_keeps_the_memo_path(self, payload):
+        fmt, parts, _ = encode_payload(payload)
+        opcodes = {op.name for op, _arg, _pos in pickletools.genops(_pickle_body(parts))}
+        assert fmt == FMT_PICKLE and opcodes & MEMO_OPCODES
 
 
 class TestPayloadCorruption:
